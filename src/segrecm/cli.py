@@ -82,19 +82,11 @@ def _pres_results(pres, census_upto, cap):
     return results
 
 
-def _do_toric_tensor(ns):
+def _do_toric_product(ns):
+    """toric tensor and toric segre: the subcommand names the product."""
     left = toric.validate(toric.load_matrix(ns.left))
     right = toric.validate(toric.load_matrix(ns.right))
-    pres = toric.tensor(left, right)
-    inputs = {"left": [list(r) for r in left.matrix],
-              "right": [list(r) for r in right.matrix]}
-    return inputs, _pres_results(pres, ns.census, ns.cap), []
-
-
-def _do_toric_segre(ns):
-    left = toric.validate(toric.load_matrix(ns.left))
-    right = toric.validate(toric.load_matrix(ns.right))
-    pres = toric.segre(left, right)
+    pres = getattr(toric, ns.subcommand)(left, right)
     inputs = {"left": [list(r) for r in left.matrix],
               "right": [list(r) for r in right.matrix]}
     return inputs, _pres_results(pres, ns.census, ns.cap), []
@@ -209,7 +201,7 @@ def _build_oracle_ring(ring_spec, toric_path, n_alg, cap, which):
         raise ValueError(f"give exactly one of --ring{which} or --toric{which}")
     if ring_spec is not None:
         names, rels = oracle.parse_ring_spec(ring_spec)
-        return oracle.algebra_from_monomial_quotient(names, rels, n_alg), False
+        return oracle.algebra_from_monomial_quotient(names, rels, n_alg, cap=cap), False
     pres = toric.validate(toric.load_matrix(toric_path))
     return oracle.algebra_from_toric(pres, n_alg, cap=cap), True
 
@@ -222,7 +214,7 @@ def _do_oracle_friendly(ns):
     ring1, toric1 = _build_oracle_ring(ns.ring1, ns.toric1, n_alg, ns.cap, 1)
     ring2, toric2 = _build_oracle_ring(ns.ring2, ns.toric2, n_alg, ns.cap, 2)
     report = oracle.friendliness_witness(ring1, ring2, shifts[0], shifts[1],
-                                         i_lo=i_lo, i_hi=i_hi)
+                                         i_lo=i_lo, i_hi=i_hi, cap=ns.cap)
     inputs = {"ring1": ring1.name, "ring2": ring2.name,
               "shift1": shifts[0], "shift2": shifts[1],
               "window": [i_lo, i_hi]}
@@ -263,13 +255,13 @@ def build_parser():
     p = toric_sub.add_parser("validate")
     p.add_argument("--matrix", required=True)
     p.set_defaults(handler=_do_toric_validate)
-    for name, handler in (("tensor", _do_toric_tensor), ("segre", _do_toric_segre)):
+    for name in ("tensor", "segre"):
         p = toric_sub.add_parser(name)
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
         p.add_argument("--census", type=int, default=None,
                        help="also count semigroup elements up to this degree")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_do_toric_product)
     p = toric_sub.add_parser("kernel")
     p.add_argument("--matrix", required=True)
     p.set_defaults(handler=_do_toric_kernel)
@@ -336,6 +328,9 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+
 def _render_text(report):
     lines = []
 
@@ -372,12 +367,11 @@ def _merge_dash_values(argv):
 
 def run(argv=None):
     """Parse argv, run one subcommand, print the report, return exit code."""
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_dash_values(list(argv))
     try:
-        ns = parser.parse_args(argv)
+        ns = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -403,3 +397,7 @@ def run(argv=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,6 @@ win over asymptotics throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def transpose(rows):
@@ -46,31 +45,6 @@ def frac_rref(rows):
     return m, pivots
 
 
-def frac_rank(rows):
-    if not rows:
-        return 0
-    return len(frac_rref(rows)[1])
-
-
-def frac_nullspace(rows, ncols):
-    """Basis of {x in Q^ncols : rows @ x = 0}."""
-    if not rows:
-        rref, pivots = [], []
-    else:
-        rref, pivots = frac_rref(rows)
-    in_pivots = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in in_pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][free]
-        basis.append(v)
-    return basis
-
-
 def solve_right(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 
@@ -91,13 +65,6 @@ def solve_right(a_rows, b):
 
 # ---------------------------------------------------------------------------
 # integer elimination
-
-
-def _reduce_tail(row, pivot_row, c):
-    q = row[c] // pivot_row[c]
-    if q:
-        for j in range(len(row)):
-            row[j] -= q * pivot_row[j]
 
 
 def hermite_rows(rows, transform=False):
@@ -175,112 +142,3 @@ def integer_kernel(a_rows, canonical=True):
     if canonical and kernel:
         kernel = [row for row in hermite_rows(kernel) if any(row)]
     return [list(v) for v in kernel]
-
-
-def smith_diagonal(a_rows):
-    """Elementary divisors d1 | d2 | ... (positive, nonzero) of A."""
-    a = [list(map(int, row)) for row in a_rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-
-    def col_sub(j, q, k):
-        if q:
-            for i in range(nrows):
-                a[i][j] -= q * a[i][k]
-
-    def col_swap(j, k):
-        for i in range(nrows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-
-    t = 0
-    while t < min(nrows, ncols):
-        while True:
-            entries = [(abs(a[i][j]), i, j)
-                       for i in range(t, nrows) for j in range(t, ncols)
-                       if a[i][j] != 0]
-            if not entries:
-                return [abs(a[i][i]) for i in range(t) if a[i][i] != 0]
-            _, pi, pj = min(entries)
-            a[t], a[pi] = a[pi], a[t]
-            col_swap(t, pj)
-            # one reduction pass; leftover remainders are strictly smaller
-            # than the pivot, so re-selecting the minimum terminates
-            for i in range(nrows):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(ncols):
-                if j != t and a[t][j] != 0:
-                    col_sub(j, a[t][j] // a[t][t], t)
-            clear = all(a[i][t] == 0 for i in range(nrows) if i != t) and \
-                all(a[t][j] == 0 for j in range(ncols) if j != t)
-            if clear:
-                break
-        # force divisibility of the remaining block by a[t][t]
-        bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
-                    if a[i][j] % a[t][t] != 0), None)
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-            continue
-        t += 1
-    diag = [abs(a[i][i]) for i in range(min(nrows, ncols)) if a[i][i] != 0]
-    return diag
-
-
-def int_row_echelon(rows):
-    """Integer row echelon by cross multiplication, gcd-normalized rows.
-
-    Returns (echelon_rows, pivot_columns); rows of the result span the same
-    rational row space as the input.
-    """
-    ech = []
-    pivots = []
-    for row in rows:
-        row = list(map(int, row))
-        for prow, pc in zip(ech, pivots):
-            if row[pc] != 0:
-                f, g = prow[pc], row[pc]
-                row = [f * a - g * b for a, b in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        if row[lead] < 0:
-            row = [-x for x in row]
-        at = next((idx for idx, pc in enumerate(pivots) if pc > lead), len(pivots))
-        ech.insert(at, row)
-        pivots.insert(at, lead)
-    return ech, pivots
-
-
-def nullspace_int(rows, ncols):
-    """Integer basis of the rational nullspace {x : rows @ x = 0}.
-
-    Back-substitution over the rationals with denominators cleared per
-    vector.  The basis spans ker over Q; it is not normalized further.
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    ech, pivots = int_row_echelon(rows)
-    in_pivots = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in in_pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((ech[r][j] * v[j] for j in range(pc + 1, ncols) if v[j]),
-                    start=Fraction(0))
-            v[pc] = -s / ech[r][pc]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        basis.append([int(x * denom) for x in v])
-    return basis

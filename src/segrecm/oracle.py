@@ -1,47 +1,71 @@
-"""Brute-force truncated graded-module arithmetic over exact rationals.
+"""Brute-force truncated graded-module arithmetic on exponent-vector labels.
 
-Algebras and modules are stored as labelled bases per degree plus the
-degree-1 multiplication action.  All algebras built here are monomial in
-nature (monomial quotients and semigroup rings), so a degree-1 generator
-sends a basis element to a single basis element or to zero; the action is
-stored as index maps and materialized as matrices only on demand.
+Every algebra built here is monomial: a monomial quotient, a semigroup
+ring, or a Segre product of those.  So each degree keeps a tuple of
+labels, exponent vectors that name the basis elements, and nothing else.
+Multiplying a label by a degree-1 generator (itself a label) is vector
+addition followed by a membership test in the next degree; a sum that is
+not a label there is zero.  A Segre label is the concatenation of its
+factor labels, and so is a Segre generator.  The constructors that
+enumerate labels raise ResourceCap once the count exceeds their cap.
 
-Degreewise Hom into the ring is solved by seed propagation: over a
-standard graded ring a graded hom family is determined by its component
-in the lowest supported degree, because multiplication by the degree-1
-part of the ring maps each graded piece onto the next.  Starting from the
-full space of candidate lowest components, each degree step both defines
-the next component and cuts the candidate space by the compatibility
-equations.  The computed dimension is exact when the module's support and
-the ring's support are provably enclosed in their windows; otherwise it
-is an upper bound and the report says so.
+Degreewise Hom into the ring splits by multidegree.  A degree-i family
+sends the basis element m to sum_t c[m, t] t, and commuting with a
+generator g couples only c[m, t] with c[m+g, t+g]: the difference t - m
+is fixed along every equation.  Each equation either identifies two
+coefficients or forces one to zero, so the solutions are spanned by the
+connected components of pairs (m, t) that no equation forces to zero,
+and the dimension is the number of such live components.  The module is
+generated in its lowest degree, so every component holds a seed pair
+there; the engine propagates the seeds degree by degree as a union-find.
+The dimension is exact when the module's support and the ring's support
+are provably enclosed in their windows; otherwise it is an upper bound
+and the report says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
+from operator import add, sub
 from typing import Optional
 
 from . import toric as toric_mod
-from .errors import EmptyWindow, WindowTooSmall
-from .linalg import nullspace_int
+from .errors import EmptyWindow, ResourceCap, WindowTooSmall
+from .toric import DEFAULT_POINT_CAP
+
+
+def _check_cap(total, cap, what):
+    if cap is not None and total > cap:
+        raise ResourceCap(f"{what}: enumeration reached {total} entries, "
+                          f"over the cap of {cap}")
+
+
+def _first_unspanned(levels, gens):
+    """Offset of the first level above the lowest nonzero one holding a
+    label that is no generator plus a label of the level below, or None."""
+    start = next((off for off, level in enumerate(levels) if level), len(levels))
+    for off in range(start + 1, len(levels)):
+        below = set(levels[off - 1])
+        if not all(any(tuple(map(sub, n, g)) in below for g in gens)
+                   for n in levels[off]):
+            return off
+    return None
 
 
 @dataclass(frozen=True)
 class TruncatedAlgebra:
     """Standard graded algebra truncated to degrees 0..top.
 
-    basis[k] lists the degree k monomial labels; action[k][g][j] gives the
-    index in basis[k+1] of (generator g) * (basis element j), or None when
-    the product is zero.  artinian means every degree beyond the recorded
-    ones is provably zero, so dimensions are known at all integers.
+    basis[k] lists the degree k labels; the generators are the labels of
+    degree 1, and a product is a label sum that is a label again.
+    artinian means every degree beyond the recorded ones is provably
+    zero, so dimensions are known at all integers.
     """
 
     top: int
-    basis: tuple[tuple, ...]
-    action: tuple[tuple[tuple[Optional[int], ...], ...], ...]
+    basis: tuple[tuple[tuple[int, ...], ...], ...]
     artinian: bool
     name: str = ""
 
@@ -49,8 +73,9 @@ class TruncatedAlgebra:
         _check_algebra(self)
 
     @property
-    def ngens(self):
-        return len(self.basis[1]) if self.top >= 1 else 0
+    def gens(self):
+        """The degree-1 labels, which generate the algebra."""
+        return self.basis[1] if self.top >= 1 else ()
 
     def dim(self, k):
         """Dimension of the degree k piece, or None when truncated away."""
@@ -63,53 +88,17 @@ class TruncatedAlgebra:
     def dims(self):
         return tuple(len(b) for b in self.basis)
 
-    def action_matrix(self, g, k):
-        """Multiplication by generator g as a rational matrix on degree k."""
-        rows = len(self.basis[k + 1])
-        cols = len(self.basis[k])
-        mat = [[Fraction(0)] * cols for _ in range(rows)]
-        for j, target in enumerate(self.action[k][g]):
-            if target is not None:
-                mat[target][j] += 1
-        return mat
-
-
-def _vanishes_above(alg):
-    """First degree from which the algebra is provably zero, or None."""
-    if not alg.artinian:
-        return None
-    k0 = alg.top + 1
-    while k0 >= 1 and not alg.basis[k0 - 1]:
-        k0 -= 1
-    return k0
-
 
 def _check_algebra(alg):
     if alg.top < 0 or len(alg.basis) != alg.top + 1:
         raise ValueError("basis levels must cover degrees 0..top")
     if len(alg.basis[0]) != 1:
         raise ValueError("degree 0 must be one-dimensional")
-    for k in range(alg.top):
-        hit = set()
-        for g in range(alg.ngens):
-            for j, target in enumerate(alg.action[k][g]):
-                if target is not None:
-                    hit.add(target)
-        if hit != set(range(len(alg.basis[k + 1]))):
-            raise ValueError(
-                f"degree {k + 1} is not spanned by degree-1 products; "
-                f"the algebra is not standard graded")
-    for k in range(alg.top - 1):
-        for g in range(alg.ngens):
-            for h in range(g + 1, alg.ngens):
-                for j in range(len(alg.basis[k])):
-                    gj = alg.action[k][g][j]
-                    hj = alg.action[k][h][j]
-                    via_g = alg.action[k + 1][h][gj] if gj is not None else None
-                    via_h = alg.action[k + 1][g][hj] if hj is not None else None
-                    if via_g != via_h:
-                        raise ValueError(
-                            f"generator actions do not commute at degree {k}")
+    k = _first_unspanned(alg.basis, alg.gens)
+    if k is not None:
+        raise ValueError(
+            f"degree {k} is not spanned by degree-1 products; "
+            f"the algebra is not standard graded")
     return alg
 
 
@@ -119,18 +108,17 @@ class TruncatedModule:
 
     Degrees below lo are provably zero (windows start at the module's
     vanishing bound); complete means degrees above hi are provably zero
-    too.  basis and action are indexed by k - lo, with action defined for
-    lo <= k < hi.  Every module built here is generated by its lowest
-    nonzero component, which the construction checks.
+    too.  basis is indexed by k - lo and holds labels that the parent's
+    generators act on by label addition.  Every module built here is
+    generated by its lowest nonzero component, which the construction
+    checks.
     """
 
     parent: TruncatedAlgebra
     lo: int
     hi: int
     basis: tuple[tuple, ...]
-    action: tuple[tuple[tuple[Optional[int], ...], ...], ...]
     complete: bool
-    shift_tag: int = 0
 
     def __post_init__(self):
         _check_module(self)
@@ -153,22 +141,11 @@ class TruncatedModule:
 def _check_module(mod):
     if mod.hi < mod.lo or len(mod.basis) != mod.hi - mod.lo + 1:
         raise ValueError("module basis levels must cover the window")
-    if len(mod.action) != mod.hi - mod.lo:
-        raise ValueError("module action levels must cover the window steps")
-    started = False
-    for off in range(len(mod.basis) - 1):
-        if not started and not mod.basis[off]:
-            continue
-        started = True
-        hit = set()
-        for g in range(mod.parent.ngens):
-            for j, target in enumerate(mod.action[off][g]):
-                if target is not None:
-                    hit.add(target)
-        if hit != set(range(len(mod.basis[off + 1]))):
-            raise ValueError(
-                f"degree {mod.lo + off + 1} is not generated from the "
-                f"lowest component; hom propagation would be unsound")
+    off = _first_unspanned(mod.basis, mod.parent.gens)
+    if off is not None:
+        raise ValueError(
+            f"degree {mod.lo + off} is not generated from the "
+            f"lowest component; hom propagation would be unsound")
     return mod
 
 
@@ -201,11 +178,13 @@ def monomial_str(names, exps):
     return "*".join(parts) if parts else "1"
 
 
-def algebra_from_monomial_quotient(names, relations, n_max):
+def algebra_from_monomial_quotient(names, relations, n_max,
+                                   cap=DEFAULT_POINT_CAP):
     """Quotient of a polynomial ring by monomial relations, to degree n_max.
 
-    The degree k basis is every degree k monomial not divisible by a
-    relation; multiplication reduces to zero when a relation divides.
+    The degree k labels are the exponent vectors of the degree k
+    monomials not divisible by a relation.  Raises ResourceCap when the
+    monomials enumerated exceed cap.
     """
     names = list(names)
     if not names:
@@ -217,100 +196,68 @@ def algebra_from_monomial_quotient(names, relations, n_max):
     for rel in rels:
         if len(rel) != nvars or any(x < 0 for x in rel) or sum(rel) == 0:
             raise ValueError(f"bad relation exponent vector {rel}")
-    basis = []
-    for k in range(n_max + 1):
-        basis.append(tuple(m for m in _monomials(nvars, k)
-                           if not any(_divisible(m, r) for r in rels)))
-    index = [{m: i for i, m in enumerate(level)} for level in basis]
-    gens = basis[1]
-    action = []
-    for k in range(n_max):
-        per_gen = []
-        for g in gens:
-            row = []
-            for m in basis[k]:
-                prod = tuple(a + b for a, b in zip(m, g))
-                row.append(index[k + 1].get(prod))
-            per_gen.append(tuple(row))
-        action.append(tuple(per_gen))
     rel_names = ", ".join(monomial_str(names, r) for r in rels)
     name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
-    return TruncatedAlgebra(n_max, tuple(basis), tuple(action),
-                            artinian=not basis[n_max], name=name)
+    basis, total = [], 0
+    for k in range(n_max + 1):
+        total += comb(nvars + k - 1, k)
+        _check_cap(total, cap, f"monomial quotient {name}")
+        basis.append(tuple(m for m in _monomials(nvars, k)
+                           if not any(_divisible(m, r) for r in rels)))
+    return TruncatedAlgebra(n_max, tuple(basis), artinian=not basis[n_max],
+                            name=name)
 
 
-def algebra_from_toric(pres, n_max, cap=toric_mod.DEFAULT_POINT_CAP):
+def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
     """Semigroup ring of a toric presentation, truncated to degree n_max.
 
-    Basis labels are the semigroup elements per degree; multiplication is
-    vector addition and never vanishes.
+    Labels are the semigroup elements per degree; a sum of two labels is
+    always a label, so multiplication never vanishes.
     """
     if n_max < 1:
         raise ValueError("truncation degree must be at least 1")
     cens = toric_mod.census(pres, n_max, cap=cap, keep_points=True)
-    basis = cens.points
-    index = [{p: i for i, p in enumerate(level)} for level in basis]
-    action = []
-    for k in range(n_max):
-        per_gen = []
-        for g in basis[1]:
-            row = []
-            for p in basis[k]:
-                row.append(index[k + 1][tuple(a + b for a, b in zip(p, g))])
-            per_gen.append(tuple(row))
-        action.append(tuple(per_gen))
     name = f"toric[{pres.nrows}x{pres.ncols}]"
-    return TruncatedAlgebra(n_max, basis, tuple(action), artinian=False,
-                            name=name)
+    return TruncatedAlgebra(n_max, cens.points, artinian=False, name=name)
 
 
-def segre_algebra(a, b):
+def _concat_levels(lefts, rights, cap, what):
+    """Level by level, every left label concatenated with every right one."""
+    levels, total = [], 0
+    for left, right in zip(lefts, rights):
+        total += len(left) * len(right)
+        _check_cap(total, cap, what)
+        levels.append(tuple(p + q for p in left for q in right))
+    return tuple(levels)
+
+
+def segre_algebra(a, b, cap=DEFAULT_POINT_CAP):
     """Degreewise product algebra on the common window.
 
-    Basis labels are pairs, row-major in the factor bases; generators are
-    all pairs of degree-1 generators.
+    Labels are concatenations, row-major in the factor bases, so the
+    generators are all concatenated pairs of degree-1 labels.
     """
     top = min(a.top, b.top)
-    basis = [tuple((p, q) for p in a.basis[k] for q in b.basis[k])
-             for k in range(top + 1)]
-    action = []
-    for k in range(top):
-        nb_now = len(b.basis[k])
-        nb_next = len(b.basis[k + 1])
-        per_gen = []
-        for ga in range(len(a.basis[1])):
-            for gb in range(len(b.basis[1])):
-                row = []
-                for ia in range(len(a.basis[k])):
-                    ta = a.action[k][ga][ia]
-                    for ib in range(nb_now):
-                        tb = b.action[k][gb][ib]
-                        if ta is None or tb is None:
-                            row.append(None)
-                        else:
-                            row.append(ta * nb_next + tb)
-                per_gen.append(tuple(row))
-        action.append(tuple(per_gen))
-    van_a, van_b = _vanishes_above(a), _vanishes_above(b)
-    artinian = any(v is not None and v <= top + 1 for v in (van_a, van_b))
-    return TruncatedAlgebra(top, tuple(basis), tuple(action), artinian,
-                            name=f"{a.name} # {b.name}")
+    name = f"{a.name} # {b.name}"
+    basis = _concat_levels(a.basis[:top + 1], b.basis[:top + 1], cap,
+                           f"Segre algebra {name}")
+    # a factor that is provably zero above top makes the product zero there
+    artinian = 0 in (a.dim(top + 1), b.dim(top + 1))
+    return TruncatedAlgebra(top, basis, artinian, name=name)
 
 
 def free_module(alg):
     """The algebra as the rank one free module over itself."""
     return TruncatedModule(parent=alg, lo=0, hi=alg.top, basis=alg.basis,
-                           action=alg.action, complete=alg.artinian,
-                           shift_tag=0)
+                           complete=alg.artinian)
 
 
 def shift_module(mod, a):
     """Twist by a: degree k of the result is degree k + a of the input."""
-    return replace(mod, lo=mod.lo - a, hi=mod.hi - a,
-                   shift_tag=mod.shift_tag + a)
+    return replace(mod, lo=mod.lo - a, hi=mod.hi - a)
 
 
-def segre_module(m, n, parent=None):
+def segre_module(m, n, parent=None, cap=DEFAULT_POINT_CAP):
     """Degreewise product module over the product of the parents.
 
     The window is the intersection of the factor windows; the result is
@@ -323,37 +270,18 @@ def segre_module(m, n, parent=None):
         raise EmptyWindow(
             f"windows [{m.lo}, {m.hi}] and [{n.lo}, {n.hi}] do not overlap")
     if parent is None:
-        parent = segre_algebra(m.parent, n.parent)
-    basis = [tuple((p, q)
-                   for p in m.basis[k - m.lo] for q in n.basis[k - n.lo])
-             for k in range(lo, hi + 1)]
-    nbg = len(n.parent.basis[1])
-    action = []
-    for k in range(lo, hi):
-        nb_next = len(n.basis[k + 1 - n.lo])
-        per_gen = []
-        for ga in range(len(m.parent.basis[1])):
-            for gb in range(nbg):
-                row = []
-                for im in range(len(m.basis[k - m.lo])):
-                    tm = m.action[k - m.lo][ga][im]
-                    for jn in range(len(n.basis[k - n.lo])):
-                        tn = n.action[k - n.lo][gb][jn]
-                        if tm is None or tn is None:
-                            row.append(None)
-                        else:
-                            row.append(tm * nb_next + tn)
-                per_gen.append(tuple(row))
-        action.append(tuple(per_gen))
+        parent = segre_algebra(m.parent, n.parent, cap=cap)
+    basis = _concat_levels(m.basis[lo - m.lo:hi + 1 - m.lo],
+                           n.basis[lo - n.lo:hi + 1 - n.lo], cap,
+                           f"Segre module over {parent.name}")
 
     def covers(factor):
         if not factor.complete:
             return False
         return all(k in range(lo, hi + 1) for k in factor.support())
 
-    return TruncatedModule(parent=parent, lo=lo, hi=hi, basis=tuple(basis),
-                           action=tuple(action),
-                           complete=covers(m) or covers(n), shift_tag=0)
+    return TruncatedModule(parent=parent, lo=lo, hi=hi, basis=basis,
+                           complete=covers(m) or covers(n))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +293,12 @@ class HomWindowReport:
     """Dimensions of degree-i hom families for i in [i_lo, i_hi].
 
     dims[i - i_lo] is the solution dimension (None when the truncation
-    made degree i unmodelable), squares counts the consistency-checked
-    propagation steps, and clipped records whether the window boundary
-    cut the computation.  exact means both the module support and the
-    ring support were provably enclosed, so every dimension equals the
-    actual graded Hom dimension; inexact dimensions are upper bounds.
+    made degree i unmodelable), squares counts the propagation steps
+    whose equations were applied, and clipped records whether the window
+    boundary cut the computation.  exact means both the module support
+    and the ring support were provably enclosed, so every dimension
+    equals the actual graded Hom dimension; inexact dimensions are upper
+    bounds.
     """
 
     i_lo: int
@@ -389,111 +318,112 @@ class HomWindowReport:
         """True when the dimension at degree i is provably exact.
 
         A degree is certified when its computation never touched the
-        truncation boundary: it ended through a provably zero codomain, a
-        full-rank cut, or the visible end of the module support.
+        truncation boundary: it ended through a provably zero codomain,
+        the death of every component, or the visible end of the module
+        support.
         """
         off = i - self.i_lo
         return self.dims[off] is not None and not self.clipped[off]
 
 
-def _scatter(index_map, col, out_dim):
-    out = [0] * out_dim
-    for src, dst in enumerate(index_map):
-        if dst is not None and col[src]:
-            out[dst] += col[src]
+def _successors(levels, gens):
+    """succ[k][j][g]: index of label j of level k plus generator g in
+    level k + 1, or None when the sum is not a label there.  The top
+    level maps into an empty level, so all its products vanish."""
+    out = []
+    for level, above in zip(levels, levels[1:] + ((),)):
+        index = {label: j for j, label in enumerate(above)}
+        out.append([tuple(index.get(tuple(map(add, label, g))) for g in gens)
+                    for label in level])
     return out
 
 
-def _hom_dim_at(mod, i):
-    """(dimension or None, squares checked, clipped) for one hom degree."""
+class _Components:
+    """Union-find over the seed pairs plus one class for the forced zeros.
+
+    Every merge of two classes removes one live component: either two
+    live ones become one, or a live one joins the zeros.
+    """
+
+    def __init__(self, seeds):
+        self.parent = list(range(seeds + 1))
+        self.zero = seeds
+        self.live = seeds
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+            self.live -= 1
+        return rx
+
+    def kill(self, x):
+        self.union(self.zero, x)
+
+
+def _live_components(mod, i, m_succ, t_succ, in_degree):
+    """(dimension or None, steps applied, clipped) for one hom degree.
+
+    Nodes are pairs (m, t) of label indices in module degree k and ring
+    degree k + i, and the front holds the pairs reached so far that are
+    not forced to zero.  A step
+    to degree k + 1 links (m, t) to (m+g, t+g) and forces a component to
+    zero when m+g vanishes while t+g does not, or when a pair (n, s) is
+    reached by fewer front pairs than n has predecessors in the module:
+    then some predecessor's partner s-g is not a label.
+    """
     alg = mod.parent
-    k0 = mod.support()[0]
-    d_cod = alg.dim(k0 + i)
+    k = mod.support()[0]
+    d_cod = alg.dim(k + i)
     if d_cod is None:
         return None, 0, True
     if d_cod == 0:
         # zero codomain at the generating degree forces the zero family
         return 0, 0, False
-    d_dom = mod.dim(k0)
-    # seeds: one per entry of a d_cod x d_dom matrix;
-    # phi[s][j] is the column over the codomain basis, stored as int lists
-    phi = []
-    for col in range(d_dom):
-        for row in range(d_cod):
-            mat = [[0] * d_cod for _ in range(d_dom)]
-            mat[col][row] = 1
-            phi.append(mat)
-    k = k0
+    comps = _Components(mod.dim(k) * d_cod)
+    front = {(j, t): j * d_cod + t for j in range(mod.dim(k)) for t in range(d_cod)}
     squares = 0
-    clipped = False
-    while phi:
-        d_next = mod.dim(k + 1)
-        c_next = alg.dim(k + i + 1)
+    while True:
+        d_next, c_next = mod.dim(k + 1), alg.dim(k + i + 1)
         if d_next is None or c_next is None:
-            clipped = True
-            break
+            return comps.live, squares, True
         if d_next == 0 and c_next == 0:
             break
-        dom_now = mod.dim(k)
-        tact = alg.action[k + i] if 0 <= k + i < len(alg.action) else None
-        mact = mod.action[k - mod.lo] if k - mod.lo < len(mod.action) else None
-        # mact is absent only at the window top with d_next == 0 known,
-        # where every product is provably zero
-
-        def target(g, j):
-            return mact[g][j] if mact is not None else None
-
-        # defining pair for each target basis element: first (g, j) hit
-        defining = {}
-        for g in range(alg.ngens):
-            for j in range(dom_now):
-                tgt = target(g, j)
-                if tgt is not None and tgt not in defining:
-                    defining[tgt] = (g, j)
-        # scattered image of every (generator, column) pair, per seed
-        image = {}
-        for g in range(alg.ngens):
-            tmap = tact[g] if tact is not None else ()
-            for j in range(dom_now):
-                image[g, j] = [_scatter(tmap, phi[s][j], c_next)
-                               for s in range(len(phi))]
-        nxt = [[image[defining[tgt]][s] for tgt in range(d_next)]
-               for s in range(len(phi))]
-        # compatibility equations from every non-defining pair
-        rows = set()
-        for (g, j), vecs in image.items():
-            tgt = target(g, j)
-            if tgt is not None and defining[tgt] == (g, j):
-                continue
-            for r in range(c_next):
-                row = tuple(vecs[s][r] - (nxt[s][tgt][r] if tgt is not None else 0)
-                            for s in range(len(phi)))
-                if any(row):
-                    rows.add(row)
         squares += 1
-        if rows:
-            combos = nullspace_int(sorted(rows), len(phi))
-            if not combos:
-                return 0, squares, False
-            phi = [_combine(phi, c) for c in combos]
-            nxt = [_combine(nxt, c) for c in combos]
+        edges = {}
+        for (j, t), node in front.items():
+            for n, s in zip(m_succ[k - mod.lo][j], t_succ[k + i][t]):
+                if s is None:
+                    continue
+                if n is None:
+                    comps.kill(node)
+                else:
+                    edges.setdefault((n, s), []).append(node)
+        front = {}
+        for (n, s), nodes in edges.items():
+            root = nodes[0]
+            for node in nodes[1:]:
+                root = comps.union(root, node)
+            if len(nodes) < in_degree[k + 1 - mod.lo][n]:
+                comps.kill(root)
+            front[n, s] = root
+        if not comps.live:
+            return 0, squares, False
         if d_next == 0:
             break
-        phi = nxt
+        # pairs forced to zero only spread zeros; drop them from the front
+        zero = comps.find(comps.zero)
+        front = {pair: node for pair, node in front.items()
+                 if comps.find(node) != zero}
         k += 1
-    return len(phi), squares, clipped
-
-
-def _combine(families, coeffs):
-    out = [[0] * len(col) for col in families[0]]
-    for c, fam in zip(coeffs, families):
-        if not c:
-            continue
-        for col_out, col in zip(out, fam):
-            for idx, x in enumerate(col):
-                if x:
-                    col_out[idx] += c * x
-    return out
+    return comps.live, squares, False
 
 
 def hom_window(mod, i_lo, i_hi):
@@ -508,9 +438,18 @@ def hom_window(mod, i_lo, i_hi):
     if not mod.support():
         raise WindowTooSmall(
             f"module window [{mod.lo}, {mod.hi}] has no nonzero component")
+    gens = mod.parent.gens
+    m_succ = _successors(mod.basis, gens)
+    t_succ = _successors(mod.parent.basis, gens)
+    in_degree = [[0] * len(level) for level in mod.basis]
+    for above, level in zip(in_degree[1:], m_succ):
+        for row in level:
+            for n in row:
+                if n is not None:
+                    above[n] += 1
     dims, squares, clipped = [], [], []
     for i in range(i_lo, i_hi + 1):
-        d, sq, cl = _hom_dim_at(mod, i)
+        d, sq, cl = _live_components(mod, i, m_succ, t_succ, in_degree)
         dims.append(d)
         squares.append(sq)
         clipped.append(cl)
@@ -558,22 +497,23 @@ MIN_INFORMATIVE_STEPS = 2
 
 
 def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
-                         min_steps=MIN_INFORMATIVE_STEPS):
+                         min_steps=MIN_INFORMATIVE_STEPS,
+                         cap=DEFAULT_POINT_CAP):
     """Compare duals of a twisted product against the product of duals.
 
     On inexact (truncated) data the hom side of degree i only enters the
     verdict when at least min_steps propagation steps were consistency
     checked; degrees near the window boundary are reported but not
-    compared.
+    compared.  cap bounds every Segre level enumeration.
     """
-    t = segre_algebra(ring1, ring2)
+    t = segre_algebra(ring1, ring2, cap=cap)
     twisted = segre_module(shift_module(free_module(ring1), shift1),
                            shift_module(free_module(ring2), shift2),
-                           parent=t)
+                           parent=t, cap=cap)
     hom = hom_window(twisted, i_lo, i_hi)
     dual = segre_module(shift_module(free_module(ring1), -shift1),
                         shift_module(free_module(ring2), -shift2),
-                        parent=t)
+                        parent=t, cap=cap)
     right = tuple(dual.dim(i) for i in range(i_lo, i_hi + 1))
     compared, mismatches, certified_mismatch = [], [], False
     for off, i in enumerate(range(i_lo, i_hi + 1)):

@@ -38,9 +38,6 @@ class CoefficientWindow:
         if len(self.values) != self.hi - self.lo + 1:
             raise ValueError("window length does not match its bounds")
 
-    def as_dict(self):
-        return {self.lo + k: v for k, v in enumerate(self.values)}
-
 
 def _normalize_pairs(pairs):
     acc = {}

@@ -2,8 +2,9 @@
 
 Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
-local Gaussian elimination, and graded hom by one dense linear solve.
-They share data structures with the package but not algorithms.
+local Gaussian elimination, Smith elementary divisors by unimodular row
+and column operations, and graded hom by one dense linear solve.  They
+share data structures with the package but not algorithms.
 """
 
 from fractions import Fraction
@@ -60,12 +61,66 @@ def census_by_multisets(columns, n):
     return len(seen)
 
 
+def smith_diagonal(a_rows):
+    """Elementary divisors d1 | d2 | ... (positive, nonzero) of A."""
+    a = [list(map(int, row)) for row in a_rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+
+    def col_sub(j, q, k):
+        if q:
+            for i in range(nrows):
+                a[i][j] -= q * a[i][k]
+
+    def col_swap(j, k):
+        for i in range(nrows):
+            a[i][j], a[i][k] = a[i][k], a[i][j]
+
+    t = 0
+    while t < min(nrows, ncols):
+        while True:
+            entries = [(abs(a[i][j]), i, j)
+                       for i in range(t, nrows) for j in range(t, ncols)
+                       if a[i][j] != 0]
+            if not entries:
+                return [abs(a[i][i]) for i in range(t) if a[i][i] != 0]
+            _, pi, pj = min(entries)
+            a[t], a[pi] = a[pi], a[t]
+            col_swap(t, pj)
+            # one reduction pass; leftover remainders are strictly smaller
+            # than the pivot, so re-selecting the minimum terminates
+            for i in range(nrows):
+                if i != t and a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(ncols):
+                if j != t and a[t][j] != 0:
+                    col_sub(j, a[t][j] // a[t][t], t)
+            clear = all(a[i][t] == 0 for i in range(nrows) if i != t) and \
+                all(a[t][j] == 0 for j in range(ncols) if j != t)
+            if clear:
+                break
+        # force divisibility of the remaining block by a[t][t]
+        bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                    if a[i][j] % a[t][t] != 0), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+            continue
+        t += 1
+    diag = [abs(a[i][i]) for i in range(min(nrows, ncols)) if a[i][i] != 0]
+    return diag
+
+
 def dense_hom_dim(mod, i):
     """Hom dimension at degree i by enumerating all map families at once.
 
-    Builds the full constraint system over every degree of the module
-    support and solves it in one elimination; valid only for exact data
-    (complete module over an algebra with visible vanishing).
+    One unknown c[k, m, t] per module label m of degree k and ring label
+    t of degree k + i, over every degree of the module support.  For each
+    generator g, label m and ring label s of degree k + i + 1 one equation
+    reads phi(g m) = g phi(m) at s, with label arithmetic done here on
+    plain sets.  The whole system is solved in one elimination; valid
+    only for exact data (complete module over an algebra with visible
+    vanishing).
     """
     alg = mod.parent
     assert mod.complete and alg.artinian
@@ -73,35 +128,31 @@ def dense_hom_dim(mod, i):
     k_min, k_max = sup[0], sup[-1]
     assert k_max < mod.hi, "support must end inside the window"
 
-    blocks = {}
-    total = 0
+    def ring_level(d):
+        return alg.basis[d] if 0 <= d <= alg.top else ()
+
+    def plus(u, v, sign=1):
+        return tuple(x + sign * y for x, y in zip(u, v))
+
+    var = {}
     for k in range(k_min, k_max + 1):
-        r, c = alg.dim(k + i), mod.dim(k)
-        if r and c:
-            blocks[k] = (total, r)
-            total += r * c
-    if total == 0:
-        return 0
+        for m in mod.basis[k - mod.lo]:
+            for t in ring_level(k + i):
+                var[k, m, t] = len(var)
     eqs = []
     for k in range(k_min, k_max + 1):
-        c_next = alg.dim(k + i + 1)
-        if not c_next:
-            continue
-        for g in range(alg.ngens):
-            tmap = alg.action[k + i][g] if 0 <= k + i < len(alg.action) else ()
-            mrow = mod.action[k - mod.lo][g]
-            for j in range(mod.dim(k)):
-                tgt = mrow[j]
-                for r in range(c_next):
-                    row = [0] * total
-                    if k in blocks:
-                        off, nrows = blocks[k]
-                        for src, dst in enumerate(tmap):
-                            if dst == r:
-                                row[off + j * nrows + src] += 1
-                    if tgt is not None and (k + 1) in blocks:
-                        off1, nrows1 = blocks[k + 1]
-                        row[off1 + tgt * nrows1 + r] -= 1
+        module_above = set(mod.basis[k + 1 - mod.lo])
+        ring_now = set(ring_level(k + i))
+        for m in mod.basis[k - mod.lo]:
+            for g in alg.basis[1]:
+                gm = plus(m, g)
+                for s in ring_level(k + i + 1):
+                    row = [0] * len(var)
+                    if gm in module_above:
+                        row[var[k + 1, gm, s]] += 1
+                    t = plus(s, g, -1)
+                    if t in ring_now:
+                        row[var[k, m, t]] -= 1
                     if any(row):
                         eqs.append(row)
-    return total - gauss_rank(eqs)
+    return len(var) - gauss_rank(eqs)

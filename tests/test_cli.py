@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import segrecm
 from segrecm.cli import run
 from segrecm.toric import format_matrix
 
@@ -137,5 +141,23 @@ class TestExitCodes:
         assert run(["--cap", "5", "toric", "census", "--matrix", i2_path,
                     "--upto", "9"]) == 4
 
+    def test_oracle_resource_cap(self, capsys):
+        assert run(["--cap", "10", "oracle", "friendly", "--ring1", "a,b,c,d",
+                    "--ring2", "e,f,g,h", "--shift1", "0", "--shift2", "0",
+                    "--window", "0..6"]) == 4
+        err = capsys.readouterr().err
+        assert "monomial quotient K[a,b,c,d]" in err and "cap of 10" in err
+
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(segrecm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "segrecm.cli", "classify", "interval", "--rho", "4,2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["integer_points"] == [0, 1]

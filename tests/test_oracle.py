@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segrecm.errors import EmptyWindow, WindowTooSmall
+from segrecm.errors import EmptyWindow, ResourceCap, WindowTooSmall
 from segrecm.oracle import (TruncatedAlgebra, TruncatedModule,
                             algebra_from_monomial_quotient,
                             algebra_from_toric, free_module,
@@ -38,10 +40,15 @@ class TestMonomialQuotient:
         assert alg.dims() == (1, 2, 1, 0, 0)
         assert alg.artinian
 
-    def test_action_matrix(self):
+    def test_label_products(self):
         alg = nilpotent("x", 3, 4)
-        assert alg.action_matrix(0, 1) == [[1]]   # x * x = x^2
-        assert alg.action_matrix(0, 2) == []      # x * x^2 = 0
+        assert alg.basis[1] == ((1,),)
+        assert (2,) in alg.basis[2]    # x * x = x^2
+        assert alg.basis[3] == ()      # x * x^2 = 0
+
+    def test_cap(self):
+        with pytest.raises(ResourceCap, match="monomial quotient K\\[a,b,c,d\\].* cap of 10"):
+            algebra_from_monomial_quotient(list("abcd"), [], 6, cap=10)
 
 
 class TestToricAlgebra:
@@ -56,10 +63,9 @@ class TestToricAlgebra:
 
     def test_product_is_vector_sum(self):
         alg = algebra_from_toric(I2, 3)
-        for g, gen in enumerate(alg.basis[1]):
-            for j, pt in enumerate(alg.basis[1]):
-                target = alg.action[1][g][j]
-                assert alg.basis[2][target] == tuple(a + b for a, b in zip(gen, pt))
+        sums = {tuple(a + b for a, b in zip(gen, pt))
+                for gen in alg.basis[1] for pt in alg.basis[1]}
+        assert sums == set(alg.basis[2])
 
 
 class TestSegreModule:
@@ -69,8 +75,8 @@ class TestSegreModule:
                          shift_module(free_module(S2), 1), parent=t)
         assert m.dims()[-1] == 1 and m.dims()[0] == 1
         assert m.support() == [-1, 0]
-        assert m.basis[0] == (((1,), (0,)),)       # x tensor 1 in degree -1
-        assert m.basis[1] == (((2,), (1,)),)       # x^2 tensor y in degree 0
+        assert m.basis[0] == ((1, 0),)       # x tensor 1 in degree -1
+        assert m.basis[1] == ((2, 1),)       # x^2 tensor y in degree 0
 
     def test_ring_as_module(self):
         t = segre_algebra(R3, S2)
@@ -195,29 +201,15 @@ class TestHomWindow:
         assert left == right
 
 
+def _shuffled_levels(levels, rng):
+    """Each degree's labels listed in another order."""
+    return tuple(tuple(rng.sample(level, len(level))) for level in levels)
+
+
 def _permuted_copy(alg, rng):
     """Same algebra with each degree's basis listed in another order."""
-    perms = []
-    for level in alg.basis:
-        order = list(range(len(level)))
-        rng.shuffle(order)
-        perms.append(order)
-    basis = tuple(tuple(level[i] for i in order)
-                  for level, order in zip(alg.basis, perms))
-    inverse = [{old: new for new, old in enumerate(order)} for order in perms]
-    gen_order = perms[1]
-    action = []
-    for k in range(alg.top):
-        per_gen = []
-        for g in gen_order:
-            row = alg.action[k][g]
-            new_row = tuple(
-                inverse[k + 1][row[j]] if row[j] is not None else None
-                for j in perms[k])
-            per_gen.append(new_row)
-        action.append(tuple(per_gen))
-    return TruncatedAlgebra(alg.top, basis, tuple(action), alg.artinian,
-                            name=alg.name + " permuted")
+    return TruncatedAlgebra(alg.top, _shuffled_levels(alg.basis, rng),
+                            alg.artinian, name=alg.name + " permuted")
 
 
 class TestFriendliness:
@@ -259,6 +251,11 @@ class TestRingSpec:
 
 
 class TestModuleInvariants:
+    def test_unspanned_algebra_rejected(self):
+        # (1, 1) minus the only generator (1, 0) is no degree-1 label
+        with pytest.raises(ValueError, match="not spanned"):
+            TruncatedAlgebra(2, (((0, 0),), ((1, 0),), ((1, 1),)), artinian=False)
+
     def test_gap_rejected(self):
         alg = nilpotent("x", 3, 5)
         mod = free_module(alg)
@@ -266,4 +263,68 @@ class TestModuleInvariants:
         bad_basis[1] = ()   # punch a hole below nonzero degree 2
         with pytest.raises(ValueError):
             TruncatedModule(parent=alg, lo=0, hi=5, basis=tuple(bad_basis),
-                            action=mod.action, complete=True)
+                            complete=True)
+
+
+class TestCaps:
+    def test_segre_levels(self):
+        plane = algebra_from_toric(I2, 6)
+        with pytest.raises(ResourceCap, match="Segre algebra .* cap of 40"):
+            segre_algebra(plane, plane, cap=40)
+        t = segre_algebra(plane, plane)
+        with pytest.raises(ResourceCap, match="Segre module .* cap of 40"):
+            segre_module(free_module(plane), free_module(plane), parent=t, cap=40)
+
+
+# random Artinian monomial quotients: pure powers of every variable keep
+# the quotient Artinian, an optional mixed monomial makes it non-Gorenstein
+artinian_rings = st.one_of(
+    st.tuples(st.just(1), st.integers(2, 4)).map(lambda p: ((p[1],),)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()).map(
+        lambda p: ((p[0], 0), (0, p[1])) + (((1, 1),) if p[2] else ())),
+)
+truncated_rings = st.sampled_from((((0,),), ((0, 0),), ((1, 1),), ((2, 0),)))
+
+
+def quotient(relations, n_max, name):
+    rels = [r for r in relations if any(r)]
+    names = [f"{name}{j}" for j in range(len(relations[0]))]
+    return algebra_from_monomial_quotient(names, rels, n_max)
+
+
+class TestHomProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(artinian_rings, artinian_rings, st.integers(-2, 3), st.integers(-2, 3))
+    def test_matches_dense_solver(self, rels1, rels2, a, b):
+        ra, rb = quotient(rels1, 10, "x"), quotient(rels2, 10, "y")
+        try:
+            m = segre_module(shift_module(free_module(ra), a),
+                             shift_module(free_module(rb), b))
+        except EmptyWindow:
+            return
+        if not m.support():
+            return
+        hom = hom_window(m, -4, 4)
+        assert hom.exact
+        for i in range(-4, 5):
+            assert hom.dim_at(i) == dense_hom_dim(m, i), (ra.name, rb.name, a, b, i)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(artinian_rings, truncated_rings), artinian_rings,
+           st.integers(-2, 2), st.integers(-2, 2), st.randoms(use_true_random=False))
+    def test_reordering_each_degree(self, rels1, rels2, a, b, rng):
+        ra, rb = quotient(rels1, 6, "x"), quotient(rels2, 6, "y")
+        try:
+            m = segre_module(shift_module(free_module(ra), a),
+                             shift_module(free_module(rb), b))
+        except EmptyWindow:
+            return
+        if not m.support():
+            return
+        parent = _permuted_copy(m.parent, rng)
+        shuffled = TruncatedModule(parent=parent, lo=m.lo, hi=m.hi,
+                                   basis=_shuffled_levels(m.basis, rng),
+                                   complete=m.complete)
+        left, right = hom_window(m, -3, 3), hom_window(shuffled, -3, 3)
+        assert (left.dims, left.squares, left.clipped) == \
+            (right.dims, right.squares, right.clipped)
