@@ -25,6 +25,7 @@ and the report says so.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb
@@ -441,12 +442,9 @@ def hom_window(mod, i_lo, i_hi):
     gens = mod.parent.gens
     m_succ = _successors(mod.basis, gens)
     t_succ = _successors(mod.parent.basis, gens)
-    in_degree = [[0] * len(level) for level in mod.basis]
-    for above, level in zip(in_degree[1:], m_succ):
-        for row in level:
-            for n in row:
-                if n is not None:
-                    above[n] += 1
+    # in_degree[off][n]: the (label, generator) pairs one level down reaching n
+    in_degree = [Counter()] + [Counter(n for row in level for n in row if n is not None)
+                               for level in m_succ]
     dims, squares, clipped = [], [], []
     for i in range(i_lo, i_hi + 1):
         d, sq, cl = _live_components(mod, i, m_succ, t_succ, in_degree)
