@@ -14,10 +14,10 @@ from .errors import (BadTwist, DimensionTooSmall, DomainError, EmptyWindow,
                      NotApplicable, NotPositive, NotSorted,
                      NotStandardGraded, ReconstructionFailed, ResourceCap,
                      SegreError, WindowTooSmall)
-from .oracle import (FriendlinessReport, HomWindowReport, TruncatedAlgebra,
-                     TruncatedModule, algebra_from_monomial_quotient,
-                     algebra_from_toric, free_module, friendliness_witness,
-                     hom_window, segre_algebra, segre_module, shift_module)
+from .oracle import (FriendlinessReport, HomWindowReport, TruncatedModule,
+                     algebra_from_monomial_quotient, algebra_from_toric,
+                     friendliness_witness, hom_window, segre_module,
+                     shift_module)
 from .series import CoefficientWindow, HilbertSeries, format_series, parse_series
 from .toric import (LatticeBasis, SemigroupCensus, ToricPresentation, census,
                     kernel_lattice, segre, tensor, validate)

@@ -121,7 +121,7 @@ def _do_hilbert_shift(ns):
 
 def _do_hilbert_window(ns):
     h = series.parse_series(ns.series)
-    win = h.window(ns.lo, ns.hi)
+    win = h.window(ns.lo, ns.hi, cap=ns.cap)
     inputs = {"series": series.format_series(h), "lo": ns.lo, "hi": ns.hi}
     return inputs, {"lo": win.lo, "hi": win.hi, "values": list(win.values)}, []
 
@@ -131,7 +131,7 @@ def _do_hilbert_hadamard(ns):
     right = series.parse_series(ns.right)
     inputs = {"left": series.format_series(left),
               "right": series.format_series(right), "guard": ns.guard}
-    out = left.hadamard(right, guard=ns.guard)
+    out = left.hadamard(right, guard=ns.guard, cap=ns.cap)
     return inputs, {"series": series.format_series(out)}, []
 
 
@@ -143,15 +143,12 @@ def _do_classify_depth(ns):
         raise ValueError("--dims, --ainv and --shifts must list the same "
                          "positive number of factors")
     inputs = {"dims": dims, "a_invariants": ainv, "shifts": shifts}
-    if all(d >= 2 for d in dims):
-        report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)))
-        method = "subset-support"
-    elif len(dims) == 2:
+    # dimension 1 factors are only classified in the two factor case
+    if len(dims) == 2 and min(dims) < 2:
         report = cohomo.prop_depth_m2(dims[0], dims[1], ainv[0], ainv[1],
                                       shifts[0], shifts[1])
         method = "two-factor-cases"
     else:
-        # dimension 1 factors are only classified in the two factor case
         report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)))
         method = "subset-support"
     results = {"dim": report.dim, "depth": report.depth, "is_cm": report.is_cm,
@@ -338,8 +335,6 @@ def _render_text(report):
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else str(key), value[key])
-        elif isinstance(value, list):
-            lines.append(f"{prefix}: {json.dumps(value)}")
         else:
             lines.append(f"{prefix}: {json.dumps(value)}")
 

@@ -5,6 +5,8 @@ exit code 3; ResourceCap signals that a configured enumeration bound was
 exceeded and maps to exit code 4.  Every message names the offending input.
 """
 
+DEFAULT_POINT_CAP = 1_000_000
+
 
 class SegreError(Exception):
     """Base class for all library errors."""
@@ -16,6 +18,13 @@ class DomainError(SegreError):
 
 class ResourceCap(SegreError):
     """An enumeration exceeded its configured resource bound."""
+
+
+def check_cap(total, cap, what):
+    """Raise ResourceCap naming the enumeration when total exceeds cap."""
+    if cap is not None and total > cap:
+        raise ResourceCap(f"{what}: enumeration reached {total} entries, "
+                          f"over the cap of {cap}")
 
 
 class NotStandardGraded(DomainError):

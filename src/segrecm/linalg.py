@@ -67,36 +67,16 @@ def solve_right(a_rows, b):
 # integer elimination
 
 
-def hermite_rows(rows, transform=False):
+def hermite_rows(rows):
     """Row Hermite normal form of an integer matrix.
 
     Pivots are positive, entries above a pivot lie in [0, pivot), zero rows
     sink to the bottom.  The rows of the result span the same lattice as
-    the input rows.  With transform=True also returns a unimodular U with
-    U @ input == hnf.
+    the input rows, and the form is unique for that lattice.
     """
     h = [list(map(int, row)) for row in rows]
     nrows = len(h)
     ncols = len(h[0]) if h else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
-
-    def rowop_swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def rowop_sub(i, q, j):
-        # row_i -= q * row_j
-        if q:
-            h[i] = [a - q * b for a, b in zip(h[i], h[j])]
-            if u is not None:
-                u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def rowop_neg(i):
-        h[i] = [-a for a in h[i]]
-        if u is not None:
-            u[i] = [-a for a in u[i]]
-
     r = 0
     for c in range(ncols):
         # gcd out column c below row r
@@ -105,40 +85,40 @@ def hermite_rows(rows, transform=False):
             if not live:
                 break
             i0 = min(live, key=lambda i: abs(h[i][c]))
-            rowop_swap(r, i0)
+            h[r], h[i0] = h[i0], h[r]
             done = True
             for i in range(r + 1, nrows):
                 if h[i][c] != 0:
-                    rowop_sub(i, h[i][c] // h[r][c], r)
+                    q = h[i][c] // h[r][c]
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
                     if h[i][c] != 0:
                         done = False
             if done:
                 break
         if r < nrows and h[r][c] != 0:
             if h[r][c] < 0:
-                rowop_neg(r)
+                h[r] = [-a for a in h[r]]
             for i in range(r):
-                rowop_sub(i, h[i][c] // h[r][c], r)
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
             r += 1
             if r == nrows:
                 break
-    if transform:
-        return h, u
     return h
 
 
-def integer_kernel(a_rows, canonical=True):
-    """Basis of ker(A) cap Z^n for an integer matrix A.
+def integer_kernel(a_rows):
+    """Basis of ker(A) cap Z^n for an integer matrix A, in row Hermite form.
 
-    The kernel is tracked through unimodular row operations on the
-    transpose, so the returned lattice is saturated: Z^n modulo it is
-    torsion free.  With canonical=True the basis is put in row Hermite
-    form with each leading entry positive, giving a reproducible answer.
+    The row Hermite form of [A^T | I] spans {(u A^T, u) : u in Z^n}; its
+    rows with zero A^T part span exactly the pairs with u A^T = 0 and
+    are themselves in Hermite form, so their identity-part tails are the
+    unique Hermite basis of the kernel.  That lattice is saturated: Z^n
+    modulo it is torsion free.
     """
-    ncols = len(a_rows[0])
-    bt = transpose(a_rows)
-    hnf, u = hermite_rows(bt, transform=True)
-    kernel = [u[i] for i in range(ncols) if all(x == 0 for x in hnf[i])]
-    if canonical and kernel:
-        kernel = [row for row in hermite_rows(kernel) if any(row)]
-    return [list(v) for v in kernel]
+    m = len(a_rows)
+    n = len(a_rows[0])
+    aug = [list(col) + [int(i == j) for j in range(n)]
+           for i, col in enumerate(zip(*a_rows))]
+    return [row[m:] for row in hermite_rows(aug) if not any(row[:m])]

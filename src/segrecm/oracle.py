@@ -1,12 +1,15 @@
 """Brute-force truncated graded-module arithmetic on exponent-vector labels.
 
-Every algebra built here is monomial: a monomial quotient, a semigroup
-ring, or a Segre product of those.  So each degree keeps a tuple of
-labels, exponent vectors that name the basis elements, and nothing else.
-Multiplying a label by a degree-1 generator (itself a label) is vector
-addition followed by a membership test in the next degree; a sum that is
-not a label there is zero.  A Segre label is the concatenation of its
-factor labels, and so is a Segre generator.  The constructors that
+Every ring built here is monomial: a monomial quotient, a semigroup
+ring, or a Segre product of those.  One type holds rings and modules: a
+window start and, per degree, a tuple of labels, the exponent vectors
+that name the basis elements.  A ring is the free module over itself,
+starting in degree 0 and generated by its degree-1 labels; multiplying
+by a generator is vector addition followed by a membership test in the
+next degree, and a sum that is no label there is zero.  The Segre
+product M # N (Goto-Watanabe) is one construction for modules and rings
+alike, T = R # S being the case M = R, N = S: its labels concatenate the
+factor labels.  A shift only moves the window.  Constructors that
 enumerate labels raise ResourceCap once the count exceeds their cap.
 
 Degreewise Hom into the ring splits by multidegree.  A degree-i family
@@ -18,11 +21,12 @@ connected components of pairs (m, t) that no equation forces to zero,
 and the dimension is the number of such live components.  The module is
 generated in its lowest degree, so every component holds a seed pair
 there; the engine propagates the seeds degree by degree as a union-find.
-The dimension is exact when the module's support and the ring's support
-are provably enclosed in their windows; otherwise it is an upper bound
-and the report says so.
+hom_window checks that and that the ring is standard graded; enumeration,
+concatenation and shifts keep both, so no constructor checks them.  The
+dimension is exact when the module's support and the ring's support are
+provably enclosed in their windows; otherwise it is an upper bound and
+the report says so.
 """
-
 from __future__ import annotations
 
 from collections import Counter
@@ -33,14 +37,8 @@ from operator import add, sub
 from typing import Optional
 
 from . import toric as toric_mod
-from .errors import EmptyWindow, ResourceCap, WindowTooSmall
-from .toric import DEFAULT_POINT_CAP
-
-
-def _check_cap(total, cap, what):
-    if cap is not None and total > cap:
-        raise ResourceCap(f"{what}: enumeration reached {total} entries, "
-                          f"over the cap of {cap}")
+from .errors import (DEFAULT_POINT_CAP, EmptyWindow, WindowTooSmall,
+                     check_cap)
 
 
 def _first_unspanned(levels, gens):
@@ -56,75 +54,33 @@ def _first_unspanned(levels, gens):
 
 
 @dataclass(frozen=True)
-class TruncatedAlgebra:
-    """Standard graded algebra truncated to degrees 0..top.
+class TruncatedModule:
+    """Graded module truncated to the window [lo, hi], hi = lo + len(basis) - 1.
 
-    basis[k] lists the degree k labels; the generators are the labels of
-    degree 1, and a product is a label sum that is a label again.
-    artinian means every degree beyond the recorded ones is provably
-    zero, so dimensions are known at all integers.
+    Degrees below lo are provably zero (windows start at the vanishing
+    bound); complete means degrees above hi are provably zero too.
+    basis is indexed by k - lo and holds labels that the ring's
+    generators act on by label addition.  A ring is the free module
+    over itself: lo = 0, a one-dimensional degree 0, and gens, its
+    degree-1 labels, generate it.
     """
 
-    top: int
+    lo: int
     basis: tuple[tuple[tuple[int, ...], ...], ...]
-    artinian: bool
+    complete: bool
     name: str = ""
 
-    def __post_init__(self):
-        _check_algebra(self)
+    @property
+    def hi(self):
+        return self.lo + len(self.basis) - 1
 
     @property
     def gens(self):
-        """The degree-1 labels, which generate the algebra."""
-        return self.basis[1] if self.top >= 1 else ()
+        """The degree-1 labels, which generate a ring."""
+        return self.basis[1 - self.lo] if self.lo <= 1 <= self.hi else ()
 
     def dim(self, k):
         """Dimension of the degree k piece, or None when truncated away."""
-        if k < 0:
-            return 0
-        if k <= self.top:
-            return len(self.basis[k])
-        return 0 if self.artinian else None
-
-    def dims(self):
-        return tuple(len(b) for b in self.basis)
-
-
-def _check_algebra(alg):
-    if alg.top < 0 or len(alg.basis) != alg.top + 1:
-        raise ValueError("basis levels must cover degrees 0..top")
-    if len(alg.basis[0]) != 1:
-        raise ValueError("degree 0 must be one-dimensional")
-    k = _first_unspanned(alg.basis, alg.gens)
-    if k is not None:
-        raise ValueError(
-            f"degree {k} is not spanned by degree-1 products; "
-            f"the algebra is not standard graded")
-    return alg
-
-
-@dataclass(frozen=True)
-class TruncatedModule:
-    """Graded module truncated to the window [lo, hi].
-
-    Degrees below lo are provably zero (windows start at the module's
-    vanishing bound); complete means degrees above hi are provably zero
-    too.  basis is indexed by k - lo and holds labels that the parent's
-    generators act on by label addition.  Every module built here is
-    generated by its lowest nonzero component, which the construction
-    checks.
-    """
-
-    parent: TruncatedAlgebra
-    lo: int
-    hi: int
-    basis: tuple[tuple, ...]
-    complete: bool
-
-    def __post_init__(self):
-        _check_module(self)
-
-    def dim(self, k):
         if k < self.lo:
             return 0
         if k <= self.hi:
@@ -137,17 +93,6 @@ class TruncatedModule:
 
     def support(self):
         return [self.lo + off for off, b in enumerate(self.basis) if b]
-
-
-def _check_module(mod):
-    if mod.hi < mod.lo or len(mod.basis) != mod.hi - mod.lo + 1:
-        raise ValueError("module basis levels must cover the window")
-    off = _first_unspanned(mod.basis, mod.parent.gens)
-    if off is not None:
-        raise ValueError(
-            f"degree {mod.lo + off} is not generated from the "
-            f"lowest component; hom propagation would be unsound")
-    return mod
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +147,11 @@ def algebra_from_monomial_quotient(names, relations, n_max,
     basis, total = [], 0
     for k in range(n_max + 1):
         total += comb(nvars + k - 1, k)
-        _check_cap(total, cap, f"monomial quotient {name}")
+        check_cap(total, cap, f"monomial quotient {name}")
         basis.append(tuple(m for m in _monomials(nvars, k)
                            if not any(_divisible(m, r) for r in rels)))
-    return TruncatedAlgebra(n_max, tuple(basis), artinian=not basis[n_max],
-                            name=name)
+    return TruncatedModule(0, tuple(basis), complete=not basis[n_max],
+                           name=name)
 
 
 def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
@@ -219,70 +164,39 @@ def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
         raise ValueError("truncation degree must be at least 1")
     cens = toric_mod.census(pres, n_max, cap=cap, keep_points=True)
     name = f"toric[{pres.nrows}x{pres.ncols}]"
-    return TruncatedAlgebra(n_max, cens.points, artinian=False, name=name)
-
-
-def _concat_levels(lefts, rights, cap, what):
-    """Level by level, every left label concatenated with every right one."""
-    levels, total = [], 0
-    for left, right in zip(lefts, rights):
-        total += len(left) * len(right)
-        _check_cap(total, cap, what)
-        levels.append(tuple(p + q for p in left for q in right))
-    return tuple(levels)
-
-
-def segre_algebra(a, b, cap=DEFAULT_POINT_CAP):
-    """Degreewise product algebra on the common window.
-
-    Labels are concatenations, row-major in the factor bases, so the
-    generators are all concatenated pairs of degree-1 labels.
-    """
-    top = min(a.top, b.top)
-    name = f"{a.name} # {b.name}"
-    basis = _concat_levels(a.basis[:top + 1], b.basis[:top + 1], cap,
-                           f"Segre algebra {name}")
-    # a factor that is provably zero above top makes the product zero there
-    artinian = 0 in (a.dim(top + 1), b.dim(top + 1))
-    return TruncatedAlgebra(top, basis, artinian, name=name)
-
-
-def free_module(alg):
-    """The algebra as the rank one free module over itself."""
-    return TruncatedModule(parent=alg, lo=0, hi=alg.top, basis=alg.basis,
-                           complete=alg.artinian)
+    return TruncatedModule(0, cens.points, complete=False, name=name)
 
 
 def shift_module(mod, a):
     """Twist by a: degree k of the result is degree k + a of the input."""
-    return replace(mod, lo=mod.lo - a, hi=mod.hi - a)
+    return replace(mod, lo=mod.lo - a)
 
 
-def segre_module(m, n, parent=None, cap=DEFAULT_POINT_CAP):
-    """Degreewise product module over the product of the parents.
+def segre_module(m, n, cap=DEFAULT_POINT_CAP):
+    """Degreewise product of two modules, or of two rings.
 
-    The window is the intersection of the factor windows; the result is
-    complete when either factor is complete with support inside the
-    intersection.
+    The window is the intersection of the factor windows; labels are
+    concatenations, row-major in the factor bases, so the product of two
+    rings has the concatenated pairs of degree-1 labels as generators.
+    The result is complete when either factor is complete with support
+    inside the intersection.
     """
     lo = max(m.lo, n.lo)
     hi = min(m.hi, n.hi)
     if lo > hi:
         raise EmptyWindow(
             f"windows [{m.lo}, {m.hi}] and [{n.lo}, {n.hi}] do not overlap")
-    if parent is None:
-        parent = segre_algebra(m.parent, n.parent, cap=cap)
-    basis = _concat_levels(m.basis[lo - m.lo:hi + 1 - m.lo],
-                           n.basis[lo - n.lo:hi + 1 - n.lo], cap,
-                           f"Segre module over {parent.name}")
-
-    def covers(factor):
-        if not factor.complete:
-            return False
-        return all(k in range(lo, hi + 1) for k in factor.support())
-
-    return TruncatedModule(parent=parent, lo=lo, hi=hi, basis=basis,
-                           complete=covers(m) or covers(n))
+    name = f"{m.name} # {n.name}"
+    basis, total = [], 0
+    for k in range(lo, hi + 1):
+        left, right = m.basis[k - m.lo], n.basis[k - n.lo]
+        total += len(left) * len(right)
+        check_cap(total, cap, f"Segre product {name}")
+        basis.append(tuple(p + q for p in left for q in right))
+    # a factor provably zero outside the common window makes the product so
+    complete = any(f.complete and all(lo <= k <= hi for k in f.support())
+                   for f in (m, n))
+    return TruncatedModule(lo, tuple(basis), complete, name)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +283,7 @@ class _Components:
         self.union(self.zero, x)
 
 
-def _live_components(mod, i, m_succ, t_succ, in_degree):
+def _live_components(mod, ring, i, m_succ, t_succ, in_degree):
     """(dimension or None, steps applied, clipped) for one hom degree.
 
     Nodes are pairs (m, t) of label indices in module degree k and ring
@@ -380,9 +294,8 @@ def _live_components(mod, i, m_succ, t_succ, in_degree):
     reached by fewer front pairs than n has predecessors in the module:
     then some predecessor's partner s-g is not a label.
     """
-    alg = mod.parent
     k = mod.support()[0]
-    d_cod = alg.dim(k + i)
+    d_cod = ring.dim(k + i)
     if d_cod is None:
         return None, 0, True
     if d_cod == 0:
@@ -392,7 +305,7 @@ def _live_components(mod, i, m_succ, t_succ, in_degree):
     front = {(j, t): j * d_cod + t for j in range(mod.dim(k)) for t in range(d_cod)}
     squares = 0
     while True:
-        d_next, c_next = mod.dim(k + 1), alg.dim(k + i + 1)
+        d_next, c_next = mod.dim(k + 1), ring.dim(k + i + 1)
         if d_next is None or c_next is None:
             return comps.live, squares, True
         if d_next == 0 and c_next == 0:
@@ -427,31 +340,45 @@ def _live_components(mod, i, m_succ, t_succ, in_degree):
     return comps.live, squares, False
 
 
-def hom_window(mod, i_lo, i_hi):
-    """Degreewise dimensions of hom families raising degree by i.
+def hom_window(mod, ring, i_lo, i_hi):
+    """Degreewise dimensions of hom families from mod to ring raising degree by i.
 
     A family assigns to each degree k a map from the module piece to the
     ring piece k + i, commuting with all degree-1 multiplications; over a
     standard graded ring these are exactly the graded hom components.
+    Raises ValueError unless the ring is standard graded and the module
+    is generated in its lowest degree, the two facts seeding rests on.
     """
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
+    if ring.lo != 0 or ring.dim(0) != 1:
+        raise ValueError("ring degree 0 must be one-dimensional")
+    gens = ring.gens
+    k = _first_unspanned(ring.basis, gens)
+    if k is not None:
+        raise ValueError(
+            f"ring degree {k} is not spanned by degree-1 products; "
+            f"the ring is not standard graded")
     if not mod.support():
         raise WindowTooSmall(
             f"module window [{mod.lo}, {mod.hi}] has no nonzero component")
-    gens = mod.parent.gens
+    off = _first_unspanned(mod.basis, gens)
+    if off is not None:
+        raise ValueError(
+            f"module degree {mod.lo + off} is not generated from the "
+            f"lowest component; hom propagation would be unsound")
     m_succ = _successors(mod.basis, gens)
-    t_succ = _successors(mod.parent.basis, gens)
+    t_succ = _successors(ring.basis, gens)
     # in_degree[off][n]: the (label, generator) pairs one level down reaching n
     in_degree = [Counter()] + [Counter(n for row in level for n in row if n is not None)
                                for level in m_succ]
     dims, squares, clipped = [], [], []
     for i in range(i_lo, i_hi + 1):
-        d, sq, cl = _live_components(mod, i, m_succ, t_succ, in_degree)
+        d, sq, cl = _live_components(mod, ring, i, m_succ, t_succ, in_degree)
         dims.append(d)
         squares.append(sq)
         clipped.append(cl)
-    exact = mod.complete and mod.parent.artinian and not any(clipped)
+    exact = mod.complete and ring.complete and not any(clipped)
     return HomWindowReport(i_lo, i_hi, tuple(dims), tuple(squares),
                            tuple(clipped), exact)
 
@@ -504,14 +431,12 @@ def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
     checked; degrees near the window boundary are reported but not
     compared.  cap bounds every Segre level enumeration.
     """
-    t = segre_algebra(ring1, ring2, cap=cap)
-    twisted = segre_module(shift_module(free_module(ring1), shift1),
-                           shift_module(free_module(ring2), shift2),
-                           parent=t, cap=cap)
-    hom = hom_window(twisted, i_lo, i_hi)
-    dual = segre_module(shift_module(free_module(ring1), -shift1),
-                        shift_module(free_module(ring2), -shift2),
-                        parent=t, cap=cap)
+    t = segre_module(ring1, ring2, cap=cap)
+    twisted = segre_module(shift_module(ring1, shift1),
+                           shift_module(ring2, shift2), cap=cap)
+    hom = hom_window(twisted, t, i_lo, i_hi)
+    dual = segre_module(shift_module(ring1, -shift1),
+                        shift_module(ring2, -shift2), cap=cap)
     right = tuple(dual.dim(i) for i in range(i_lo, i_hi + 1))
     compared, mismatches, certified_mismatch = [], [], False
     for off, i in enumerate(range(i_lo, i_hi + 1)):

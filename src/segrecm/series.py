@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ReconstructionFailed
+from .errors import DEFAULT_POINT_CAP, ReconstructionFailed, check_cap
 
 DEFAULT_GUARD = 5
 
@@ -126,16 +126,19 @@ class HilbertSeries:
         return HilbertSeries(tuple((e - a, c) for e, c in self.numerator),
                              self.denom_power)
 
-    def window(self, lo, hi):
+    def window(self, lo, hi, cap=DEFAULT_POINT_CAP):
+        """Coefficients on [lo, hi]; ResourceCap when there are more than cap."""
+        check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
         return CoefficientWindow(lo, hi, tuple(self.coeff(n) for n in range(lo, hi + 1)))
 
-    def hadamard(self, other, guard=DEFAULT_GUARD):
+    def hadamard(self, other, guard=DEFAULT_GUARD, cap=DEFAULT_POINT_CAP):
         """Coefficientwise product, reconstructed over (1-t)^(d1+d2-1).
 
         Both factors must have denominator power at least 1 (their
         coefficient streams are eventually polynomial).  The stream is
         expanded to the reconstruction bound plus guard extra terms; the
         guard coefficients of the recovered numerator must vanish.
+        Raises ResourceCap when the stream would exceed cap terms.
         """
         if guard < 0:
             raise ValueError(f"negative guard {guard}")
@@ -148,6 +151,7 @@ class HilbertSeries:
         hi_support = max(self.highest_exponent() - d1,
                          other.highest_exponent() - d2) + dd
         top = hi_support + guard
+        check_cap(top - lo + 1, cap, "Hadamard coefficient stream")
         stream = [self.coeff(n) * other.coeff(n) for n in range(lo, top + 1)]
         # multiply the truncated stream by (1 - t)^dd; degrees <= top are exact
         signs = [(-1) ** j * comb(dd, j) for j in range(dd + 1)]

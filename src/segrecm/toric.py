@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import NotStandardGraded, ResourceCap
-
-DEFAULT_POINT_CAP = 1_000_000
+from .errors import DEFAULT_POINT_CAP, NotStandardGraded, check_cap
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,7 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
     for _ in range(n_max):
         layer = {tuple(x + c for x, c in zip(pt, col)) for pt in layer for col in cols}
         total += len(layer)
-        if cap is not None and total > cap:
-            raise ResourceCap(
-                f"census exceeded the configured cap of {cap} points")
+        check_cap(total, cap, "semigroup census")
         counts.append(len(layer))
         layers.append(tuple(sorted(layer)))
     return SemigroupCensus(tuple(counts), tuple(layers) if keep_points else None)

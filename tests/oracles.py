@@ -111,7 +111,7 @@ def smith_diagonal(a_rows):
     return diag
 
 
-def dense_hom_dim(mod, i):
+def dense_hom_dim(mod, ring, i):
     """Hom dimension at degree i by enumerating all map families at once.
 
     One unknown c[k, m, t] per module label m of degree k and ring label
@@ -119,17 +119,16 @@ def dense_hom_dim(mod, i):
     generator g, label m and ring label s of degree k + i + 1 one equation
     reads phi(g m) = g phi(m) at s, with label arithmetic done here on
     plain sets.  The whole system is solved in one elimination; valid
-    only for exact data (complete module over an algebra with visible
+    only for exact data (complete module over a ring with visible
     vanishing).
     """
-    alg = mod.parent
-    assert mod.complete and alg.artinian
+    assert mod.complete and ring.complete
     sup = mod.support()
     k_min, k_max = sup[0], sup[-1]
     assert k_max < mod.hi, "support must end inside the window"
 
     def ring_level(d):
-        return alg.basis[d] if 0 <= d <= alg.top else ()
+        return ring.basis[d] if 0 <= d <= ring.hi else ()
 
     def plus(u, v, sign=1):
         return tuple(x + sign * y for x, y in zip(u, v))
@@ -144,7 +143,7 @@ def dense_hom_dim(mod, i):
         module_above = set(mod.basis[k + 1 - mod.lo])
         ring_now = set(ring_level(k + i))
         for m in mod.basis[k - mod.lo]:
-            for g in alg.basis[1]:
+            for g in ring.basis[1]:
                 gm = plus(m, g)
                 for s in ring_level(k + i + 1):
                     row = [0] * len(var)

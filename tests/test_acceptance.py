@@ -13,9 +13,8 @@ from segrecm.cohomo import (anticanonical_cm_m2, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
                             cohomology_support, dual_shift, prop_depth_m2)
 from segrecm.oracle import (algebra_from_monomial_quotient,
-                            algebra_from_toric, free_module,
-                            friendliness_witness, hom_window, segre_algebra,
-                            segre_module, shift_module)
+                            algebra_from_toric, friendliness_witness,
+                            hom_window, segre_module, shift_module)
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, segre, validate
 
@@ -181,10 +180,9 @@ def test_criterion_8_toric_dual_consistency(capsys):
     for a in (1, 2):
         n_alg = 4 + a + 4
         ring = algebra_from_toric(I2, n_alg)
-        t = segre_algebra(ring, ring)
-        mod = segre_module(shift_module(free_module(ring), -a),
-                           free_module(ring), parent=t)
-        hom = hom_window(mod, -4, 4)
+        t = segre_module(ring, ring)
+        mod = segre_module(shift_module(ring, -a), ring)
+        hom = hom_window(mod, t, -4, 4)
         for off, i in enumerate(range(-4, 5)):
             informative = hom.certified(i) or hom.squares[off] >= 2
             if not informative:

@@ -148,6 +148,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "monomial quotient K[a,b,c,d]" in err and "cap of 10" in err
 
+    def test_hilbert_window_resource_cap(self, capsys):
+        assert run(["--cap", "10", "hilbert", "window", "--series",
+                    "num: 1 0 ; den: 1", "--lo", "0", "--hi", "300000"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "series window [0, 300000]" in err and "cap of 10" in err
+
+    def test_hilbert_hadamard_resource_cap(self, capsys):
+        assert run(["--cap", "10", "hilbert", "hadamard", "--left", "num: 1 0 ; den: 2",
+                    "--right", "num: 1 0 1 100000 ; den: 2"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "Hadamard coefficient stream" in err and "cap of 10" in err
+
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
 

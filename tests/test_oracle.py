@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrecm.errors import EmptyWindow, ResourceCap, WindowTooSmall
-from segrecm.oracle import (TruncatedAlgebra, TruncatedModule,
+from segrecm.oracle import (TruncatedModule, _first_unspanned,
                             algebra_from_monomial_quotient,
-                            algebra_from_toric, free_module,
-                            friendliness_witness, hom_window,
-                            parse_ring_spec, segre_algebra, segre_module,
+                            algebra_from_toric, friendliness_witness,
+                            hom_window, parse_ring_spec, segre_module,
                             shift_module)
 from segrecm.toric import segre, validate
 
@@ -27,18 +26,18 @@ I2 = validate([[1, 0], [0, 1]])
 
 class TestMonomialQuotient:
     def test_truncated_powers(self):
-        assert nilpotent("x", 3, 5).dims() == (1, 1, 1, 0, 0, 0)
-        assert nilpotent("y", 2, 5).dims() == (1, 1, 0, 0, 0, 0)
+        assert nilpotent("x", 3, 5).dims() == {0: 1, 1: 1, 2: 1, 3: 0, 4: 0, 5: 0}
+        assert nilpotent("y", 2, 5).dims() == {0: 1, 1: 1, 2: 0, 3: 0, 4: 0, 5: 0}
 
     def test_polynomial_ring(self):
         poly = algebra_from_monomial_quotient(["x", "y"], [], 3)
-        assert poly.dims() == (1, 2, 3, 4)
-        assert not poly.artinian
+        assert poly.dims() == {0: 1, 1: 2, 2: 3, 3: 4}
+        assert not poly.complete
 
     def test_square_relations(self):
         alg = algebra_from_monomial_quotient(["x", "y"], [(2, 0), (0, 2)], 4)
-        assert alg.dims() == (1, 2, 1, 0, 0)
-        assert alg.artinian
+        assert alg.dims() == {0: 1, 1: 2, 2: 1, 3: 0, 4: 0}
+        assert alg.complete
 
     def test_label_products(self):
         alg = nilpotent("x", 3, 4)
@@ -54,12 +53,12 @@ class TestMonomialQuotient:
 class TestToricAlgebra:
     def test_plane(self):
         alg = algebra_from_toric(I2, 2)
-        assert alg.dims() == (1, 2, 3)
-        assert not alg.artinian
+        assert alg.dims() == {0: 1, 1: 2, 2: 3}
+        assert not alg.complete
 
     def test_segre_census_dims(self):
         alg = algebra_from_toric(segre(I2, I2), 2)
-        assert alg.dims() == (1, 4, 9)
+        assert alg.dims() == {0: 1, 1: 4, 2: 9}
 
     def test_product_is_vector_sum(self):
         alg = algebra_from_toric(I2, 3)
@@ -70,19 +69,17 @@ class TestToricAlgebra:
 
 class TestSegreModule:
     def test_golden_twisted_pair(self):
-        t = segre_algebra(R3, S2)
-        m = segre_module(shift_module(free_module(R3), 2),
-                         shift_module(free_module(S2), 1), parent=t)
+        m = segre_module(shift_module(R3, 2), shift_module(S2, 1))
         assert m.dims()[-1] == 1 and m.dims()[0] == 1
         assert m.support() == [-1, 0]
         assert m.basis[0] == ((1, 0),)       # x tensor 1 in degree -1
         assert m.basis[1] == ((2, 1),)       # x^2 tensor y in degree 0
 
     def test_ring_as_module(self):
-        t = segre_algebra(R3, S2)
-        m = segre_module(free_module(R3), free_module(S2), parent=t)
-        assert m.support() == [0, 1]
-        assert t.dims() == (1, 1, 0, 0, 0, 0, 0, 0, 0)
+        t = segre_module(R3, S2)
+        assert t.support() == [0, 1]
+        assert t.dims() == {k: int(k < 2) for k in range(9)}
+        assert t.gens == ((1, 1),) and t.complete
 
     def test_dimension_law(self):
         rng = random.Random(41)
@@ -90,22 +87,20 @@ class TestSegreModule:
             a = rng.choice([2, 3, 4])
             b = rng.choice([2, 3])
             sa, sb = rng.randint(-2, 2), rng.randint(-2, 2)
-            m1 = shift_module(free_module(nilpotent("x", a, 6)), sa)
-            m2 = shift_module(free_module(nilpotent("y", b, 6)), sb)
+            m1 = shift_module(nilpotent("x", a, 6), sa)
+            m2 = shift_module(nilpotent("y", b, 6), sb)
             prod = segre_module(m1, m2)
             for k in range(prod.lo, prod.hi + 1):
                 assert prod.dim(k) == m1.dim(k) * m2.dim(k)
 
     def test_disjoint_windows(self):
         with pytest.raises(EmptyWindow):
-            segre_module(shift_module(free_module(R3), 30),
-                         shift_module(free_module(S2), -30))
+            segre_module(shift_module(R3, 30), shift_module(S2, -30))
 
     def test_toric_free_product_reproduces_census(self):
         from segrecm.toric import census
         cubic = validate([[1, 1, 1], [0, 1, 2]])
-        m = segre_module(free_module(algebra_from_toric(I2, 5)),
-                         free_module(algebra_from_toric(cubic, 5)))
+        m = segre_module(algebra_from_toric(I2, 5), algebra_from_toric(cubic, 5))
         counts_i2 = census(I2, 5).counts
         counts_cubic = census(cubic, 5).counts
         for k in range(6):
@@ -114,31 +109,28 @@ class TestSegreModule:
 
 class TestShiftModule:
     def test_identity(self):
-        m = free_module(R3)
-        assert shift_module(m, 0) == m
+        assert shift_module(R3, 0) == R3
 
     def test_golden_shift(self):
-        m = shift_module(free_module(nilpotent("x", 3, 5)), 2)
+        m = shift_module(nilpotent("x", 3, 5), 2)
         assert {k: d for k, d in m.dims().items() if d} == {-2: 1, -1: 1, 0: 1}
 
     def test_round_trip(self):
-        m = free_module(S2)
-        assert shift_module(shift_module(m, 3), -3) == m
+        assert shift_module(shift_module(S2, 3), -3) == S2
 
 
 class TestHomWindow:
     def test_golden_dual_components(self):
-        t = segre_algebra(R3, S2)
-        m = segre_module(shift_module(free_module(R3), 2),
-                         shift_module(free_module(S2), 1), parent=t)
-        hom = hom_window(m, -6, 6)
+        t = segre_module(R3, S2)
+        m = segre_module(shift_module(R3, 2), shift_module(S2, 1))
+        hom = hom_window(m, t, -6, 6)
         assert hom.exact
         assert hom.nonzero() == {1: 1, 2: 1}
 
     def test_hom_of_ring_is_hilbert_function(self):
         for alg in (R3, S2, algebra_from_monomial_quotient(
                 ["x", "y"], [(2, 0), (0, 2)], 6)):
-            hom = hom_window(free_module(alg), -3, 6)
+            hom = hom_window(alg, alg, -3, 6)
             assert hom.exact
             for i in range(-3, 7):
                 assert hom.dim_at(i) == alg.dim(i)
@@ -146,30 +138,28 @@ class TestHomWindow:
     def test_free_shift_dual(self):
         # hom dimensions of a shifted free module match the opposite shift
         for a in (-2, -1, 0, 1, 2):
-            m = shift_module(free_module(R3), a)
-            dual = shift_module(free_module(R3), -a)
-            hom = hom_window(m, -6, 6)
+            m = shift_module(R3, a)
+            dual = shift_module(R3, -a)
+            hom = hom_window(m, R3, -6, 6)
             assert hom.exact
             for i in range(-6, 7):
                 assert hom.dim_at(i) == dual.dim(i)
 
     def test_single_socle_module(self):
         # one basis element with zero action: only one hom degree survives
-        t = segre_algebra(R3, S2)
-        m = segre_module(shift_module(free_module(R3), -2),
-                         shift_module(free_module(S2), -1), parent=t)
+        t = segre_module(R3, S2)
+        m = segre_module(shift_module(R3, -2), shift_module(S2, -1))
         assert m.support() == [2]
-        hom = hom_window(m, -6, 6)
+        hom = hom_window(m, t, -6, 6)
         assert hom.exact
         assert hom.nonzero() == {-1: 1}
 
     def test_empty_window(self):
-        t = segre_algebra(R3, S2)
-        m = segre_module(shift_module(free_module(R3), 2),
-                         shift_module(free_module(S2), -1), parent=t)
+        t = segre_module(R3, S2)
+        m = segre_module(shift_module(R3, 2), shift_module(S2, -1))
         assert not m.support()
         with pytest.raises(WindowTooSmall):
-            hom_window(m, -2, 2)
+            hom_window(m, t, -2, 2)
 
     def test_matches_dense_solver(self):
         algebras = [
@@ -179,25 +169,23 @@ class TestHomWindow:
              nilpotent("z", 2)),
         ]
         for ra, rb in algebras:
-            t = segre_algebra(ra, rb)
+            t = segre_module(ra, rb)
             for sa in (-1, 0, 2):
                 for sb in (0, 1):
-                    m = segre_module(shift_module(free_module(ra), sa),
-                                     shift_module(free_module(rb), sb),
-                                     parent=t)
+                    m = segre_module(shift_module(ra, sa), shift_module(rb, sb))
                     if not m.support():
                         continue
-                    hom = hom_window(m, -5, 5)
+                    hom = hom_window(m, t, -5, 5)
                     assert hom.exact
                     for i in range(-5, 6):
-                        assert hom.dim_at(i) == dense_hom_dim(m, i), (
+                        assert hom.dim_at(i) == dense_hom_dim(m, t, i), (
                             ra.name, rb.name, sa, sb, i)
 
     def test_relabeling_invariance(self):
         base = algebra_from_monomial_quotient(["x", "y"], [(3, 0), (1, 1)], 6)
         perm = _permuted_copy(base, random.Random(43))
-        left = hom_window(free_module(base), -2, 5).dims
-        right = hom_window(free_module(perm), -2, 5).dims
+        left = hom_window(base, base, -2, 5).dims
+        right = hom_window(perm, perm, -2, 5).dims
         assert left == right
 
 
@@ -206,10 +194,10 @@ def _shuffled_levels(levels, rng):
     return tuple(tuple(rng.sample(level, len(level))) for level in levels)
 
 
-def _permuted_copy(alg, rng):
-    """Same algebra with each degree's basis listed in another order."""
-    return TruncatedAlgebra(alg.top, _shuffled_levels(alg.basis, rng),
-                            alg.artinian, name=alg.name + " permuted")
+def _permuted_copy(mod, rng):
+    """Same ring or module with each degree's basis listed in another order."""
+    return TruncatedModule(mod.lo, _shuffled_levels(mod.basis, rng),
+                           mod.complete, name=mod.name + " permuted")
 
 
 class TestFriendliness:
@@ -253,27 +241,33 @@ class TestRingSpec:
 class TestModuleInvariants:
     def test_unspanned_algebra_rejected(self):
         # (1, 1) minus the only generator (1, 0) is no degree-1 label
+        ring = TruncatedModule(0, (((0, 0),), ((1, 0),), ((1, 1),)), complete=False)
         with pytest.raises(ValueError, match="not spanned"):
-            TruncatedAlgebra(2, (((0, 0),), ((1, 0),), ((1, 1),)), artinian=False)
+            hom_window(ring, ring, 0, 1)
+
+    def test_degree_zero_must_be_one_dimensional(self):
+        ring = TruncatedModule(0, (((0,), (1,)), ((1,),)), complete=False)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            hom_window(ring, ring, 0, 1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            hom_window(R3, shift_module(R3, 1), 0, 1)
 
     def test_gap_rejected(self):
         alg = nilpotent("x", 3, 5)
-        mod = free_module(alg)
-        bad_basis = list(mod.basis)
+        bad_basis = list(alg.basis)
         bad_basis[1] = ()   # punch a hole below nonzero degree 2
-        with pytest.raises(ValueError):
-            TruncatedModule(parent=alg, lo=0, hi=5, basis=tuple(bad_basis),
-                            complete=True)
+        mod = TruncatedModule(0, tuple(bad_basis), complete=True)
+        with pytest.raises(ValueError, match="not generated"):
+            hom_window(mod, alg, -2, 2)
 
 
 class TestCaps:
     def test_segre_levels(self):
         plane = algebra_from_toric(I2, 6)
-        with pytest.raises(ResourceCap, match="Segre algebra .* cap of 40"):
-            segre_algebra(plane, plane, cap=40)
-        t = segre_algebra(plane, plane)
-        with pytest.raises(ResourceCap, match="Segre module .* cap of 40"):
-            segre_module(free_module(plane), free_module(plane), parent=t, cap=40)
+        with pytest.raises(ResourceCap, match="Segre product .* cap of 40"):
+            segre_module(plane, plane, cap=40)
+        with pytest.raises(ResourceCap, match="Segre product .* cap of 40"):
+            segre_module(shift_module(plane, 1), shift_module(plane, 1), cap=40)
 
 
 # random Artinian monomial quotients: pure powers of every variable keep
@@ -298,16 +292,16 @@ class TestHomProperties:
     def test_matches_dense_solver(self, rels1, rels2, a, b):
         ra, rb = quotient(rels1, 10, "x"), quotient(rels2, 10, "y")
         try:
-            m = segre_module(shift_module(free_module(ra), a),
-                             shift_module(free_module(rb), b))
+            m = segre_module(shift_module(ra, a), shift_module(rb, b))
         except EmptyWindow:
             return
         if not m.support():
             return
-        hom = hom_window(m, -4, 4)
+        t = segre_module(ra, rb)
+        hom = hom_window(m, t, -4, 4)
         assert hom.exact
         for i in range(-4, 5):
-            assert hom.dim_at(i) == dense_hom_dim(m, i), (ra.name, rb.name, a, b, i)
+            assert hom.dim_at(i) == dense_hom_dim(m, t, i), (ra.name, rb.name, a, b, i)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(artinian_rings, truncated_rings), artinian_rings,
@@ -315,16 +309,53 @@ class TestHomProperties:
     def test_reordering_each_degree(self, rels1, rels2, a, b, rng):
         ra, rb = quotient(rels1, 6, "x"), quotient(rels2, 6, "y")
         try:
-            m = segre_module(shift_module(free_module(ra), a),
-                             shift_module(free_module(rb), b))
+            m = segre_module(shift_module(ra, a), shift_module(rb, b))
         except EmptyWindow:
             return
         if not m.support():
             return
-        parent = _permuted_copy(m.parent, rng)
-        shuffled = TruncatedModule(parent=parent, lo=m.lo, hi=m.hi,
-                                   basis=_shuffled_levels(m.basis, rng),
-                                   complete=m.complete)
-        left, right = hom_window(m, -3, 3), hom_window(shuffled, -3, 3)
+        t = segre_module(ra, rb)
+        left = hom_window(m, t, -3, 3)
+        right = hom_window(_permuted_copy(m, rng), _permuted_copy(t, rng), -3, 3)
         assert (left.dims, left.squares, left.clipped) == \
             (right.dims, right.squares, right.clipped)
+
+
+any_rings = st.one_of(artinian_rings, truncated_rings)
+
+
+class TestConstructorsKeepTheChecks:
+    """hom_window checks that the ring is standard graded and the module
+    is generated in its lowest degree; Segre products and shifts keep
+    both, which is why the constructors do not check them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(any_rings, any_rings)
+    def test_segre_of_rings_is_standard_graded(self, rels1, rels2):
+        t = segre_module(quotient(rels1, 6, "x"), quotient(rels2, 6, "y"))
+        assert t.lo == 0 and t.dim(0) == 1
+        assert _first_unspanned(t.basis, t.gens) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(any_rings, any_rings, st.integers(-3, 3), st.integers(-3, 3))
+    def test_shifted_segre_generated_in_lowest_degree(self, rels1, rels2, a, b):
+        ra, rb = quotient(rels1, 6, "x"), quotient(rels2, 6, "y")
+        try:
+            m = segre_module(shift_module(ra, a), shift_module(rb, b))
+        except EmptyWindow:
+            return
+        assert _first_unspanned(m.basis, segre_module(ra, rb).gens) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(any_rings, any_rings, st.integers(-3, 3), st.integers(-3, 3),
+           st.integers(-3, 3))
+    def test_shift_commutes_with_segre(self, rels1, rels2, a, b, c):
+        m = shift_module(quotient(rels1, 6, "x"), a)
+        n = shift_module(quotient(rels2, 6, "y"), b)
+        try:
+            expected = shift_module(segre_module(m, n), c)
+        except EmptyWindow:
+            with pytest.raises(EmptyWindow):
+                segre_module(shift_module(m, c), shift_module(n, c))
+            return
+        assert segre_module(shift_module(m, c), shift_module(n, c)) == expected

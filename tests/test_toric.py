@@ -137,10 +137,18 @@ class TestKernelLattice:
                 assert smith_diagonal(vectors) == [1] * len(vectors)
 
     def test_sign_normalization(self):
-        for p in (CUBIC, segre(I2, I2)):
-            for v in kernel_lattice(p).vectors:
-                lead = next(x for x in v if x != 0)
-                assert lead > 0
+        # reduced row Hermite form: pivots positive and moving right,
+        # entries above each pivot in [0, pivot)
+        rng = random.Random(31)
+        presentations = [CUBIC, segre(I2, I2), segre(CUBIC, CUBIC)]
+        presentations += [random_gradable(rng, max_cols=6) for _ in range(30)]
+        for p in presentations:
+            vectors = kernel_lattice(p).vectors
+            pivots = [next(j for j, x in enumerate(v) if x) for v in vectors]
+            assert pivots == sorted(set(pivots))
+            for r, (v, col) in enumerate(zip(vectors, pivots)):
+                assert v[col] > 0
+                assert all(0 <= vectors[above][col] < v[col] for above in range(r))
 
 
 class TestCensus:
