@@ -138,7 +138,8 @@ class HilbertSeries:
         coefficient streams are eventually polynomial).  The stream is
         expanded to the reconstruction bound plus guard extra terms; the
         guard coefficients of the recovered numerator must vanish.
-        Raises ResourceCap when the stream would exceed cap terms.
+        Raises ResourceCap when the stream would exceed cap terms, or
+        when multiplying it out would take more than cap products.
         """
         if guard < 0:
             raise ValueError(f"negative guard {guard}")
@@ -151,7 +152,9 @@ class HilbertSeries:
         hi_support = max(self.highest_exponent() - d1,
                          other.highest_exponent() - d2) + dd
         top = hi_support + guard
-        check_cap(top - lo + 1, cap, "Hadamard coefficient stream")
+        terms = top - lo + 1
+        check_cap(terms, cap, "Hadamard coefficient stream")
+        check_cap(terms * (dd + 1), cap, "Hadamard numerator")
         stream = [self.coeff(n) * other.coeff(n) for n in range(lo, top + 1)]
         # multiply the truncated stream by (1 - t)^dd; degrees <= top are exact
         signs = [(-1) ** j * comb(dd, j) for j in range(dd + 1)]

@@ -116,7 +116,8 @@ def kernel_lattice(p):
     """Saturated integer basis of {c : A c = 0} in canonical row form."""
     vectors = linalg.integer_kernel([list(row) for row in p.matrix])
     for v in vectors:
-        assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in p.matrix)
+        if not all(sum(a * c for a, c in zip(row, v)) == 0 for row in p.matrix):
+            raise RuntimeError(f"kernel vector {v} does not annihilate {p.matrix}")
     return LatticeBasis(tuple(tuple(v) for v in vectors))
 
 
@@ -126,20 +127,44 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
     Breadth-first closure: the degree k+1 layer is the deduplicated set
     of sums (degree k point) + (column).  Raises ResourceCap when the
     total number of points exceeds cap.
+
+    Each point is one int.  Every column is shifted by low, the
+    coordinatewise minimum over the columns, so its entries are >= 0,
+    and packed into fixed-width fields of
+    max(1, (n_max * max shifted entry).bit_length()) bits, coordinate 0
+    in the most significant field.  A layer step is then
+    {x + c for x in layer for c in packed}.  This is exact:
+
+    * a degree-k int encodes its point minus k * low, one bias for the
+      whole layer, so two points of one layer never collide;
+    * no coordinate sum exceeds n_max * max shifted entry, so no field
+      carries into the next;
+    * int order is lexicographic order of the points, so with
+      keep_points the sorted ints decode to the sorted point tuples.
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
     cols = p.columns()
-    layer = {(0,) * p.nrows}
+    low = [min(entries) for entries in zip(*cols)]
+    shifted = [[x - b for x, b in zip(col, low)] for col in cols]
+    width = max(1, (n_max * max(map(max, shifted))).bit_length())
+    offsets = [width * i for i in reversed(range(p.nrows))]
+    packed = {sum(x << off for x, off in zip(col, offsets)) for col in shifted}
+    mask = (1 << width) - 1
+    layer = {0}
     counts = [1]
-    layers = [tuple(sorted(layer))]
+    layers = [((0,) * p.nrows,)]
     total = 1
-    for _ in range(n_max):
-        layer = {tuple(x + c for x, c in zip(pt, col)) for pt in layer for col in cols}
+    for k in range(1, n_max + 1):
+        layer = {x + c for x in layer for c in packed}
         total += len(layer)
         check_cap(total, cap, "semigroup census")
         counts.append(len(layer))
-        layers.append(tuple(sorted(layer)))
+        if keep_points:
+            bias = [k * b for b in low]
+            layers.append(tuple(
+                tuple(((x >> off) & mask) + b for off, b in zip(offsets, bias))
+                for x in sorted(layer)))
     return SemigroupCensus(tuple(counts), tuple(layers) if keep_points else None)
 
 

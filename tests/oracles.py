@@ -47,9 +47,9 @@ def expand_series(pairs, denom_power, lo, hi):
     return [dense[n - lo0] if n >= lo0 else 0 for n in range(lo, hi + 1)]
 
 
-def census_by_multisets(columns, n):
-    """Distinct sums of exactly n columns, enumerated one multiset at a
-    time rather than by breadth-first closure."""
+def points_by_multisets(columns, n):
+    """Sorted distinct sums of exactly n columns, enumerated one multiset
+    at a time rather than by breadth-first closure."""
     dim = len(columns[0])
     seen = set()
     for combo in combinations_with_replacement(range(len(columns)), n):
@@ -58,7 +58,12 @@ def census_by_multisets(columns, n):
             for i, x in enumerate(columns[idx]):
                 total[i] += x
         seen.add(tuple(total))
-    return len(seen)
+    return tuple(sorted(seen))
+
+
+def census_by_multisets(columns, n):
+    """Number of distinct sums of exactly n columns."""
+    return len(points_by_multisets(columns, n))
 
 
 def smith_diagonal(a_rows):

@@ -160,6 +160,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "Hadamard coefficient stream" in err and "cap of 10" in err
 
+    def test_hilbert_hadamard_work_cap(self, capsys):
+        # the stream of 2,005 terms is under the cap, but multiplying it
+        # by (1 - t)^3999 takes 2,005 x 4,000 products
+        assert run(["--cap", "10000", "hilbert", "hadamard",
+                    "--left", "num: 1 0 ; den: 2000",
+                    "--right", "num: 1 0 ; den: 2000"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "Hadamard numerator" in err and "cap of 10000" in err
+
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
 

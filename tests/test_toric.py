@@ -2,16 +2,28 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrecm.errors import NotStandardGraded, ResourceCap
 from segrecm.toric import (ToricPresentation, census, kernel_lattice,
                            format_matrix, parse_matrix, segre, tensor,
                            validate)
 
-from oracles import census_by_multisets, gauss_rank, smith_diagonal
+from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
+                     smith_diagonal)
 
 I2 = validate([[1, 0], [0, 1]])
 CUBIC = validate([[1, 1, 1], [0, 1, 2]])
+
+
+@st.composite
+def signed_presentations(draw):
+    """All-ones top row over rows with entries in -3..3, hence gradable."""
+    cols = draw(st.integers(1, 5))
+    rest = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                         max_size=2))
+    return validate([[1] * cols] + rest)
 
 
 def random_gradable(rng, max_rows=3, max_cols=4, span=3):
@@ -171,12 +183,24 @@ class TestCensus:
                 assert counts[n] == census_by_multisets(cols, n)
 
     def test_cap(self):
-        with pytest.raises(ResourceCap):
+        with pytest.raises(ResourceCap) as exc:
             census(segre(I2, I2), 10, cap=20)
+        assert str(exc.value) == \
+            "semigroup census: enumeration reached 30 entries, over the cap of 20"
+        assert census(segre(I2, I2), 3, keep_points=False).points is None
 
     def test_points_kept(self):
         cens = census(I2, 2, keep_points=True)
         assert cens.points[1] == ((0, 1), (1, 0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(signed_presentations(), st.integers(0, 5))
+    def test_packed_points_match_multisets(self, p, n):
+        cens = census(p, n, keep_points=True)
+        cols = p.columns()
+        assert cens.counts[n] == census_by_multisets(cols, n)
+        assert cens.points[n] == points_by_multisets(cols, n)
+        assert len(cens.points[n]) == cens.counts[n]
 
 
 class TestMatrixFormat:
