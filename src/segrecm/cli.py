@@ -52,11 +52,8 @@ FRIENDLY_NOTE = "the factor family is friendly: duals commute with the degreewis
 DIM_NOTE = "every factor has dimension at least 2 (not verified)"
 DOMAIN_NOTE = "the tensor product of the factors is a domain (not verified)"
 TORIC_DEPTH_NOTE = "toric factors have depth at least 2 (user supplied, not verified)"
-
-
-def _witnesses_json(report):
-    return [{"q": w.q, "subset": list(w.subset), "lo": w.lo, "hi": w.hi}
-            for w in report.witnesses]
+TWIST_NOTES = [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE]
+DIM_ONE_NOTE = "two-factor case split with a dimension-1 factor (not independently verified)"
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +140,24 @@ def _do_classify_depth(ns):
         raise ValueError("--dims, --ainv and --shifts must list the same "
                          "positive number of factors")
     inputs = {"dims": dims, "a_invariants": ainv, "shifts": shifts}
+    assumptions = [GORENSTEIN_NOTE, FRIENDLY_NOTE]
     # dimension 1 factors are only classified in the two factor case
     if len(dims) == 2 and min(dims) < 2:
         report = cohomo.prop_depth_m2(dims[0], dims[1], ainv[0], ainv[1],
                                       shifts[0], shifts[1])
         method = "two-factor-cases"
+        assumptions.append(DIM_ONE_NOTE)
     else:
-        report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)))
+        report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
         method = "subset-support"
+    witnesses = report.witnesses
+    if method == "two-factor-cases" and dims[0] < dims[1]:
+        # prop_depth_m2 numbers the larger dimension 1; report input order
+        witnesses = sorted(w._replace(subset=tuple(sorted(3 - i for i in w.subset)))
+                           for w in witnesses)
     results = {"dim": report.dim, "depth": report.depth, "is_cm": report.is_cm,
-               "witnesses": _witnesses_json(report), "method": method}
-    return inputs, results, [GORENSTEIN_NOTE, FRIENDLY_NOTE]
+               "witnesses": [w._asdict() for w in witnesses], "method": method}
+    return inputs, results, assumptions
 
 
 def _do_classify_cm_twist(ns):
@@ -163,7 +167,7 @@ def _do_classify_cm_twist(ns):
     raw = cohomo.cm_uniform_twist_raw(rhos, ns.a)
     chain = None if ns.a in (0, 1) else cohomo.cm_chain(rhos, ns.a)
     results = {"is_cm": is_cm, "is_cm_raw": raw, "chain": chain}
-    return inputs, results, [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE]
+    return inputs, results, TWIST_NOTES
 
 
 def _do_classify_interval(ns):
@@ -174,7 +178,7 @@ def _do_classify_interval(ns):
                "lo": _rat(interval.lo) if interval.lo is not None else None,
                "hi": _rat(interval.hi) if interval.hi is not None else None,
                "integer_points": interval.integer_points()}
-    return inputs, results, [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE]
+    return inputs, results, TWIST_NOTES
 
 
 def _do_classify_anticanonical(ns):
@@ -182,15 +186,13 @@ def _do_classify_anticanonical(ns):
     inputs = {"rho": rhos}
     is_cm = cohomo.cm_uniform_twist(rhos, -1)
     m2 = cohomo.anticanonical_cm_m2(-rhos[0], -rhos[1]) if len(rhos) == 2 else None
-    return inputs, {"is_cm": is_cm, "m2_criterion": m2}, \
-        [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE]
+    return inputs, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
 
 
 def _do_classify_power(ns):
     rhos = _int_list(ns.rho, "--rho")
     inputs = {"rho": rhos, "a": ns.a}
-    return inputs, {"is_cm": cohomo.canonical_power_cm(rhos, ns.a)}, \
-        [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE, DOMAIN_NOTE]
+    return inputs, {"is_cm": cohomo.canonical_power_cm(rhos, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
 
 
 def _build_oracle_ring(ring_spec, toric_path, n_alg, cap, which):
@@ -269,19 +271,14 @@ def build_parser():
 
     hil_p = sub.add_parser("hilbert", help="exact Hilbert series arithmetic")
     hil_sub = hil_p.add_subparsers(dest="subcommand", required=True)
-    p = hil_sub.add_parser("coeff")
-    p.add_argument("--series", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_do_hilbert_coeff)
-    p = hil_sub.add_parser("shift")
-    p.add_argument("--series", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=_do_hilbert_shift)
-    p = hil_sub.add_parser("window")
-    p.add_argument("--series", required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.set_defaults(handler=_do_hilbert_window)
+    for name, handler, int_flags in (("coeff", _do_hilbert_coeff, ("--n",)),
+                                     ("shift", _do_hilbert_shift, ("--a",)),
+                                     ("window", _do_hilbert_window, ("--lo", "--hi"))):
+        p = hil_sub.add_parser(name)
+        p.add_argument("--series", required=True)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(handler=handler)
     p = hil_sub.add_parser("hadamard")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -295,20 +292,15 @@ def build_parser():
     p.add_argument("--ainv", required=True)
     p.add_argument("--shifts", required=True)
     p.set_defaults(handler=_do_classify_depth)
-    p = cls_sub.add_parser("cm-twist")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=_do_classify_cm_twist)
-    p = cls_sub.add_parser("interval")
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=_do_classify_interval)
-    p = cls_sub.add_parser("anticanonical")
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=_do_classify_anticanonical)
-    p = cls_sub.add_parser("power")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=_do_classify_power)
+    for name, handler, int_flags in (("cm-twist", _do_classify_cm_twist, ("--a",)),
+                                     ("interval", _do_classify_interval, ()),
+                                     ("anticanonical", _do_classify_anticanonical, ()),
+                                     ("power", _do_classify_power, ("--a",))):
+        p = cls_sub.add_parser(name)
+        p.add_argument("--rho", required=True)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(handler=handler)
 
     orc_p = sub.add_parser("oracle", help="truncated graded module checks")
     orc_sub = orc_p.add_subparsers(dest="subcommand", required=True)

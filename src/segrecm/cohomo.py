@@ -12,7 +12,14 @@ and the summand is nonzero exactly when the two support rays overlap:
 (the left side is -infinity when E is the full set).  The summand for E
 sits in cohomological degree q(E) = sum of d_i over E minus (|E| - 1), so
 depth is the least q(E) with overlap and the full set always realizes the
-dimension, sum d_i - (m - 1).
+dimension, sum d_i - (m - 1) (Goto-Watanabe, On graded rings I, section 4).
+
+Supported subsets are listed by threshold, not by visiting all 2^m: with
+s_i = -a_i and h_i = alpha_i - a_i, rank the factors by (s_i, i).  A
+supported E other than the full set has one top-ranked factor j off E, at
+threshold t = s_j; E holds every factor ranked above j (each with h_i >= t)
+and any ranked below j with h_i >= t.  Their count, a sum of powers of
+two, is capped before listing, and each costs O(m) to list.
 
 Everything here stores a-invariants.  The uniform-twist criteria below
 take positive 'rho' lists with rho_i = -alpha_i, the convention natural
@@ -23,15 +30,14 @@ the call boundary avoids sign bugs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .errors import (BadTwist, DimensionTooSmall, NotApplicable, NotPositive,
-                     NotSorted, ResourceCap)
-
-SUBSET_ENUM_LIMIT = 20
+from .errors import (DEFAULT_POINT_CAP, BadTwist, DimensionTooSmall,
+                     NotApplicable, NotPositive, NotSorted, check_cap)
 
 
 class TwistedFactor(NamedTuple):
@@ -94,45 +100,49 @@ class TwistInterval:
         return list(range(first, last + 1))
 
 
-def _as_factors(factors):
-    out = []
-    for f in factors:
-        f = TwistedFactor(*f)
-        out.append(f)
-    if not out:
-        raise ValueError("factor list must be nonempty")
-    return out
-
-
-def cohomology_support(factors):
+def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     """Depth report for M = # of R_i(a_i) via subset support analysis.
 
     Requires every factor dimension >= 2; two-factor inputs with a
-    dimension 1 factor are served by prop_depth_m2 instead.
+    dimension 1 factor are served by prop_depth_m2 instead.  Raises
+    ResourceCap when there are more than cap witnesses.
     """
-    fs = _as_factors(factors)
-    m = len(fs)
+    fs = [TwistedFactor(*f) for f in factors]
+    if not fs:
+        raise ValueError("factor list must be nonempty")
     for idx, f in enumerate(fs, start=1):
         if f.dim < 2:
             raise DimensionTooSmall(
                 f"factor {idx} has dimension {f.dim}; the support analysis "
                 f"requires every dimension >= 2")
-    if m > SUBSET_ENUM_LIMIT:
-        raise ResourceCap(f"{m} factors exceed the subset enumeration bound "
-                          f"of {SUBSET_ENUM_LIMIT}")
-    witnesses = []
-    for size in range(1, m + 1):
-        for subset in combinations(range(1, m + 1), size):
-            inside = set(subset)
-            q = sum(fs[i - 1].dim for i in subset) - (size - 1)
-            complement = [i for i in range(1, m + 1) if i not in inside]
-            lo = max((-fs[i - 1].shift for i in complement), default=None)
-            hi = min(fs[i - 1].a_inv - fs[i - 1].shift for i in subset)
-            if lo is None or lo <= hi:
-                witnesses.append(Witness(q, subset, lo, hi))
+    m = len(fs)
+    s = [-f.shift for f in fs]
+    h = [f.a_inv - f.shift for f in fs]
+    rank = sorted(range(m), key=lambda i: (s[i], i))
+    # floor[r] is the least h among the factors ranked r and above
+    floor = list(accumulate((h[i] for i in reversed(rank)), min, initial=math.inf))[::-1]
+    tops, count, below = [], 1, []  # below: sorted h of the lower ranks
+    for r, j in enumerate(rank):
+        if floor[r + 1] >= s[j]:
+            tops.append(r)
+            count += (1 << (r - bisect_left(below, s[j]))) - (r == m - 1)
+        insort(below, h[j])
+    check_cap(count, cap, "depth witnesses")
+
+    def witness(subset, lo):
+        q = sum(fs[i].dim for i in subset) - (len(subset) - 1)
+        return Witness(q, tuple(i + 1 for i in subset), lo, min(h[i] for i in subset))
+
+    witnesses = [witness(range(m), None)]
+    for r in tops:
+        t, forced = s[rank[r]], rank[r + 1:]
+        free = [i for i in rank[:r] if h[i] >= t]
+        for mask in range(0 if forced else 1, 1 << len(free)):
+            chosen = [i for b, i in enumerate(free) if mask >> b & 1]
+            witnesses.append(witness(sorted(forced + chosen), t))
     witnesses.sort(key=lambda w: (w.q, w.subset))
     dim = sum(f.dim for f in fs) - (m - 1)
-    depth = min(w.q for w in witnesses)
+    depth = witnesses[0].q
     return DepthReport(dim, depth, depth == dim, tuple(witnesses))
 
 
@@ -150,14 +160,12 @@ def prop_depth_m2(r, s, rho, sigma, a, b):
         raise ValueError(f"dimensions must be >= 1, got {r} and {s}")
     dim = r + s - 1
     witnesses = []
-    if s >= 2 or r > s:
-        # support intervals valid whenever some dimension exceeds 1
-        if b - a <= sigma:
-            witnesses.append(Witness(s, (2,), -a, sigma - b))
-        if a - b <= rho:
-            witnesses.append(Witness(r, (1,), -b, rho - a))
-        witnesses.append(Witness(dim, (1, 2), None, min(rho - a, sigma - b)))
-        witnesses.sort(key=lambda w: (w.q, w.subset))
+    if b - a <= sigma:
+        witnesses.append(Witness(s, (2,), -a, sigma - b))
+    if a - b <= rho:
+        witnesses.append(Witness(r, (1,), -b, rho - a))
+    witnesses.append(Witness(dim, (1, 2), None, min(rho - a, sigma - b)))
+    witnesses.sort(key=lambda w: (w.q, w.subset))
     if r == s == 1:
         depth = 1
     elif r == s:
@@ -201,30 +209,32 @@ def cm_uniform_twist(rhos, a):
 
 
 def cm_uniform_twist_raw(rhos, a):
-    """Subset-enumeration form of the uniform twist criterion.
+    """Subset form of the uniform twist criterion, decided by threshold.
 
     For every proper nonempty subset E the strict inequality
 
         max over i not in E of (a rho_i)  >  min over i in E of ((a-1) rho_i)
 
     must hold; this is exactly the vanishing of the corresponding
-    cohomology summand.  Exhaustive over all 2^m - 2 subsets, so the
-    factor count is capped.
+    cohomology summand.  With u_i = a rho_i and v_i = (a-1) rho_i, some E
+    fails exactly when some j (the largest u off E) leaves a proper
+    complement C = {j} + {i : v_i < u_j} with u_i <= u_j on C.  Sorting by
+    v with a prefix maximum of u decides it in O(m log m), any rho order.
     """
     rhos = [int(x) for x in rhos]
     if not rhos:
         raise ValueError("rho list must be nonempty")
     m = len(rhos)
-    if m > SUBSET_ENUM_LIMIT:
-        raise ResourceCap(f"{m} factors exceed the subset enumeration bound "
-                          f"of {SUBSET_ENUM_LIMIT}")
-    for size in range(1, m):
-        for subset in combinations(range(m), size):
-            inside = set(subset)
-            big = max(a * rhos[i] for i in range(m) if i not in inside)
-            small = min((a - 1) * rhos[i] for i in subset)
-            if not big > small:
-                return False
+    u = [a * r for r in rhos]
+    v = [(a - 1) * r for r in rhos]
+    order = sorted(range(m), key=v.__getitem__)
+    v_sorted = [v[i] for i in order]
+    # top[k] is the largest u among the k smallest v
+    top = list(accumulate((u[i] for i in order), max, initial=-math.inf))
+    for j in range(m):
+        below = bisect_left(v_sorted, u[j])
+        if top[below] <= u[j] and below + (v[j] >= u[j]) < m:
+            return False
     return True
 
 

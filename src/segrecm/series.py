@@ -99,9 +99,6 @@ class HilbertSeries:
 
     # -- basic queries ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.numerator
-
     def lowest_exponent(self):
         return self.numerator[0][0] if self.numerator else None
 

@@ -3,12 +3,13 @@
 Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
 local Gaussian elimination, Smith elementary divisors by unimodular row
-and column operations, and graded hom by one dense linear solve.  They
+and column operations, graded hom by one dense linear solve, and the
+depth witnesses and uniform twist criterion by visiting every subset.  They
 share data structures with the package but not algorithms.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 
 def gauss_rank(rows):
@@ -160,3 +161,33 @@ def dense_hom_dim(mod, ring, i):
                     if any(row):
                         eqs.append(row)
     return len(var) - gauss_rank(eqs)
+
+
+def support_witnesses(factors):
+    """Every (q, subset, lo, hi) with overlapping support rays, sorted,
+    by visiting all 2^m - 1 nonempty subsets of (dim, a_inv, shift)
+    factors; subsets are 1-based."""
+    m = len(factors)
+    found = []
+    for size in range(1, m + 1):
+        for subset in combinations(range(1, m + 1), size):
+            q = sum(factors[i - 1][0] for i in subset) - (size - 1)
+            lo = max((-factors[i - 1][2] for i in range(1, m + 1)
+                      if i not in subset), default=None)
+            hi = min(factors[i - 1][1] - factors[i - 1][2] for i in subset)
+            if lo is None or lo <= hi:
+                found.append((q, subset, lo, hi))
+    return sorted(found)
+
+
+def uniform_twist_by_subsets(rhos, a):
+    """The uniform twist criterion checked on all 2^m - 2 proper nonempty
+    subsets E: max of a rho_i off E exceeds min of (a - 1) rho_i on E."""
+    m = len(rhos)
+    for size in range(1, m):
+        for subset in combinations(range(m), size):
+            big = max(a * rhos[i] for i in range(m) if i not in subset)
+            small = min((a - 1) * rhos[i] for i in subset)
+            if not big > small:
+                return False
+    return True

@@ -18,6 +18,8 @@ from segrecm.oracle import (algebra_from_monomial_quotient,
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, segre, validate
 
+from oracles import support_witnesses, uniform_twist_by_subsets
+
 I2 = validate([[1, 0], [0, 1]])
 
 
@@ -67,6 +69,7 @@ def test_criterion_2_equivalence_sweep(capsys):
         for a in range(-10, 11):
             fast = cm_uniform_twist(rhos, a)
             assert fast == cm_uniform_twist_raw(rhos, a), (rhos, a)
+            assert fast == uniform_twist_by_subsets(rhos, a), (rhos, a)
             if a not in (0, 1):
                 assert fast == cm_chain(rhos, a), (rhos, a)
             checked += 1
@@ -74,7 +77,8 @@ def test_criterion_2_equivalence_sweep(capsys):
     assert elapsed < 30.0, f"sweep took {elapsed:.2f}s"
     with capsys.disabled():
         print(f"criterion 2 PASS: {checked} criterion evaluations agree "
-              f"across all three forms in {elapsed:.2f}s")
+              f"across all three forms and the exhaustive subset check "
+              f"in {elapsed:.2f}s")
 
 
 def test_criterion_3_two_factor_conformance(capsys):
@@ -86,16 +90,18 @@ def test_criterion_3_two_factor_conformance(capsys):
                     for a in range(-6, 7):
                         for b in range(-6, 7):
                             cases = prop_depth_m2(r, s, rho, sigma, a, b)
-                            kunneth = cohomology_support(
-                                [(r, rho, a), (s, sigma, b)])
+                            factors = [(r, rho, a), (s, sigma, b)]
+                            kunneth = cohomology_support(factors)
                             assert cases.depth == kunneth.depth, \
                                 (r, s, rho, sigma, a, b)
                             assert cases.is_cm == kunneth.is_cm, \
                                 (r, s, rho, sigma, a, b)
+                            assert [tuple(w) for w in kunneth.witnesses] == \
+                                support_witnesses(factors), (r, s, rho, sigma, a, b)
                             checked += 1
     with capsys.disabled():
-        print(f"criterion 3 PASS: case split and support analysis agree on "
-              f"{checked} grid points")
+        print(f"criterion 3 PASS: case split, support analysis and exhaustive "
+              f"subsets agree on {checked} grid points")
 
 
 def test_criterion_4_interval_law(capsys):

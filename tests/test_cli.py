@@ -9,6 +9,8 @@ import segrecm
 from segrecm.cli import run
 from segrecm.toric import format_matrix
 
+from oracles import support_witnesses
+
 
 @pytest.fixture
 def i2_path(tmp_path):
@@ -63,6 +65,35 @@ class TestReports:
                                       "--ainv", "-2,-1", "--shifts", "0,-1"])
         assert report["results"]["method"] == "two-factor-cases"
         assert report["results"]["depth"] == 1
+
+    def test_depth_dimension_one_contract(self, capsys):
+        # depth is the least witness q, and witnesses are the exhaustive
+        # Kunneth subsets in input order, whichever factor has dimension 1
+        for dims in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3)):
+            for ainv in ((-1, -1), (-2, -1), (-1, -2)):
+                for s1 in range(-2, 3):
+                    for s2 in range(-2, 3):
+                        report = invoke_json(capsys, [
+                            "classify", "depth", "--dims", "%d,%d" % dims,
+                            "--ainv", "%d,%d" % ainv, "--shifts", f"{s1},{s2}"])
+                        results = report["results"]
+                        want = support_witnesses(list(zip(dims, ainv, (s1, s2))))
+                        got = [(w["q"], tuple(w["subset"]), w["lo"], w["hi"])
+                               for w in results["witnesses"]]
+                        assert got == want, (dims, ainv, s1, s2)
+                        assert results["depth"] == min(w[0] for w in want)
+                        assert report["assumptions"][-1].startswith(
+                            "two-factor case split with a dimension-1 factor")
+
+    def test_depth_many_factors(self, capsys):
+        # more factors than any subset loop could visit, one witness
+        report = invoke_json(capsys, ["classify", "depth", "--dims", ",".join(["2"] * 200),
+                                      "--ainv", ",".join(["-2"] * 200),
+                                      "--shifts", ",".join(["0"] * 200)])
+        results = report["results"]
+        assert (results["dim"], results["depth"], results["is_cm"]) == (201, 201, True)
+        assert [w["subset"] for w in results["witnesses"]] == [list(range(1, 201))]
+        assert len(report["assumptions"]) == 2
 
     def test_hilbert_roundtrip(self, capsys):
         report = invoke_json(capsys, ["hilbert", "hadamard",
@@ -168,6 +199,13 @@ class TestExitCodes:
                     "--right", "num: 1 0 ; den: 2000"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "Hadamard numerator" in err and "cap of 10000" in err
+
+    def test_depth_witness_cap(self, capsys):
+        # all 63 nonempty subsets of six equal factors are witnesses
+        assert run(["--cap", "10", "classify", "depth", "--dims", "2,2,2,2,2,2",
+                    "--ainv", "0,0,0,0,0,0", "--shifts", "0,0,0,0,0,0"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "depth witnesses" in err and "cap of 10" in err
 
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0

@@ -3,13 +3,23 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrecm.cohomo import (TwistInterval, anticanonical_cm_m2,
                             canonical_power_cm, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
                             cohomology_support, dual_shift, prop_depth_m2)
 from segrecm.errors import (BadTwist, DimensionTooSmall, NotApplicable,
-                            NotPositive, NotSorted)
+                            NotPositive, NotSorted, ResourceCap)
+
+from oracles import support_witnesses, uniform_twist_by_subsets
+
+# shifts and a-invariants from short ranges, so that several factors
+# share a threshold -a_i and ties are the common case
+factor_lists = st.lists(st.tuples(st.integers(2, 4), st.integers(-4, 1),
+                                  st.integers(-2, 2)), min_size=1, max_size=9)
+rho_lists = st.lists(st.integers(-4, 4), min_size=1, max_size=9)
 
 
 def sorted_vectors(max_m, lo, hi):
@@ -43,6 +53,46 @@ class TestCohomologySupport:
         with pytest.raises(DimensionTooSmall):
             cohomology_support([(2, -2, 0), (1, -1, 0)])
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(factor_lists)
+    def test_witnesses_match_exhaustive(self, factors):
+        rep = cohomology_support(factors)
+        assert [tuple(w) for w in rep.witnesses] == support_witnesses(factors)
+        assert rep.depth == min(w.q for w in rep.witnesses)
+        # the count checked against the cap is the number listed
+        assert cohomology_support(factors, cap=len(rep.witnesses)) == rep
+        with pytest.raises(ResourceCap):
+            cohomology_support(factors, cap=len(rep.witnesses) - 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factor_lists, st.integers(-5, 5))
+    def test_depth_invariant_under_global_shift(self, factors, c):
+        base = cohomology_support(factors)
+        moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
+        assert (moved.dim, moved.depth, moved.is_cm) == (base.dim, base.depth, base.is_cm)
+        assert [w.subset for w in moved.witnesses] == [w.subset for w in base.witnesses]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factor_lists)
+    def test_dual_shift_is_involution_on_reports(self, factors):
+        dims, ainv, shifts = zip(*factors)
+        twice = dual_shift(dual_shift(shifts))
+        assert cohomology_support(list(zip(dims, ainv, twice))) == \
+            cohomology_support(factors)
+
+    def test_cap_counts_witnesses_before_listing(self):
+        # every nonempty subset of six equal factors is supported
+        factors = [(2, 0, 0)] * 6
+        assert len(cohomology_support(factors, cap=63).witnesses) == 63
+        with pytest.raises(ResourceCap, match="depth witnesses: enumeration reached 63"):
+            cohomology_support(factors, cap=62)
+
+    def test_many_factors_few_witnesses(self):
+        factors = [(2 + i % 3, -1 - i % 4, i % 5 - 2) for i in range(200)]
+        rep = cohomology_support(factors)
+        assert rep.witnesses[-1].subset == tuple(range(1, 201))
+        assert rep.depth == min(w.q for w in rep.witnesses)
+
     def test_global_shift_invariance(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -69,6 +119,17 @@ class TestPropDepthM2:
     def test_cm_case(self):
         rep = prop_depth_m2(3, 2, -3, -2, 0, 0)
         assert rep.is_cm and rep.depth == 4
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(-3, 0), st.integers(-3, 0),
+           st.integers(-3, 3), st.integers(-3, 3))
+    def test_dimension_one_branches_match_exhaustive(self, r, rho, sigma, a, b):
+        # with s = 1 the case split must give the least q of the
+        # exhaustive Kunneth witnesses, listed larger dimension first
+        rep = prop_depth_m2(r, 1, rho, sigma, a, b)
+        want = support_witnesses([(r, rho, a), (1, sigma, b)])
+        assert [tuple(w) for w in rep.witnesses] == want
+        assert rep.depth == min(w[0] for w in want)
 
     def test_swaps_inputs(self):
         a = prop_depth_m2(2, 3, -2, -3, 5, 1)
@@ -105,6 +166,20 @@ class TestUniformTwist:
     def test_rejects_unsorted(self):
         with pytest.raises(NotSorted):
             cm_uniform_twist([2, 3], 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rho_lists)
+    def test_raw_matches_exhaustive(self, rhos):
+        # rhos are unsorted; every twist, including 0 and 1, is compared
+        for a in range(-6, 7):
+            assert cm_uniform_twist_raw(rhos, a) == uniform_twist_by_subsets(rhos, a), a
+
+    def test_raw_many_factors(self):
+        # 300 factors; the consecutive ratio 27/26 allows twists -25..26
+        rhos = sorted((30 - i % 5 for i in range(300)), reverse=True)
+        for a, want in ((2, True), (26, True), (27, False), (-26, False)):
+            assert cm_uniform_twist_raw(rhos, a) is want
+            assert cm_uniform_twist(rhos, a) is want
 
     def test_raw_is_permutation_invariant(self):
         rng = random.Random(5)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrecm.errors import ReconstructionFailed
 from segrecm.series import HilbertSeries, format_series, parse_series
@@ -8,6 +10,19 @@ from oracles import expand_series
 
 def H(pairs, d):
     return HilbertSeries.from_pairs(pairs, d)
+
+
+def expand(h, lo, hi):
+    return expand_series(list(h.numerator), h.denom_power, lo, hi)
+
+
+# numerators with shifts into negative degrees; from_pairs reduces them
+any_series = st.builds(
+    H, st.lists(st.tuples(st.integers(-3, 5), st.integers(-3, 3)), max_size=4),
+    st.integers(0, 3))
+# the Hadamard product needs eventually polynomial coefficient streams
+streams = any_series.filter(lambda h: h.denom_power >= 1)
+LO, HI = -6, 14
 
 
 POLY_2VARS = H([(0, 1)], 2)          # 1/(1-t)^2
@@ -152,3 +167,37 @@ class TestTextEncoding:
                     "num: x 0 ; den: 2"):
             with pytest.raises(ValueError):
                 parse_series(bad)
+
+
+class TestSeriesLaws:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(any_series, st.integers(-6, 6))
+    def test_coeff_matches_window_and_expansion(self, h, lo):
+        hi = lo + 12
+        values = h.window(lo, hi).values
+        assert values == tuple(h.coeff(n) for n in range(lo, hi + 1))
+        assert list(values) == expand(h, lo, hi)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(any_series, st.integers(-4, 4), st.integers(-4, 4))
+    def test_shift_composes(self, h, a, b):
+        assert h.shift(a).shift(b) == h.shift(a + b)
+        assert list(h.shift(a).window(LO, HI).values) == expand(h, LO + a, HI + a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(streams, streams)
+    def test_hadamard_commutes_pointwise(self, h1, h2):
+        prod = h1.hadamard(h2)
+        assert prod == h2.hadamard(h1)
+        want = [x * y for x, y in zip(expand(h1, LO, HI), expand(h2, LO, HI))]
+        assert list(prod.window(LO, HI).values) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(streams)
+    def test_hadamard_unit(self, h):
+        # 1/(1-t) is 1 in every degree >= 0, so it keeps exactly those
+        prod = h.hadamard(H([(0, 1)], 1))
+        want = [c if n >= 0 else 0 for n, c in zip(range(LO, HI + 1), expand(h, LO, HI))]
+        assert list(prod.window(LO, HI).values) == want
+        if h.lowest_exponent() >= 0:
+            assert prod == h
