@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 from .cohomo import (DepthReport, TwistInterval, TwistedFactor, Witness,
                      anticanonical_cm_m2, canonical_power_cm, cm_chain,
                      cm_twist_interval, cm_uniform_twist,
-                     cm_uniform_twist_raw, cohomology_support, dual_shift,
-                     prop_depth_m2)
+                     cm_uniform_twist_raw, cohomology_support, dual_shift)
 from .errors import (BadTwist, DimensionTooSmall, DomainError, EmptyWindow,
                      NotApplicable, NotPositive, NotSorted,
                      NotStandardGraded, ReconstructionFailed, ResourceCap,

@@ -34,6 +34,16 @@ def _int_list(text, flag):
         raise ValueError(f"{flag} expects comma separated integers, got {text!r}") from None
 
 
+def _cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expects a nonnegative integer, got {text!r}")
+    return cap
+
+
 def _parse_window(text):
     lo_txt, sep, hi_txt = text.partition("..")
     if not sep:
@@ -141,22 +151,12 @@ def _do_classify_depth(ns):
                          "positive number of factors")
     inputs = {"dims": dims, "a_invariants": ainv, "shifts": shifts}
     assumptions = [GORENSTEIN_NOTE, FRIENDLY_NOTE]
-    # dimension 1 factors are only classified in the two factor case
     if len(dims) == 2 and min(dims) < 2:
-        report = cohomo.prop_depth_m2(dims[0], dims[1], ainv[0], ainv[1],
-                                      shifts[0], shifts[1])
-        method = "two-factor-cases"
         assumptions.append(DIM_ONE_NOTE)
-    else:
-        report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
-        method = "subset-support"
-    witnesses = report.witnesses
-    if method == "two-factor-cases" and dims[0] < dims[1]:
-        # prop_depth_m2 numbers the larger dimension 1; report input order
-        witnesses = sorted(w._replace(subset=tuple(sorted(3 - i for i in w.subset)))
-                           for w in witnesses)
+    report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
     results = {"dim": report.dim, "depth": report.depth, "is_cm": report.is_cm,
-               "witnesses": [w._asdict() for w in witnesses], "method": method}
+               "witnesses": [w._asdict() for w in report.witnesses],
+               "method": "subset-support"}
     return inputs, results, assumptions
 
 
@@ -245,7 +245,7 @@ def build_parser():
                     "graded algebras: Hilbert series, toric presentations, "
                     "depth classification, truncated module checks.")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--cap", type=int, default=toric.DEFAULT_POINT_CAP,
+    parser.add_argument("--cap", type=_cap, default=toric.DEFAULT_POINT_CAP,
                         help="resource bound for point enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
 

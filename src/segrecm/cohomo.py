@@ -14,12 +14,16 @@ sits in cohomological degree q(E) = sum of d_i over E minus (|E| - 1), so
 depth is the least q(E) with overlap and the full set always realizes the
 dimension, sum d_i - (m - 1) (Goto-Watanabe, On graded rings I, section 4).
 
-Supported subsets are listed by threshold, not by visiting all 2^m: with
-s_i = -a_i and h_i = alpha_i - a_i, rank the factors by (s_i, i).  A
-supported E other than the full set has one top-ranked factor j off E, at
-threshold t = s_j; E holds every factor ranked above j (each with h_i >= t)
-and any ranked below j with h_i >= t.  Their count, a sum of powers of
-two, is capped before listing, and each costs O(m) to list.
+Supported subsets are found by one threshold scan, not by visiting all
+2^m: with s_i = -a_i and h_i = alpha_i - a_i, rank the factors by
+(s_i, i).  A supported E other than the full set has one top-ranked
+factor j off E, at threshold t = s_j; E holds every factor ranked above j
+(each with h_i >= t) and any ranked below j with h_i >= t.
+cohomology_support caps their count, a sum of powers of two, before
+listing them at O(m) each; cm_uniform_twist_raw runs the same scan and
+only asks whether any proper subset is supported.  With exactly two
+factors a dimension-1 factor is allowed: the two-factor case split gives
+the same witnesses (it is a test oracle in tests/oracles.py).
 
 Everything here stores a-invariants.  The uniform-twist criteria below
 take positive 'rho' lists with rho_i = -alpha_i, the convention natural
@@ -30,7 +34,7 @@ the call boundary avoids sign bugs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -100,41 +104,59 @@ class TwistInterval:
         return list(range(first, last + 1))
 
 
+def _support_scan(s, h):
+    """Rank the factors by (s_i, i) and list the admissible tops lazily.
+
+    Returns the ranking and an iterator of (r, free): the factor j ranked
+    r can be the top-ranked factor off a supported subset when every
+    factor ranked above it has h_i >= s_j, and free counts the factors
+    ranked below j with h_i >= s_j.  As the ones above all qualify, free
+    is r + 1 less the factors with h_i < s_j less [h_j >= s_j]: one
+    bisection in sorted h, so the scan is O(m log m).
+    """
+    rank = sorted(range(len(s)), key=lambda i: (s[i], i))
+    # floor[r] is the least h among the factors ranked r and above
+    floor = list(accumulate((h[i] for i in reversed(rank)), min, initial=math.inf))[::-1]
+    h_sorted = sorted(h)
+    tops = ((r, r + 1 - bisect_left(h_sorted, s[j]) - (h[j] >= s[j]))
+            for r, j in enumerate(rank) if floor[r + 1] >= s[j])
+    return rank, tops
+
+
 def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     """Depth report for M = # of R_i(a_i) via subset support analysis.
 
-    Requires every factor dimension >= 2; two-factor inputs with a
-    dimension 1 factor are served by prop_depth_m2 instead.  Raises
-    ResourceCap when there are more than cap witnesses.
+    Requires every factor dimension >= 2, or >= 1 when there are exactly
+    two factors.  Raises ResourceCap when there are more than cap
+    witnesses.
     """
     fs = [TwistedFactor(*f) for f in factors]
     if not fs:
         raise ValueError("factor list must be nonempty")
+    m = len(fs)
+    least = 1 if m == 2 else 2
     for idx, f in enumerate(fs, start=1):
-        if f.dim < 2:
+        if f.dim < least:
             raise DimensionTooSmall(
                 f"factor {idx} has dimension {f.dim}; the support analysis "
-                f"requires every dimension >= 2")
-    m = len(fs)
+                f"requires every dimension >= 2 (>= 1 with exactly two factors)")
     s = [-f.shift for f in fs]
     h = [f.a_inv - f.shift for f in fs]
-    rank = sorted(range(m), key=lambda i: (s[i], i))
-    # floor[r] is the least h among the factors ranked r and above
-    floor = list(accumulate((h[i] for i in reversed(rank)), min, initial=math.inf))[::-1]
-    tops, count, below = [], 1, []  # below: sorted h of the lower ranks
-    for r, j in enumerate(rank):
-        if floor[r + 1] >= s[j]:
-            tops.append(r)
-            count += (1 << (r - bisect_left(below, s[j]))) - (r == m - 1)
-        insort(below, h[j])
-    check_cap(count, cap, "depth witnesses")
+    rank, tops = _support_scan(s, h)
+    tops = list(tops)
+    # 2^free clipped to 2^bits > cap keeps the count a lower bound that
+    # exceeds the cap exactly when the true count does; it stays exact
+    # below 2^64 per top and short enough to print above
+    bits = math.inf if cap is None else max(cap.bit_length(), 64)
+    check_cap(1 + sum((1 << min(free, bits)) - (r == m - 1) for r, free in tops),
+              cap, "depth witnesses")
 
     def witness(subset, lo):
         q = sum(fs[i].dim for i in subset) - (len(subset) - 1)
         return Witness(q, tuple(i + 1 for i in subset), lo, min(h[i] for i in subset))
 
     witnesses = [witness(range(m), None)]
-    for r in tops:
+    for r, _ in tops:
         t, forced = s[rank[r]], rank[r + 1:]
         free = [i for i in rank[:r] if h[i] >= t]
         for mask in range(0 if forced else 1, 1 << len(free)):
@@ -143,42 +165,6 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     witnesses.sort(key=lambda w: (w.q, w.subset))
     dim = sum(f.dim for f in fs) - (m - 1)
     depth = witnesses[0].q
-    return DepthReport(dim, depth, depth == dim, tuple(witnesses))
-
-
-def prop_depth_m2(r, s, rho, sigma, a, b):
-    """Depth of R(a) # S(b) for two Gorenstein factors by case analysis.
-
-    rho and sigma are the a-invariants of R and S.  Inputs are swapped so
-    that r >= s; the module is symmetric in the two factors.  This is an
-    independent closed-form path, deliberately not sharing code with
-    cohomology_support.
-    """
-    if r < s:
-        r, s, rho, sigma, a, b = s, r, sigma, rho, b, a
-    if s < 1:
-        raise ValueError(f"dimensions must be >= 1, got {r} and {s}")
-    dim = r + s - 1
-    witnesses = []
-    if b - a <= sigma:
-        witnesses.append(Witness(s, (2,), -a, sigma - b))
-    if a - b <= rho:
-        witnesses.append(Witness(r, (1,), -b, rho - a))
-    witnesses.append(Witness(dim, (1, 2), None, min(rho - a, sigma - b)))
-    witnesses.sort(key=lambda w: (w.q, w.subset))
-    if r == s == 1:
-        depth = 1
-    elif r == s:
-        depth = r if (a - b >= -sigma or a - b <= rho) else dim
-    elif s == 1:
-        depth = 1 if b - a <= sigma else dim
-    else:
-        if b - a <= sigma:
-            depth = s
-        elif a - b <= rho:
-            depth = r
-        else:
-            depth = dim
     return DepthReport(dim, depth, depth == dim, tuple(witnesses))
 
 
@@ -216,26 +202,17 @@ def cm_uniform_twist_raw(rhos, a):
         max over i not in E of (a rho_i)  >  min over i in E of ((a-1) rho_i)
 
     must hold; this is exactly the vanishing of the corresponding
-    cohomology summand.  With u_i = a rho_i and v_i = (a-1) rho_i, some E
-    fails exactly when some j (the largest u off E) leaves a proper
-    complement C = {j} + {i : v_i < u_j} with u_i <= u_j on C.  Sorting by
-    v with a prefix maximum of u decides it in O(m log m), any rho order.
+    cohomology summand.  It is the support scan of cohomology_support
+    with s_i = a rho_i and h_i = (a-1) rho_i: some E fails exactly when a
+    top admits one, that is when it is not the last-ranked factor or has
+    a free factor.  Any rho order; O(m log m).
     """
     rhos = [int(x) for x in rhos]
     if not rhos:
         raise ValueError("rho list must be nonempty")
     m = len(rhos)
-    u = [a * r for r in rhos]
-    v = [(a - 1) * r for r in rhos]
-    order = sorted(range(m), key=v.__getitem__)
-    v_sorted = [v[i] for i in order]
-    # top[k] is the largest u among the k smallest v
-    top = list(accumulate((u[i] for i in order), max, initial=-math.inf))
-    for j in range(m):
-        below = bisect_left(v_sorted, u[j])
-        if top[below] <= u[j] and below + (v[j] >= u[j]) < m:
-            return False
-    return True
+    _, tops = _support_scan([a * r for r in rhos], [(a - 1) * r for r in rhos])
+    return all(r == m - 1 and free == 0 for r, free in tops)
 
 
 def cm_chain(rhos, a):

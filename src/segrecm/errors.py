@@ -21,9 +21,14 @@ class ResourceCap(SegreError):
 
 
 def check_cap(total, cap, what):
-    """Raise ResourceCap naming the enumeration when total exceeds cap."""
+    """Raise ResourceCap naming what is bounded when total exceeds cap.
+
+    total is a running count of what an enumeration has built so far or a
+    closed-form count taken before anything is built; either way the
+    enumeration needs at least that many entries.
+    """
     if cap is not None and total > cap:
-        raise ResourceCap(f"{what}: enumeration reached {total} entries, "
+        raise ResourceCap(f"{what}: needs at least {total} entries, "
                           f"over the cap of {cap}")
 
 

@@ -401,15 +401,12 @@ class FriendlinessReport:
 
     i_lo: int
     i_hi: int
-    shifts: tuple[int, int]
     left_dims: tuple[Optional[int], ...]
     right_dims: tuple[Optional[int], ...]
-    left_squares: tuple[int, ...]
     exact: bool
     compared: tuple[int, ...]
     mismatches: tuple[int, ...]
     verdict: str
-    ring_names: tuple[str, str]
 
     def left_nonzero(self):
         return {self.i_lo + o: d for o, d in enumerate(self.left_dims) if d}
@@ -457,10 +454,8 @@ def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
         verdict = "consistent"
     else:
         verdict = "inconclusive"
-    return FriendlinessReport(i_lo, i_hi, (shift1, shift2), hom.dims, right,
-                              hom.squares, exact, tuple(compared),
-                              tuple(mismatches), verdict,
-                              (ring1.name, ring2.name))
+    return FriendlinessReport(i_lo, i_hi, hom.dims, right, exact,
+                              tuple(compared), tuple(mismatches), verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
 local Gaussian elimination, Smith elementary divisors by unimodular row
 and column operations, graded hom by one dense linear solve, and the
-depth witnesses and uniform twist criterion by visiting every subset.  They
-share data structures with the package but not algorithms.
+depth witnesses and uniform twist criterion by visiting every subset, and
+two-factor depth by a closed-form case split.  They share data structures
+with the package but not algorithms.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+
+from segrecm.cohomo import DepthReport, Witness
 
 
 def gauss_rank(rows):
@@ -191,3 +194,38 @@ def uniform_twist_by_subsets(rhos, a):
             if not big > small:
                 return False
     return True
+
+
+def prop_depth_m2(r, s, rho, sigma, a, b):
+    """Depth of R(a) # S(b) for two Gorenstein factors by case analysis.
+
+    r, s are the dimensions (each >= 1), rho, sigma the a-invariants and
+    a, b the shifts.  Witness subsets follow the input order: factor 1 is
+    R.  The depth case split swaps the factors so that r >= s; the module
+    is symmetric in the two.
+    """
+    if min(r, s) < 1:
+        raise ValueError(f"dimensions must be >= 1, got {r} and {s}")
+    dim = r + s - 1
+    witnesses = [Witness(dim, (1, 2), None, min(rho - a, sigma - b))]
+    if b - a <= sigma:
+        witnesses.append(Witness(s, (2,), -a, sigma - b))
+    if a - b <= rho:
+        witnesses.append(Witness(r, (1,), -b, rho - a))
+    witnesses.sort(key=lambda w: (w.q, w.subset))
+    if r < s:
+        r, s, rho, sigma, a, b = s, r, sigma, rho, b, a
+    if r == s == 1:
+        depth = 1
+    elif r == s:
+        depth = r if (a - b >= -sigma or a - b <= rho) else dim
+    elif s == 1:
+        depth = 1 if b - a <= sigma else dim
+    else:
+        if b - a <= sigma:
+            depth = s
+        elif a - b <= rho:
+            depth = r
+        else:
+            depth = dim
+    return DepthReport(dim, depth, depth == dim, tuple(witnesses))

@@ -11,14 +11,14 @@ from itertools import combinations_with_replacement
 from segrecm.cli import run
 from segrecm.cohomo import (anticanonical_cm_m2, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
-                            cohomology_support, dual_shift, prop_depth_m2)
+                            cohomology_support, dual_shift)
 from segrecm.oracle import (algebra_from_monomial_quotient,
                             algebra_from_toric, friendliness_witness,
                             hom_window, segre_module, shift_module)
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, segre, validate
 
-from oracles import support_witnesses, uniform_twist_by_subsets
+from oracles import prop_depth_m2, support_witnesses, uniform_twist_by_subsets
 
 I2 = validate([[1, 0], [0, 1]])
 

@@ -63,7 +63,7 @@ class TestReports:
     def test_depth_dimension_one_pair(self, capsys):
         report = invoke_json(capsys, ["classify", "depth", "--dims", "2,1",
                                       "--ainv", "-2,-1", "--shifts", "0,-1"])
-        assert report["results"]["method"] == "two-factor-cases"
+        assert report["results"]["method"] == "subset-support"
         assert report["results"]["depth"] == 1
 
     def test_depth_dimension_one_contract(self, capsys):
@@ -164,13 +164,25 @@ class TestExitCodes:
         bad.write_text(format_matrix([[1, 2]]))
         assert run(["toric", "kernel", "--matrix", str(bad)]) == 3
         assert run(["classify", "power", "--rho", "3,3", "--a", "2"]) == 3
-        # three factors with a dimension 1 entry have no supported formula
+        # three factors with a dimension 1 entry have no supported formula,
+        # and no number of factors allows dimension 0
         assert run(["classify", "depth", "--dims", "2,2,1",
                     "--ainv", "-1,-1,-1", "--shifts", "0,0,0"]) == 3
+        assert run(["classify", "depth", "--dims", "0,2",
+                    "--ainv", "-1,-1", "--shifts", "0,0"]) == 3
 
     def test_resource_cap(self, capsys, i2_path):
         assert run(["--cap", "5", "toric", "census", "--matrix", i2_path,
                     "--upto", "9"]) == 4
+
+    def test_negative_cap_is_usage_error(self, capsys, i2_path):
+        # a cap of 0 is valid: the census needs one point in degree 0
+        for argv, at_zero in ((["toric", "census", "--matrix", i2_path, "--upto", "2"], 4),
+                              (["classify", "interval", "--rho", "4,2"], 0)):
+            assert run(["--cap", "-1"] + argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--cap" in err
+            assert run(["--cap", "0"] + argv) == at_zero
 
     def test_oracle_resource_cap(self, capsys):
         assert run(["--cap", "10", "oracle", "friendly", "--ring1", "a,b,c,d",
@@ -206,6 +218,13 @@ class TestExitCodes:
                     "--ainv", "0,0,0,0,0,0", "--shifts", "0,0,0,0,0,0"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "depth witnesses" in err and "cap of 10" in err
+        # 2^15000 witnesses: the count in the message stays short enough
+        # to print (a 4,516-digit int would not convert to str)
+        many = ",".join(["0"] * 15000)
+        assert run(["--cap", "10", "classify", "depth", "--dims", ",".join(["2"] * 15000),
+                    "--ainv", many, "--shifts", many]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "depth witnesses" in err and len(err) < 200
 
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0

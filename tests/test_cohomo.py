@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from segrecm.cohomo import (TwistInterval, anticanonical_cm_m2,
                             canonical_power_cm, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
-                            cohomology_support, dual_shift, prop_depth_m2)
+                            cohomology_support, dual_shift)
 from segrecm.errors import (BadTwist, DimensionTooSmall, NotApplicable,
                             NotPositive, NotSorted, ResourceCap)
 
-from oracles import support_witnesses, uniform_twist_by_subsets
+from oracles import prop_depth_m2, support_witnesses, uniform_twist_by_subsets
 
 # shifts and a-invariants from short ranges, so that several factors
 # share a threshold -a_i and ties are the common case
@@ -50,8 +50,22 @@ class TestCohomologySupport:
         assert (rep.dim, rep.depth, rep.is_cm) == (4, 4, True)
 
     def test_rejects_dimension_one(self):
-        with pytest.raises(DimensionTooSmall):
-            cohomology_support([(2, -2, 0), (1, -1, 0)])
+        # dimension 1 is allowed only with exactly two factors, and
+        # dimension 0 or less never
+        for factors in ([(2, -2, 0), (1, -1, 0), (2, -2, 0)], [(1, -1, 0)],
+                        [(0, -1, 0), (2, -2, 0)], [(2, -2, 0), (-1, 0, 0)],
+                        [(0, 0, 0)], [(2, -2, 0), (2, -2, 0), (0, -1, 0)]):
+            with pytest.raises(DimensionTooSmall):
+                cohomology_support(factors)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(-4, 1),
+           st.integers(-4, 1), st.integers(-3, 3), st.integers(-3, 3))
+    def test_two_factors_match_case_split(self, r, s, rho, sigma, a, b):
+        factors = [(r, rho, a), (s, sigma, b)]
+        rep = cohomology_support(factors)
+        assert rep == prop_depth_m2(r, s, rho, sigma, a, b)
+        assert [tuple(w) for w in rep.witnesses] == support_witnesses(factors)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(factor_lists)
@@ -84,8 +98,10 @@ class TestCohomologySupport:
         # every nonempty subset of six equal factors is supported
         factors = [(2, 0, 0)] * 6
         assert len(cohomology_support(factors, cap=63).witnesses) == 63
-        with pytest.raises(ResourceCap, match="depth witnesses: enumeration reached 63"):
+        with pytest.raises(ResourceCap) as exc:
             cohomology_support(factors, cap=62)
+        assert str(exc.value) == \
+            "depth witnesses: needs at least 63 entries, over the cap of 62"
 
     def test_many_factors_few_witnesses(self):
         factors = [(2 + i % 3, -1 - i % 4, i % 5 - 2) for i in range(200)]
@@ -125,16 +141,25 @@ class TestPropDepthM2:
            st.integers(-3, 3), st.integers(-3, 3))
     def test_dimension_one_branches_match_exhaustive(self, r, rho, sigma, a, b):
         # with s = 1 the case split must give the least q of the
-        # exhaustive Kunneth witnesses, listed larger dimension first
+        # exhaustive Kunneth witnesses, numbered in input order
         rep = prop_depth_m2(r, 1, rho, sigma, a, b)
         want = support_witnesses([(r, rho, a), (1, sigma, b)])
         assert [tuple(w) for w in rep.witnesses] == want
         assert rep.depth == min(w[0] for w in want)
 
     def test_swaps_inputs(self):
-        a = prop_depth_m2(2, 3, -2, -3, 5, 1)
-        b = prop_depth_m2(3, 2, -3, -2, 1, 5)
-        assert a == b
+        # swapping the factors mirrors every witness subset
+        for args in ((2, 3, -2, -3, 5, 1), (1, 2, -1, -2, 0, -3), (1, 3, -1, -1, 2, 0)):
+            r, s, rho, sigma, a, b = args
+            one = prop_depth_m2(r, s, rho, sigma, a, b)
+            two = prop_depth_m2(s, r, sigma, rho, b, a)
+            assert (one.dim, one.depth, one.is_cm) == (two.dim, two.depth, two.is_cm)
+            mirrored = sorted(w._replace(subset=tuple(sorted(3 - i for i in w.subset)))
+                              for w in two.witnesses)
+            assert list(one.witnesses) == mirrored
+        # the q = 2 witness on one factor sits on factor 2, of dimension 2
+        rep = prop_depth_m2(1, 2, -1, -2, 0, -3)
+        assert [tuple(w) for w in rep.witnesses] == [(2, (1, 2), None, -1), (2, (2,), 0, 1)]
 
     def test_agrees_with_subset_analysis(self):
         # small slice of the acceptance grid

@@ -186,7 +186,7 @@ class TestCensus:
         with pytest.raises(ResourceCap) as exc:
             census(segre(I2, I2), 10, cap=20)
         assert str(exc.value) == \
-            "semigroup census: enumeration reached 30 entries, over the cap of 20"
+            "semigroup census: needs at least 30 entries, over the cap of 20"
         assert census(segre(I2, I2), 3, keep_points=False).points is None
 
     def test_points_kept(self):
