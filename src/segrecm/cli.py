@@ -63,7 +63,7 @@ DIM_NOTE = "every factor has dimension at least 2 (not verified)"
 DOMAIN_NOTE = "the tensor product of the factors is a domain (not verified)"
 TORIC_DEPTH_NOTE = "toric factors have depth at least 2 (user supplied, not verified)"
 TWIST_NOTES = [GORENSTEIN_NOTE, FRIENDLY_NOTE, DIM_NOTE]
-DIM_ONE_NOTE = "two-factor case split with a dimension-1 factor (not independently verified)"
+DIM_ONE_NOTE = "subset support analysis with a dimension-1 factor (not independently verified)"
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ A presentation is a matrix whose columns are the exponent vectors of the
 degree-1 monomial generators, together with a rational certificate vector
 giving every column degree exactly 1.  Tensor and degreewise products are
 matrix constructions; the defining relations live in the integer kernel
-of the matrix, and the Hilbert function is counted by enumerating the
-semigroup degree by degree.
+of the matrix, and the Hilbert function is counted degree by degree, as a
+product or convolution of factor counts where the columns split and by
+enumerating the semigroup where they do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import DEFAULT_POINT_CAP, NotStandardGraded, check_cap
@@ -124,13 +126,35 @@ def kernel_lattice(p):
 def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
     """Count distinct semigroup elements of each degree 0..n_max.
 
-    Breadth-first closure: the degree k+1 layer is the deduplicated set
-    of sums (degree k point) + (column).  Raises ResourceCap when the
-    total number of points exceeds cap.
+    Layer k is the set of sums of k columns.  Without keep_points the
+    distinct columns are split into factors before anything is
+    enumerated.  Each contiguous row split s in 1..nrows-1 is tried, with
+    A the distinct top projections c[:s] and B the distinct bottom
+    projections c[s:]:
 
-    Each point is one int.  Every column is shifted by low, the
-    coordinatewise minimum over the columns, so its entries are >= 0,
-    and packed into fixed-width fields of
+    * Segre rule: when there are |A| * |B| distinct columns, they are
+      exactly A x B, so layer k is layer_k(A) x layer_k(B) and the counts
+      multiply.  This holds for any column set, graded or not.
+    * Tensor rule: when every column vanishes on one of the two blocks,
+      layer k is the union over j of layer_j(top) x layer_{k-j}(bottom)
+      and the counts convolve.  The union is disjoint when a block is
+      graded, and both blocks of a graded column set are: the
+      certificate restricted to a block grades it.  A Segre factor need
+      not be graded (stacking the columns of I2 over 0 and over 1 gives
+      the factor [0 1]), so inside one only the Segre rule and
+      enumeration apply.
+
+    Both factors recurse, and a column set that no split applies to is
+    enumerated by the packed layer step below.  Every factor yields its
+    layer sizes one degree at a time, and ResourceCap is raised as soon
+    as the running total of the layer sizes of p, the number of points an
+    enumeration of p would build, exceeds cap.  So the work done before a
+    cap stop is bounded by the layers already counted.
+
+    With keep_points the semigroup of p itself is enumerated, since every
+    point is wanted.  Each point is one int.  Every column is shifted by
+    low, the coordinatewise minimum over the columns, so its entries are
+    >= 0, and packed into fixed-width fields of
     max(1, (n_max * max shifted entry).bit_length()) bits, coordinate 0
     in the most significant field.  A layer step is then
     {x + c for x in layer for c in packed}.  This is exact:
@@ -139,33 +163,83 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
       whole layer, so two points of one layer never collide;
     * no coordinate sum exceeds n_max * max shifted entry, so no field
       carries into the next;
-    * int order is lexicographic order of the points, so with
-      keep_points the sorted ints decode to the sorted point tuples.
+    * int order is lexicographic order of the points, so the sorted ints
+      decode to the sorted point tuples.
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
-    cols = p.columns()
+    cols = set(p.columns())
+    if not keep_points:
+        sizes = _capped(_layer_sizes(cols, True, n_max), cap, int)
+        return SemigroupCensus(tuple(sizes))
+    low, offsets, mask, packed = _packing(cols, n_max)
+    layers = []
+    for k, layer in enumerate(_capped(_packed_layers(packed, n_max), cap, len)):
+        bias = [k * b for b in low]
+        layers.append(tuple(
+            tuple(((x >> off) & mask) + b for off, b in zip(offsets, bias))
+            for x in sorted(layer)))
+    return SemigroupCensus(tuple(map(len, layers)), tuple(layers))
+
+
+def _capped(layers, cap, size):
+    """Pass layers 0, 1, ... through, capping the running total of their sizes."""
+    total = 0
+    for k, layer in enumerate(layers):
+        total += size(layer)
+        if k:
+            check_cap(total, cap, "semigroup census")
+        yield layer
+
+
+def _layer_sizes(cols, graded, n_max):
+    """Iterator over the layer sizes 0..n_max of a set of distinct columns.
+
+    graded says that some linear form gives every column degree 1.  The
+    split rules are those of census.  Splits nearest the middle row are
+    tried first, so a product of many factors, such as a polynomial ring
+    in a thousand variables, recurses to a depth logarithmic in its rows.
+    """
+    nrows = len(next(iter(cols)))
+    for s in sorted(range(1, nrows), key=lambda s: abs(2 * s - nrows)):
+        tops, bottoms = {c[:s] for c in cols}, {c[s:] for c in cols}
+        if len(cols) == len(tops) * len(bottoms):
+            return map(mul, _layer_sizes(tops, False, n_max),
+                       _layer_sizes(bottoms, False, n_max))
+        if graded and all(not any(c[:s]) or not any(c[s:]) for c in cols):
+            # a graded set has no zero column, and the Segre rule took the
+            # case of an empty block, so both blocks are nonempty
+            return _convolve(_layer_sizes({c[:s] for c in cols if any(c[:s])}, True, n_max),
+                             _layer_sizes({c[s:] for c in cols if any(c[s:])}, True, n_max))
+    return map(len, _packed_layers(_packing(cols, n_max)[3], n_max))
+
+
+def _convolve(left, right):
+    """Yield the Cauchy product of two layer size streams."""
+    seen_left, seen_right = [], []
+    for a, b in zip(left, right):
+        seen_left.append(a)
+        seen_right.append(b)
+        yield sum(map(mul, seen_left, reversed(seen_right)))
+
+
+def _packing(cols, n_max):
+    """(low, offsets, mask, packed columns) of the packed layer step."""
     low = [min(entries) for entries in zip(*cols)]
     shifted = [[x - b for x, b in zip(col, low)] for col in cols]
     width = max(1, (n_max * max(map(max, shifted))).bit_length())
-    offsets = [width * i for i in reversed(range(p.nrows))]
+    offsets = [width * i for i in reversed(range(len(low)))]
     packed = {sum(x << off for x, off in zip(col, offsets)) for col in shifted}
-    mask = (1 << width) - 1
+    return low, offsets, (1 << width) - 1, packed
+
+
+def _packed_layers(packed, n_max):
+    """Yield the packed layers 0..n_max; layer k+1 is layer k plus each column."""
     layer = {0}
-    counts = [1]
-    layers = [((0,) * p.nrows,)]
-    total = 1
-    for k in range(1, n_max + 1):
+    yield layer
+    for _ in range(n_max):
         layer = {x + c for x in layer for c in packed}
-        total += len(layer)
-        check_cap(total, cap, "semigroup census")
-        counts.append(len(layer))
-        if keep_points:
-            bias = [k * b for b in low]
-            layers.append(tuple(
-                tuple(((x >> off) & mask) + b for off, b in zip(offsets, bias))
-                for x in sorted(layer)))
-    return SemigroupCensus(tuple(counts), tuple(layers) if keep_points else None)
+        yield layer
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestReports:
                         assert got == want, (dims, ainv, s1, s2)
                         assert results["depth"] == min(w[0] for w in want)
                         assert report["assumptions"][-1].startswith(
-                            "two-factor case split with a dimension-1 factor")
+                            "subset support analysis with a dimension-1 factor")
 
     def test_depth_many_factors(self, capsys):
         # more factors than any subset loop could visit, one witness
@@ -174,6 +174,14 @@ class TestExitCodes:
     def test_resource_cap(self, capsys, i2_path):
         assert run(["--cap", "5", "toric", "census", "--matrix", i2_path,
                     "--upto", "9"]) == 4
+
+    def test_split_census_resource_cap(self, capsys, i2_path):
+        # the factor censuses are lazy, so a huge bound stops at the cap
+        assert run(["--cap", "5", "toric", "segre", "--left", i2_path, "--right", i2_path,
+                    "--census", "1000000"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: resource cap: semigroup census: "
+                                     "needs at least 14 entries, over the cap of 5\n")
 
     def test_negative_cap_is_usage_error(self, capsys, i2_path):
         # a cap of 0 is valid: the census needs one point in degree 0

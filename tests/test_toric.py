@@ -1,8 +1,10 @@
 import random
+import sys
+import time
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrecm.errors import NotStandardGraded, ResourceCap
@@ -15,6 +17,7 @@ from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
 
 I2 = validate([[1, 0], [0, 1]])
 CUBIC = validate([[1, 1, 1], [0, 1, 2]])
+CORNER = [(0, 0), (1, 0), (0, 1)]
 
 
 @st.composite
@@ -24,6 +27,35 @@ def signed_presentations(draw):
     rest = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
                          max_size=2))
     return validate([[1] * cols] + rest)
+
+
+def segre_columns(a, b):
+    return [x + y for x in a for y in b]
+
+
+def tensor_columns(a, b):
+    return ([x + (0,) * len(b[0]) for x in a]
+            + [(0,) * len(a[0]) + y for y in b])
+
+
+def as_presentation(cols):
+    return validate([list(row) for row in zip(*cols)])
+
+
+# small graded column sets and their products; a zero column next to a
+# product makes a column set with no grading, such as [0 1], used as a
+# Segre factor
+small_graded = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=1).map(
+    lambda rest: as_presentation(list(zip([1] * n, *rest))).columns()))
+ungraded = st.recursive(small_graded, lambda inner: st.one_of(
+    st.builds(segre_columns, inner, inner),
+    st.builds(tensor_columns, inner, inner)), max_leaves=2).map(
+    lambda cols: [(0,) * len(cols[0])] + cols)
+product_columns = st.recursive(small_graded, lambda inner: st.one_of(
+    st.builds(segre_columns, inner, inner),
+    st.builds(tensor_columns, inner, inner),
+    st.builds(segre_columns, inner, ungraded)), max_leaves=3)
 
 
 def random_gradable(rng, max_rows=3, max_cols=4, span=3):
@@ -188,6 +220,53 @@ class TestCensus:
         assert str(exc.value) == \
             "semigroup census: needs at least 30 entries, over the cap of 20"
         assert census(segre(I2, I2), 3, keep_points=False).points is None
+
+    def test_cap_is_lazy(self):
+        # the bound is never reached: the factor layers are made one
+        # degree at a time and the running total stops at the cap
+        for product, total in ((segre, 30), (tensor, 35)):
+            start = time.perf_counter()
+            with pytest.raises(ResourceCap) as exc:
+                census(product(I2, I2), 10**6, cap=20)
+            assert str(exc.value) == ("semigroup census: needs at least "
+                                      f"{total} entries, over the cap of 20")
+            assert time.perf_counter() - start < 1.0
+
+    def test_many_variables(self):
+        # splits nearest the middle row keep the recursion logarithmic in
+        # the rows; a split at each row in turn would pass this limit
+        n = 400
+        ring = ToricPresentation(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                                 (Fraction(1),) * n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            counts = census(ring, 2).counts
+        finally:
+            sys.setrecursionlimit(limit)
+        assert counts == (1, n, n * (n + 1) // 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(product_columns, st.integers(0, 3), st.randoms(use_true_random=False))
+    # a Segre factor with no grading: [0 1] under I2
+    @example(segre_columns(I2.columns(), [(0,), (1,)]), 4, random.Random(0))
+    # ungraded Segre factors whose columns vanish on one block each;
+    # convolving their blocks would count k + 1 points, not C(k+2, 2)
+    @example(segre_columns(I2.columns(), CORNER), 4, random.Random(0))
+    @example(segre_columns(CORNER, CUBIC.columns()), 4, random.Random(0))
+    # four columns, two distinct: not the product of their projections
+    @example(I2.columns() * 2, 4, random.Random(0))
+    @example(tensor_columns(segre_columns(I2.columns(), I2.columns()), CUBIC.columns()),
+             4, random.Random(0))
+    @example(segre_columns(tensor_columns(I2.columns(), CUBIC.columns()), I2.columns()),
+             4, random.Random(0))
+    def test_split_matches_enumeration(self, cols, n, rng):
+        cols = cols + rng.sample(cols, min(2, len(cols)))
+        rng.shuffle(cols)
+        p = as_presentation(cols)
+        counts = census(p, n).counts
+        assert counts == census(p, n, keep_points=True).counts
+        assert counts == tuple(census_by_multisets(cols, k) for k in range(n + 1))
 
     def test_points_kept(self):
         cens = census(I2, 2, keep_points=True)
