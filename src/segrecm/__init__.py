@@ -16,7 +16,7 @@ from .errors import (BadTwist, DimensionTooSmall, DomainError, EmptyWindow,
 from .oracle import (FriendlinessReport, HomWindowReport, TruncatedModule,
                      algebra_from_monomial_quotient, algebra_from_toric,
                      friendliness_witness, hom_window, segre_module,
-                     shift_module)
+                     shift_module, toric_friendliness)
 from .series import CoefficientWindow, HilbertSeries, format_series, parse_series
 from .toric import (LatticeBasis, SemigroupCensus, ToricPresentation, census,
                     kernel_lattice, segre, tensor, validate)

@@ -14,17 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, cohomo, oracle, series, toric
 from .errors import DomainError, ResourceCap
-
-
-def _rat(x):
-    """Canonical string for an integer or rational value."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
 
 
 def _int_list(text, flag):
@@ -70,48 +62,41 @@ DIM_ONE_NOTE = "subset support analysis with a dimension-1 factor (not independe
 # handlers: each returns (inputs, results, assumptions)
 
 
-def _do_toric_validate(ns):
-    pres = toric.validate(toric.load_matrix(ns.matrix))
-    inputs = {"matrix": [list(r) for r in pres.matrix]}
-    results = {"rows": pres.nrows, "cols": pres.ncols,
-               "grading": [_rat(x) for x in pres.grading]}
-    return inputs, results, []
+def _load(path):
+    return toric.validate(toric.load_matrix(path))
 
 
-def _pres_results(pres, census_upto, cap):
-    results = {"matrix": [list(r) for r in pres.matrix],
-               "grading": [_rat(x) for x in pres.grading]}
+def _kernel(pres):
     kern = toric.kernel_lattice(pres)
-    results["kernel"] = {"rank": kern.rank,
-                         "vectors": [list(v) for v in kern.vectors]}
-    if census_upto is not None:
-        results["census"] = list(toric.census(pres, census_upto, cap=cap).counts)
-    return results
+    return {"rank": kern.rank, "vectors": kern.vectors}
+
+
+def _do_toric_validate(ns):
+    pres = _load(ns.matrix)
+    return {"matrix": pres.matrix}, {"rows": pres.nrows, "cols": pres.ncols,
+                                     "grading": pres.grading}, []
 
 
 def _do_toric_product(ns):
     """toric tensor and toric segre: the subcommand names the product."""
-    left = toric.validate(toric.load_matrix(ns.left))
-    right = toric.validate(toric.load_matrix(ns.right))
+    left, right = _load(ns.left), _load(ns.right)
     pres = getattr(toric, ns.subcommand)(left, right)
-    inputs = {"left": [list(r) for r in left.matrix],
-              "right": [list(r) for r in right.matrix]}
-    return inputs, _pres_results(pres, ns.census, ns.cap), []
+    results = {"matrix": pres.matrix, "grading": pres.grading,
+               "kernel": _kernel(pres)}
+    if ns.census is not None:
+        results["census"] = toric.census(pres, ns.census, cap=ns.cap).counts
+    return {"left": left.matrix, "right": right.matrix}, results, []
 
 
 def _do_toric_kernel(ns):
-    pres = toric.validate(toric.load_matrix(ns.matrix))
-    kern = toric.kernel_lattice(pres)
-    inputs = {"matrix": [list(r) for r in pres.matrix]}
-    return inputs, {"rank": kern.rank,
-                    "vectors": [list(v) for v in kern.vectors]}, []
+    pres = _load(ns.matrix)
+    return {"matrix": pres.matrix}, _kernel(pres), []
 
 
 def _do_toric_census(ns):
-    pres = toric.validate(toric.load_matrix(ns.matrix))
+    pres = _load(ns.matrix)
     counts = toric.census(pres, ns.upto, cap=ns.cap).counts
-    inputs = {"matrix": [list(r) for r in pres.matrix], "upto": ns.upto}
-    return inputs, {"counts": list(counts)}, []
+    return {"matrix": pres.matrix, "upto": ns.upto}, {"counts": counts}, []
 
 
 def _do_hilbert_coeff(ns):
@@ -134,8 +119,7 @@ def _do_hilbert_window(ns):
 
 
 def _do_hilbert_hadamard(ns):
-    left = series.parse_series(ns.left)
-    right = series.parse_series(ns.right)
+    left, right = series.parse_series(ns.left), series.parse_series(ns.right)
     inputs = {"left": series.format_series(left),
               "right": series.format_series(right), "guard": ns.guard}
     out = left.hadamard(right, guard=ns.guard, cap=ns.cap)
@@ -175,8 +159,7 @@ def _do_classify_interval(ns):
     inputs = {"rho": rhos}
     interval = cohomo.cm_twist_interval(rhos)
     results = {"kind": interval.kind,
-               "lo": _rat(interval.lo) if interval.lo is not None else None,
-               "hi": _rat(interval.hi) if interval.hi is not None else None,
+               "lo": interval.lo, "hi": interval.hi,
                "integer_points": interval.integer_points()}
     return inputs, results, TWIST_NOTES
 
@@ -195,26 +178,34 @@ def _do_classify_power(ns):
     return inputs, {"is_cm": cohomo.canonical_power_cm(rhos, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
 
 
-def _build_oracle_ring(ring_spec, toric_path, n_alg, cap, which):
+def _oracle_factor(ring_spec, toric_path, which):
+    """A validated toric presentation, or the (names, relations) of a ring spec."""
     if (ring_spec is None) == (toric_path is None):
         raise ValueError(f"give exactly one of --ring{which} or --toric{which}")
     if ring_spec is not None:
-        names, rels = oracle.parse_ring_spec(ring_spec)
-        return oracle.algebra_from_monomial_quotient(names, rels, n_alg, cap=cap), False
-    pres = toric.validate(toric.load_matrix(toric_path))
-    return oracle.algebra_from_toric(pres, n_alg, cap=cap), True
+        return oracle.parse_ring_spec(ring_spec)
+    return _load(toric_path)
 
 
 def _do_oracle_friendly(ns):
     i_lo, i_hi = _parse_window(ns.window)
     shifts = (ns.shift1, ns.shift2)
-    n_alg = max(0, i_hi) + max(abs(shifts[0]), abs(shifts[1])) + \
-        oracle.MIN_INFORMATIVE_STEPS + 2
-    ring1, toric1 = _build_oracle_ring(ns.ring1, ns.toric1, n_alg, ns.cap, 1)
-    ring2, toric2 = _build_oracle_ring(ns.ring2, ns.toric2, n_alg, ns.cap, 2)
-    report = oracle.friendliness_witness(ring1, ring2, shifts[0], shifts[1],
-                                         i_lo=i_lo, i_hi=i_hi, cap=ns.cap)
-    inputs = {"ring1": ring1.name, "ring2": ring2.name,
+    factors = [_oracle_factor(ns.ring1, ns.toric1, 1), _oracle_factor(ns.ring2, ns.toric2, 2)]
+    is_toric = [isinstance(f, toric.ToricPresentation) for f in factors]
+    if all(is_toric):
+        # toric rings are domains, so every Hom dimension is an exact count
+        report = oracle.toric_friendliness(*factors, *shifts, i_lo, i_hi, cap=ns.cap)
+        names = [oracle.toric_name(f) for f in factors]
+    else:
+        n_alg = max(0, i_hi) + max(abs(shifts[0]), abs(shifts[1])) + \
+            oracle.MIN_INFORMATIVE_STEPS + 2
+        rings = [oracle.algebra_from_toric(f, n_alg, cap=ns.cap) if t else
+                 oracle.algebra_from_monomial_quotient(*f, n_alg, cap=ns.cap)
+                 for f, t in zip(factors, is_toric)]
+        report = oracle.friendliness_witness(*rings, *shifts, i_lo=i_lo, i_hi=i_hi,
+                                             cap=ns.cap)
+        names = [ring.name for ring in rings]
+    inputs = {"ring1": names[0], "ring2": names[1],
               "shift1": shifts[0], "shift2": shifts[1],
               "window": [i_lo, i_hi]}
     results = {
@@ -228,14 +219,54 @@ def _do_oracle_friendly(ns):
         "mismatch_degrees": list(report.mismatches),
         "verdict": report.verdict,
     }
-    assumptions = []
-    if toric1 or toric2:
-        assumptions.append(TORIC_DEPTH_NOTE)
-    return inputs, results, assumptions
+    return inputs, results, [TORIC_DEPTH_NOTE] if any(is_toric) else []
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+REQUIRED = {"required": True}
+REQUIRED_INT = {"type": int, "required": True}
+CENSUS = {"type": int, "default": None,
+          "help": "also count semigroup elements up to this degree"}
+
+# command -> (help, {subcommand: (handler, {flag: add_argument keywords})})
+COMMANDS = {
+    "toric": ("toric presentation constructions", {
+        "validate": (_do_toric_validate, {"--matrix": REQUIRED}),
+        "tensor": (_do_toric_product, {"--left": REQUIRED, "--right": REQUIRED,
+                                       "--census": CENSUS}),
+        "segre": (_do_toric_product, {"--left": REQUIRED, "--right": REQUIRED,
+                                      "--census": CENSUS}),
+        "kernel": (_do_toric_kernel, {"--matrix": REQUIRED}),
+        "census": (_do_toric_census, {"--matrix": REQUIRED, "--upto": REQUIRED_INT}),
+    }),
+    "hilbert": ("exact Hilbert series arithmetic", {
+        "coeff": (_do_hilbert_coeff, {"--series": REQUIRED, "--n": REQUIRED_INT}),
+        "shift": (_do_hilbert_shift, {"--series": REQUIRED, "--a": REQUIRED_INT}),
+        "window": (_do_hilbert_window, {"--series": REQUIRED, "--lo": REQUIRED_INT,
+                                        "--hi": REQUIRED_INT}),
+        "hadamard": (_do_hilbert_hadamard, {
+            "--left": REQUIRED, "--right": REQUIRED,
+            "--guard": {"type": int, "default": series.DEFAULT_GUARD}}),
+    }),
+    "classify": ("depth and Cohen-Macaulay criteria", {
+        "depth": (_do_classify_depth, {"--dims": REQUIRED, "--ainv": REQUIRED,
+                                       "--shifts": REQUIRED}),
+        "cm-twist": (_do_classify_cm_twist, {"--rho": REQUIRED, "--a": REQUIRED_INT}),
+        "interval": (_do_classify_interval, {"--rho": REQUIRED}),
+        "anticanonical": (_do_classify_anticanonical, {"--rho": REQUIRED}),
+        "power": (_do_classify_power, {"--rho": REQUIRED, "--a": REQUIRED_INT}),
+    }),
+    "oracle": ("truncated graded module checks", {
+        "friendly": (_do_oracle_friendly, {
+            "--ring1": {"help": 'monomial quotient, e.g. "x:3"'}, "--ring2": {},
+            "--toric1": {"help": "toric matrix file"}, "--toric2": {},
+            "--shift1": REQUIRED_INT, "--shift2": REQUIRED_INT,
+            "--window": {"default": "-6..6"}}),
+    }),
+}
 
 
 def build_parser():
@@ -248,72 +279,14 @@ def build_parser():
     parser.add_argument("--cap", type=_cap, default=toric.DEFAULT_POINT_CAP,
                         help="resource bound for point enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    toric_p = sub.add_parser("toric", help="toric presentation constructions")
-    toric_sub = toric_p.add_subparsers(dest="subcommand", required=True)
-    p = toric_sub.add_parser("validate")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=_do_toric_validate)
-    for name in ("tensor", "segre"):
-        p = toric_sub.add_parser(name)
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        p.add_argument("--census", type=int, default=None,
-                       help="also count semigroup elements up to this degree")
-        p.set_defaults(handler=_do_toric_product)
-    p = toric_sub.add_parser("kernel")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=_do_toric_kernel)
-    p = toric_sub.add_parser("census")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--upto", type=int, required=True)
-    p.set_defaults(handler=_do_toric_census)
-
-    hil_p = sub.add_parser("hilbert", help="exact Hilbert series arithmetic")
-    hil_sub = hil_p.add_subparsers(dest="subcommand", required=True)
-    for name, handler, int_flags in (("coeff", _do_hilbert_coeff, ("--n",)),
-                                     ("shift", _do_hilbert_shift, ("--a",)),
-                                     ("window", _do_hilbert_window, ("--lo", "--hi"))):
-        p = hil_sub.add_parser(name)
-        p.add_argument("--series", required=True)
-        for flag in int_flags:
-            p.add_argument(flag, type=int, required=True)
-        p.set_defaults(handler=handler)
-    p = hil_sub.add_parser("hadamard")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--guard", type=int, default=series.DEFAULT_GUARD)
-    p.set_defaults(handler=_do_hilbert_hadamard)
-
-    cls_p = sub.add_parser("classify", help="depth and Cohen-Macaulay criteria")
-    cls_sub = cls_p.add_subparsers(dest="subcommand", required=True)
-    p = cls_sub.add_parser("depth")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--ainv", required=True)
-    p.add_argument("--shifts", required=True)
-    p.set_defaults(handler=_do_classify_depth)
-    for name, handler, int_flags in (("cm-twist", _do_classify_cm_twist, ("--a",)),
-                                     ("interval", _do_classify_interval, ()),
-                                     ("anticanonical", _do_classify_anticanonical, ()),
-                                     ("power", _do_classify_power, ("--a",))):
-        p = cls_sub.add_parser(name)
-        p.add_argument("--rho", required=True)
-        for flag in int_flags:
-            p.add_argument(flag, type=int, required=True)
-        p.set_defaults(handler=handler)
-
-    orc_p = sub.add_parser("oracle", help="truncated graded module checks")
-    orc_sub = orc_p.add_subparsers(dest="subcommand", required=True)
-    p = orc_sub.add_parser("friendly")
-    p.add_argument("--ring1", default=None, help='monomial quotient, e.g. "x:3"')
-    p.add_argument("--ring2", default=None)
-    p.add_argument("--toric1", default=None, help="toric matrix file")
-    p.add_argument("--toric2", default=None)
-    p.add_argument("--shift1", type=int, required=True)
-    p.add_argument("--shift2", type=int, required=True)
-    p.add_argument("--window", default="-6..6")
-    p.set_defaults(handler=_do_oracle_friendly)
-
+    for command, (help_text, subcommands) in COMMANDS.items():
+        command_sub = sub.add_parser(command, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (handler, flags) in subcommands.items():
+            p = command_sub.add_parser(name)
+            for flag, keywords in flags.items():
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -328,7 +301,7 @@ def _render_text(report):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else str(key), value[key])
         else:
-            lines.append(f"{prefix}: {json.dumps(value)}")
+            lines.append(f"{prefix}: {json.dumps(value, default=str)}")
 
     walk("", report)
     return "\n".join(lines)
@@ -337,16 +310,10 @@ def _render_text(report):
 def _merge_dash_values(argv):
     """Join '--flag -3,-2' into '--flag=-3,-2' so negative values parse."""
     out = []
-    skip = False
-    for pos, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[pos + 1] if pos + 1 < len(argv) else None
-        if (tok.startswith("--") and "=" not in tok and nxt is not None
-                and nxt.startswith("-") and len(nxt) > 1 and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
@@ -376,7 +343,7 @@ def run(argv=None):
     report = {"command": command, "inputs": inputs, "results": results,
               "assumptions": assumptions, "version": __version__}
     if ns.format == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ": ")))
+        print(json.dumps(report, sort_keys=True, separators=(",", ": "), default=str))
     else:
         print(_render_text(report))
     return 0

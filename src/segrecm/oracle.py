@@ -1,31 +1,35 @@
-"""Brute-force truncated graded-module arithmetic on exponent-vector labels.
+"""Graded Hom into Segre products, on exponent-vector labels.
 
-Every ring built here is monomial: a monomial quotient, a semigroup
-ring, or a Segre product of those.  One type holds rings and modules: a
+Every ring here is monomial: a monomial quotient, a semigroup ring, or a
+Segre product of those.  One type holds truncated rings and modules: a
 window start and, per degree, a tuple of labels, the exponent vectors
 that name the basis elements.  A ring is the free module over itself,
 starting in degree 0 and generated by its degree-1 labels; multiplying
 by a generator is vector addition followed by a membership test in the
 next degree, and a sum that is no label there is zero.  The Segre
 product M # N (Goto-Watanabe) is one construction for modules and rings
-alike, T = R # S being the case M = R, N = S: its labels concatenate the
-factor labels.  A shift only moves the window.  Constructors that
-enumerate labels raise ResourceCap once the count exceeds their cap.
+alike: its labels concatenate the factor labels.  A shift only moves the
+window.  Constructors that enumerate labels raise ResourceCap once the
+count exceeds their cap.
 
 Degreewise Hom into the ring splits by multidegree.  A degree-i family
 sends the basis element m to sum_t c[m, t] t, and commuting with a
 generator g couples only c[m, t] with c[m+g, t+g]: the difference t - m
 is fixed along every equation.  Each equation either identifies two
-coefficients or forces one to zero, so the solutions are spanned by the
-connected components of pairs (m, t) that no equation forces to zero,
-and the dimension is the number of such live components.  The module is
-generated in its lowest degree, so every component holds a seed pair
-there; the engine propagates the seeds degree by degree as a union-find.
-hom_window checks that and that the ring is standard graded; enumeration,
-concatenation and shifts keep both, so no constructor checks them.  The
-dimension is exact when the module's support and the ring's support are
-provably enclosed in their windows; otherwise it is an upper bound and
-the report says so.
+coefficients or forces one to zero, so the dimension is the number of
+connected components of pairs (m, t) that no equation forces to zero.
+The module is generated in its lowest degree, so every component holds
+a seed pair there; hom_window propagates the seeds degree by degree as a
+union-find, after checking that and that the ring is standard graded
+(enumeration, concatenation and shifts keep both).  Its dimension is
+exact when the module and ring supports are provably enclosed in their
+windows, and otherwise an upper bound that the report marks.
+
+Semigroup rings are domains, which makes each multidegree piece of Hom
+0- or 1-dimensional, so for two toric factors toric_friendliness counts
+the pieces from the factor censuses with no truncation: every degree is
+certified.  Monomial quotients need not be domains, so a pair with one
+goes through the truncated engine.
 """
 from __future__ import annotations
 
@@ -101,13 +105,9 @@ class TruncatedModule:
 
 def _monomials(nvars, degree):
     """Exponent vectors of the given total degree, in a fixed order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return sorted(out, reverse=True)
+    return sorted((tuple(map(combo.count, range(nvars)))
+                   for combo in combinations_with_replacement(range(nvars), degree)),
+                  reverse=True)
 
 
 def _divisible(mono, rel):
@@ -115,13 +115,8 @@ def _divisible(mono, rel):
 
 
 def monomial_str(names, exps):
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    return "*".join(parts) or "1"
 
 
 def algebra_from_monomial_quotient(names, relations, n_max,
@@ -158,13 +153,18 @@ def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
     """Semigroup ring of a toric presentation, truncated to degree n_max.
 
     Labels are the semigroup elements per degree; a sum of two labels is
-    always a label, so multiplication never vanishes.
+    always a label, so multiplication never vanishes.  Used for a toric
+    factor paired with a monomial quotient, and by the tests as the
+    truncated reference for toric_friendliness.
     """
     if n_max < 1:
         raise ValueError("truncation degree must be at least 1")
     cens = toric_mod.census(pres, n_max, cap=cap, keep_points=True)
-    name = f"toric[{pres.nrows}x{pres.ncols}]"
-    return TruncatedModule(0, cens.points, complete=False, name=name)
+    return TruncatedModule(0, cens.points, complete=False, name=toric_name(pres))
+
+
+def toric_name(pres):
+    return f"toric[{pres.nrows}x{pres.ncols}]"
 
 
 def shift_module(mod, a):
@@ -418,6 +418,25 @@ class FriendlinessReport:
 MIN_INFORMATIVE_STEPS = 2
 
 
+def _friendliness_report(i_lo, left, right, informative, certified, exact):
+    """The one verdict rule.  Per degree from i_lo, informative flags that
+    the left side enters the verdict (unless the right side is None) and
+    certified that it is exact.  Differing dimensions at one certified
+    degree rule out an isomorphism; a mismatch elsewhere, or no compared
+    degree, leaves the verdict inconclusive."""
+    degrees = range(i_lo, i_lo + len(left))
+    compared = [i for i, c, r in zip(degrees, informative, right) if c and r is not None]
+    mismatches = [i for i in compared if left[i - i_lo] != right[i - i_lo]]
+    if any(certified[i - i_lo] for i in mismatches):
+        verdict = "not_friendly_certified"
+    elif mismatches or not compared:
+        verdict = "inconclusive"
+    else:
+        verdict = "consistent"
+    return FriendlinessReport(i_lo, degrees[-1], tuple(left), tuple(right), exact,
+                              tuple(compared), tuple(mismatches), verdict)
+
+
 def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
                          min_steps=MIN_INFORMATIVE_STEPS,
                          cap=DEFAULT_POINT_CAP):
@@ -434,28 +453,48 @@ def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
     hom = hom_window(twisted, t, i_lo, i_hi)
     dual = segre_module(shift_module(ring1, -shift1),
                         shift_module(ring2, -shift2), cap=cap)
-    right = tuple(dual.dim(i) for i in range(i_lo, i_hi + 1))
-    compared, mismatches, certified_mismatch = [], [], False
-    for off, i in enumerate(range(i_lo, i_hi + 1)):
-        left_ok = hom.certified(i) or (hom.dims[off] is not None
-                                       and hom.squares[off] >= min_steps)
-        right_ok = right[off] is not None
-        if left_ok and right_ok:
-            compared.append(i)
-            if hom.dims[off] != right[off]:
-                mismatches.append(i)
-                # differing dimensions at one provably exact degree
-                # already rule out an isomorphism
-                certified_mismatch |= hom.certified(i)
-    exact = hom.exact and dual.complete
-    if mismatches:
-        verdict = "not_friendly_certified" if certified_mismatch else "inconclusive"
-    elif compared:
-        verdict = "consistent"
-    else:
-        verdict = "inconclusive"
-    return FriendlinessReport(i_lo, i_hi, hom.dims, right, exact,
-                              tuple(compared), tuple(mismatches), verdict)
+    degrees = range(i_lo, i_hi + 1)
+    certified = [hom.certified(i) for i in degrees]
+    evidence = [c or (d is not None and sq >= min_steps)
+                for c, d, sq in zip(certified, hom.dims, hom.squares)]
+    return _friendliness_report(i_lo, hom.dims, [dual.dim(i) for i in degrees],
+                                evidence, certified, hom.exact and dual.complete)
+
+
+def toric_friendliness(pres1, pres2, shift1, shift2, i_lo=-6, i_hi=6,
+                       cap=DEFAULT_POINT_CAP):
+    """friendliness_witness for two toric presentations, certified on every degree.
+
+    R = K[S_R] and S = K[S_S] are domains, so M = R(a) # S(b) is a
+    rank-one monomial module over T = R # S, and the piece of Hom_T(M, T)
+    of multidegree (u, v) is spanned by m -> m + (u, v) when (u, v) + M
+    lies in T, and zero otherwise.  M is G_R x G_S plus T, G_R being layer
+    k0 + a of S_R with k0 = max(-a, -b), so the test splits by factor:
+    dim Hom_i = N_R(i) N_S(i), N_R(i) = #{p in layer k0 + i : p - g0 + G_R
+    lies in that layer} for any g0 in G_R.  The right side is |layer i - a
+    of S_R| |layer i - b of S_S|.  cap bounds both factor censuses and the
+    candidate x |G| membership tests.
+    """
+    if i_lo > i_hi:
+        raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
+    k0 = max(-shift1, -shift2)
+    n_max = max(k0 + max(shift1, shift2, i_hi), i_hi - min(shift1, shift2))
+    degrees = range(i_lo, i_hi + 1)
+    left, right, work = [1] * len(degrees), [1] * len(degrees), 0
+    for pres, shift in ((pres1, shift1), (pres2, shift2)):
+        layers = toric_mod.census(pres, n_max, cap=cap, keep_points=True).points
+        gens = layers[k0 + shift]
+        steps = [tuple(map(sub, g, gens[0])) for g in gens]
+        for off, i in enumerate(degrees):
+            layer = layers[k0 + i] if k0 + i >= 0 else ()
+            work += len(layer) * len(steps)
+            check_cap(work, cap, "toric Hom candidates")
+            members = set(layer)
+            left[off] *= sum(all(tuple(map(add, p, s)) in members for s in steps)
+                             for p in layer)
+            right[off] *= len(layers[i - shift]) if i >= shift else 0
+    every = [True] * len(degrees)
+    return _friendliness_report(i_lo, left, right, every, every, True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +508,7 @@ def parse_ring_spec(spec):
     comma separated, each a whitespace separated exponent vector.  A
     single variable may abbreviate x^3 to just "3".
     """
-    if ":" in spec:
-        var_part, rel_part = spec.split(":", 1)
-    else:
-        var_part, rel_part = spec, ""
+    var_part, _, rel_part = spec.partition(":")
     names = [v.strip() for v in var_part.split(",") if v.strip()]
     if not names:
         raise ValueError(f"ring spec {spec!r} names no variables")

@@ -173,12 +173,8 @@ class HilbertSeries:
 
 
 def format_series(h):
-    parts = []
-    for e, c in h.numerator:
-        parts.append(str(c))
-        parts.append(str(e))
-    body = " ".join(parts)
-    return f"num: {body} ; den: {h.denom_power}" if body else f"num: ; den: {h.denom_power}"
+    body = "".join(f" {c} {e}" for e, c in h.numerator)
+    return f"num:{body} ; den: {h.denom_power}"
 
 
 def parse_series(text):

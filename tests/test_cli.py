@@ -128,7 +128,25 @@ class TestReports:
                                       "--shift1", "1", "--shift2", "0",
                                       "--window", "-3..3"])
         assert report["results"]["verdict"] == "consistent"
+        assert report["results"]["exact"] is True
         assert report["assumptions"]  # depth hypothesis recorded
+
+    def test_oracle_friendly_depth_one_quartic(self, capsys, i2_path, tmp_path):
+        # the rational quartic K[s^4, s^3 t, s t^3, t^4] has depth 1, and
+        # its duals do not commute with the Segre product
+        quartic = tmp_path / "Q.mat"
+        quartic.write_text(format_matrix([[4, 3, 1, 0], [0, 1, 3, 4]]))
+        for other, shift1, mismatch, left, right in ((i2_path, 1, 2, 15, 12),
+                                                      (str(quartic), 2, 3, 65, 52)):
+            report = invoke_json(capsys, ["oracle", "friendly", "--toric1", str(quartic),
+                                          "--toric2", other, "--shift1", str(shift1),
+                                          "--shift2", "0", "--window", "-3..3"])
+            results = report["results"]
+            assert results["verdict"] == "not_friendly_certified"
+            assert results["exact"] is True
+            assert results["mismatch_degrees"] == [mismatch]
+            assert results["left_dims"][mismatch + 3] == left
+            assert results["right_dims"][mismatch + 3] == right
 
     def test_text_format(self, capsys):
         code, out = invoke(capsys, ["--format", "text", "classify",
@@ -198,6 +216,15 @@ class TestExitCodes:
                     "--window", "0..6"]) == 4
         err = capsys.readouterr().err
         assert "monomial quotient K[a,b,c,d]" in err and "cap of 10" in err
+
+    def test_toric_oracle_resource_cap(self, capsys, i2_path):
+        # the factor censuses need 15 points each, the Hom candidates 30 tests
+        assert run(["--cap", "20", "oracle", "friendly", "--toric1", i2_path,
+                    "--toric2", i2_path, "--shift1", "1", "--shift2", "0",
+                    "--window", "-4..4"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: resource cap: toric Hom candidates: "
+                                     "needs at least 30 entries, over the cap of 20\n")
 
     def test_hilbert_window_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "window", "--series",

@@ -1,0 +1,62 @@
+"""linalg.hermite_rows against sympy's Smith form, a test-only oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segrecm.linalg import hermite_rows
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
+
+
+def in_row_lattice(rows, vec):
+    """Whether vec is an integer combination of rows.
+
+    With D = U A V the Smith form (U, V unimodular), x A = vec has an
+    integer solution exactly when y D = vec V does, y = x U^-1: each
+    entry of vec V is divisible by its diagonal entry of D, and zero
+    where that entry is zero or missing.
+    """
+    d, _, v = smith_normal_decomp(sympy.Matrix(rows))
+    w = sympy.Matrix([vec]) * v
+    diag = [d[j, j] for j in range(min(d.shape))]
+    return all(w[j] % diag[j] == 0 if j < len(diag) and diag[j] else w[j] == 0
+               for j in range(len(vec)))
+
+
+def assert_reduced_hermite(h):
+    """Nonzero rows first, leading entries positive in strictly increasing
+    columns, and every entry above a leading entry in [0, that entry)."""
+    nonzero = [row for row in h if any(row)]
+    assert h[:len(nonzero)] == nonzero
+    pivots = []
+    for row in nonzero:
+        c = next(j for j, x in enumerate(row) if x)
+        assert row[c] > 0 and (not pivots or c > pivots[-1]), h
+        pivots.append(c)
+    for r, c in enumerate(pivots):
+        assert all(0 <= h[i][c] < h[r][c] for i in range(r)), h
+
+
+integer_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-6, 6), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices)
+def test_hermite_rows_matches_sympy_lattice(rows):
+    h = hermite_rows(rows)
+    assert len(h) == len(rows) and all(len(row) == len(rows[0]) for row in h)
+    assert_reduced_hermite(h)
+    assert all(in_row_lattice(rows, row) for row in h), (rows, h)
+    assert all(in_row_lattice(h, row) for row in rows), (rows, h)
+
+
+def test_lattice_oracle_rejects_a_non_member():
+    # (1, 0) is not in the lattice spanned by (2, 0) and (0, 3)
+    assert in_row_lattice([[2, 0], [0, 3]], [4, -3])
+    assert not in_row_lattice([[2, 0], [0, 3]], [1, 0])
+    assert not in_row_lattice([[0, 0]], [0, 1])

@@ -9,8 +9,8 @@ from segrecm.oracle import (TruncatedModule, _first_unspanned,
                             algebra_from_monomial_quotient,
                             algebra_from_toric, friendliness_witness,
                             hom_window, parse_ring_spec, segre_module,
-                            shift_module)
-from segrecm.toric import segre, validate
+                            shift_module, toric_friendliness)
+from segrecm.toric import census, segre, validate
 
 from oracles import dense_hom_dim
 
@@ -222,6 +222,39 @@ class TestFriendliness:
         assert rep.mismatches == ()
 
 
+# the rational quartic K[s^4, s^3 t, s t^3, t^4]: not normal, depth 1
+QUARTIC = validate([[4, 3, 1, 0], [0, 1, 3, 4]])
+
+
+class TestToricFriendliness:
+    def test_plane_square_is_exact(self):
+        rep = toric_friendliness(I2, I2, 1, 0, -4, 4)
+        assert rep.exact and rep.verdict == "consistent"
+        assert rep.compared == tuple(range(-4, 5))
+        assert rep.left_dims == rep.right_dims == (0, 0, 0, 0, 0, 2, 6, 12, 20)
+
+    def test_quartic_is_certified_not_friendly(self):
+        rep = toric_friendliness(QUARTIC, I2, 1, 0, -3, 3)
+        assert rep.exact and rep.verdict == "not_friendly_certified"
+        assert rep.mismatches == (2,)
+        assert (rep.left_dims[5], rep.right_dims[5]) == (15, 12)
+        rep = toric_friendliness(QUARTIC, QUARTIC, 2, 0, -3, 3)
+        assert rep.verdict == "not_friendly_certified" and rep.mismatches == (3,)
+        assert (rep.left_dims[6], rep.right_dims[6]) == (65, 52)
+
+    def test_candidate_cap(self):
+        # the census of I2 to degree 4 holds 15 points; the candidates of
+        # degrees 0..4 times the two generators of G_R make 30 tests, and
+        # times the one generator of G_S another 15
+        toric_friendliness(I2, I2, 1, 0, -4, 4, cap=45)
+        with pytest.raises(ResourceCap, match="toric Hom candidates: .* 30 .* cap of 20"):
+            toric_friendliness(I2, I2, 1, 0, -4, 4, cap=20)
+
+    def test_empty_window(self):
+        with pytest.raises(ValueError, match="empty"):
+            toric_friendliness(I2, I2, 0, 0, 1, 0)
+
+
 class TestRingSpec:
     def test_single_variable(self):
         assert parse_ring_spec("x:3") == (["x"], [(3,)])
@@ -359,3 +392,34 @@ class TestConstructorsKeepTheChecks:
                 segre_module(shift_module(m, c), shift_module(n, c))
             return
         assert segre_module(shift_module(m, c), shift_module(n, c)) == expected
+
+
+# small standard graded presentations: an all-ones top row grades every column
+toric_presentations = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=2)
+    .map(lambda rows: validate([[1] * cols] + rows)))
+
+
+class TestToricFriendlinessProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(toric_presentations, toric_presentations, st.integers(-2, 2),
+           st.integers(-2, 2), st.integers(-3, 1), st.integers(0, 3))
+    def test_matches_truncated_engine(self, p, q, a, b, i_lo, width):
+        i_hi = i_lo + width
+        rep = toric_friendliness(p, q, a, b, i_lo, i_hi)
+        assert rep.exact and rep.compared == tuple(range(i_lo, i_hi + 1))
+        # the truncated engine: certified degrees are exact, clipped ones
+        # upper bounds; the windows overlap since n_alg >= |a - b|
+        n_alg = max(0, i_hi) + max(abs(a), abs(b)) + 2
+        r1, r2 = algebra_from_toric(p, n_alg), algebra_from_toric(q, n_alg)
+        hom = hom_window(segre_module(shift_module(r1, a), shift_module(r2, b)),
+                         segre_module(r1, r2), i_lo, i_hi)
+        n_max = max(0, i_hi - min(a, b))
+        c1, c2 = census(p, n_max).counts, census(q, n_max).counts
+        for off, i in enumerate(range(i_lo, i_hi + 1)):
+            if hom.certified(i):
+                assert rep.left_dims[off] == hom.dims[off], (p, q, a, b, i)
+            elif hom.dims[off] is not None:
+                assert rep.left_dims[off] <= hom.dims[off], (p, q, a, b, i)
+            want = c1[i - a] * c2[i - b] if i >= max(a, b) else 0
+            assert rep.right_dims[off] == want, (p, q, a, b, i)
