@@ -9,8 +9,9 @@ by a generator is vector addition followed by a membership test in the
 next degree, and a sum that is no label there is zero.  The Segre
 product M # N (Goto-Watanabe) is one construction for modules and rings
 alike: its labels concatenate the factor labels.  A shift only moves the
-window.  Constructors that enumerate labels raise ResourceCap once the
-count exceeds their cap.
+window.  Quotients and semigroup rings share one layer step, level k plus
+each degree-1 label less what vanishes, which raises ResourceCap once
+its count exceeds the cap.
 
 Degreewise Hom into the ring splits by multidegree.  A degree-i family
 sends the basis element m to sum_t c[m, t] t, and commuting with a
@@ -27,20 +28,17 @@ windows, and otherwise an upper bound that the report marks.
 
 Semigroup rings are domains, which makes each multidegree piece of Hom
 0- or 1-dimensional, so for two toric factors toric_friendliness counts
-the pieces from the factor censuses with no truncation: every degree is
-certified.  Monomial quotients need not be domains, so a pair with one
+the pieces from the factor semigroup layers with no truncation: every
+degree is certified.  Monomial quotients need not be domains, so a pair with one
 goes through the truncated engine.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
-from math import comb
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Optional
 
-from . import toric as toric_mod
 from .errors import (DEFAULT_POINT_CAP, EmptyWindow, WindowTooSmall,
                      check_cap)
 
@@ -103,15 +101,24 @@ class TruncatedModule:
 # constructors
 
 
-def _monomials(nvars, degree):
-    """Exponent vectors of the given total degree, in a fixed order."""
-    return sorted((tuple(map(combo.count, range(nvars)))
-                   for combo in combinations_with_replacement(range(nvars), degree)),
-                  reverse=True)
+def _levels(gens, n_max, cap, what, vanishes=lambda label: False):
+    """Labels of degrees 0..n_max of the ring generated by the degree-1
+    labels gens, each level sorted.
 
-
-def _divisible(mono, rel):
-    return all(m >= r for m, r in zip(mono, rel))
+    Level k + 1 is level k plus each generator, less the labels that
+    vanish: the labels of a standard graded monomial ring form an order
+    ideal under adding generators.  The first empty level stays empty
+    above, so the rest is padded with ().  ResourceCap counts the n_max + 1
+    levels, then the running total of the labels built.
+    """
+    check_cap(n_max + 1, cap, what)
+    levels, total = [((0,) * len(gens[0]),)], 1
+    while len(levels) <= n_max and levels[-1]:
+        sums = {tuple(map(add, label, g)) for label in levels[-1] for g in gens}
+        levels.append(tuple(sorted(s for s in sums if not vanishes(s))))
+        total += len(levels[-1])
+        check_cap(total, cap, what)
+    return tuple(levels) + ((),) * (n_max + 1 - len(levels))
 
 
 def monomial_str(names, exps):
@@ -124,8 +131,8 @@ def algebra_from_monomial_quotient(names, relations, n_max,
     """Quotient of a polynomial ring by monomial relations, to degree n_max.
 
     The degree k labels are the exponent vectors of the degree k
-    monomials not divisible by a relation.  Raises ResourceCap when the
-    monomials enumerated exceed cap.
+    monomials divisible by no relation, found by _levels from the unit
+    vectors.
     """
     names = list(names)
     if not names:
@@ -139,14 +146,10 @@ def algebra_from_monomial_quotient(names, relations, n_max,
             raise ValueError(f"bad relation exponent vector {rel}")
     rel_names = ", ".join(monomial_str(names, r) for r in rels)
     name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
-    basis, total = [], 0
-    for k in range(n_max + 1):
-        total += comb(nvars + k - 1, k)
-        check_cap(total, cap, f"monomial quotient {name}")
-        basis.append(tuple(m for m in _monomials(nvars, k)
-                           if not any(_divisible(m, r) for r in rels)))
-    return TruncatedModule(0, tuple(basis), complete=not basis[n_max],
-                           name=name)
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    basis = _levels(units, n_max, cap, f"monomial quotient {name}",
+                    lambda label: any(all(map(ge, label, r)) for r in rels))
+    return TruncatedModule(0, basis, complete=not basis[n_max], name=name)
 
 
 def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
@@ -159,8 +162,8 @@ def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
     """
     if n_max < 1:
         raise ValueError("truncation degree must be at least 1")
-    cens = toric_mod.census(pres, n_max, cap=cap, keep_points=True)
-    return TruncatedModule(0, cens.points, complete=False, name=toric_name(pres))
+    basis = _levels(pres.columns(), n_max, cap, "semigroup census")
+    return TruncatedModule(0, basis, complete=False, name=toric_name(pres))
 
 
 def toric_name(pres):
@@ -283,18 +286,17 @@ class _Components:
         self.union(self.zero, x)
 
 
-def _live_components(mod, ring, i, m_succ, t_succ, in_degree):
+def _live_components(mod, ring, i, k, m_succ, t_succ, in_degree):
     """(dimension or None, steps applied, clipped) for one hom degree.
 
     Nodes are pairs (m, t) of label indices in module degree k and ring
-    degree k + i, and the front holds the pairs reached so far that are
-    not forced to zero.  A step
+    degree k + i, k starting at the lowest nonzero module degree, and the
+    front holds the pairs reached so far that are not forced to zero.  A step
     to degree k + 1 links (m, t) to (m+g, t+g) and forces a component to
     zero when m+g vanishes while t+g does not, or when a pair (n, s) is
     reached by fewer front pairs than n has predecessors in the module:
     then some predecessor's partner s-g is not a label.
     """
-    k = mod.support()[0]
     d_cod = ring.dim(k + i)
     if d_cod is None:
         return None, 0, True
@@ -359,7 +361,8 @@ def hom_window(mod, ring, i_lo, i_hi):
         raise ValueError(
             f"ring degree {k} is not spanned by degree-1 products; "
             f"the ring is not standard graded")
-    if not mod.support():
+    support = mod.support()
+    if not support:
         raise WindowTooSmall(
             f"module window [{mod.lo}, {mod.hi}] has no nonzero component")
     off = _first_unspanned(mod.basis, gens)
@@ -374,7 +377,7 @@ def hom_window(mod, ring, i_lo, i_hi):
                                for level in m_succ]
     dims, squares, clipped = [], [], []
     for i in range(i_lo, i_hi + 1):
-        d, sq, cl = _live_components(mod, ring, i, m_succ, t_succ, in_degree)
+        d, sq, cl = _live_components(mod, ring, i, support[0], m_succ, t_succ, in_degree)
         dims.append(d)
         squares.append(sq)
         clipped.append(cl)
@@ -438,15 +441,16 @@ def _friendliness_report(i_lo, left, right, informative, certified, exact):
 
 
 def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
-                         min_steps=MIN_INFORMATIVE_STEPS,
                          cap=DEFAULT_POINT_CAP):
     """Compare duals of a twisted product against the product of duals.
 
     On inexact (truncated) data the hom side of degree i only enters the
-    verdict when at least min_steps propagation steps were consistency
-    checked; degrees near the window boundary are reported but not
-    compared.  cap bounds every Segre level enumeration.
+    verdict when at least MIN_INFORMATIVE_STEPS propagation steps were
+    consistency checked; degrees near the window boundary are reported
+    but not compared.  cap bounds the window and every Segre level
+    enumeration.
     """
+    check_cap(i_hi - i_lo + 1, cap, f"hom window [{i_lo}, {i_hi}]")
     t = segre_module(ring1, ring2, cap=cap)
     twisted = segre_module(shift_module(ring1, shift1),
                            shift_module(ring2, shift2), cap=cap)
@@ -455,7 +459,7 @@ def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
                         shift_module(ring2, -shift2), cap=cap)
     degrees = range(i_lo, i_hi + 1)
     certified = [hom.certified(i) for i in degrees]
-    evidence = [c or (d is not None and sq >= min_steps)
+    evidence = [c or (d is not None and sq >= MIN_INFORMATIVE_STEPS)
                 for c, d, sq in zip(certified, hom.dims, hom.squares)]
     return _friendliness_report(i_lo, hom.dims, [dual.dim(i) for i in degrees],
                                 evidence, certified, hom.exact and dual.complete)
@@ -472,9 +476,10 @@ def toric_friendliness(pres1, pres2, shift1, shift2, i_lo=-6, i_hi=6,
     k0 + a of S_R with k0 = max(-a, -b), so the test splits by factor:
     dim Hom_i = N_R(i) N_S(i), N_R(i) = #{p in layer k0 + i : p - g0 + G_R
     lies in that layer} for any g0 in G_R.  The right side is |layer i - a
-    of S_R| |layer i - b of S_S|.  cap bounds both factor censuses and the
-    candidate x |G| membership tests.
+    of S_R| |layer i - b of S_S|.  cap bounds the window, both factor
+    label enumerations and the candidate x |G| membership tests.
     """
+    check_cap(i_hi - i_lo + 1, cap, f"hom window [{i_lo}, {i_hi}]")
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
     k0 = max(-shift1, -shift2)
@@ -482,7 +487,7 @@ def toric_friendliness(pres1, pres2, shift1, shift2, i_lo=-6, i_hi=6,
     degrees = range(i_lo, i_hi + 1)
     left, right, work = [1] * len(degrees), [1] * len(degrees), 0
     for pres, shift in ((pres1, shift1), (pres2, shift2)):
-        layers = toric_mod.census(pres, n_max, cap=cap, keep_points=True).points
+        layers = _levels(pres.columns(), n_max, cap, "semigroup census")
         gens = layers[k0 + shift]
         steps = [tuple(map(sub, g, gens[0])) for g in gens]
         for off, i in enumerate(degrees):
@@ -512,6 +517,8 @@ def parse_ring_spec(spec):
     names = [v.strip() for v in var_part.split(",") if v.strip()]
     if not names:
         raise ValueError(f"ring spec {spec!r} names no variables")
+    if len(set(names)) < len(names):
+        raise ValueError(f"ring spec {spec!r} repeats a variable name")
     relations = []
     for chunk in rel_part.split(","):
         chunk = chunk.strip()

@@ -73,7 +73,6 @@ class SemigroupCensus:
     """Counts of distinct semigroup elements per degree, 0..N."""
 
     counts: tuple[int, ...]
-    points: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
 
 def validate(matrix):
@@ -123,14 +122,13 @@ def kernel_lattice(p):
     return LatticeBasis(tuple(tuple(v) for v in vectors))
 
 
-def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
+def census(p, n_max, cap=DEFAULT_POINT_CAP):
     """Count distinct semigroup elements of each degree 0..n_max.
 
-    Layer k is the set of sums of k columns.  Without keep_points the
-    distinct columns are split into factors before anything is
-    enumerated.  Each contiguous row split s in 1..nrows-1 is tried, with
-    A the distinct top projections c[:s] and B the distinct bottom
-    projections c[s:]:
+    Layer k is the set of sums of k columns.  The distinct columns are
+    split into factors before anything is enumerated.  Each contiguous
+    row split s in 1..nrows-1 is tried, with A the distinct top
+    projections c[:s] and B the distinct bottom projections c[s:]:
 
     * Segre rule: when there are |A| * |B| distinct columns, they are
       exactly A x B, so layer k is layer_k(A) x layer_k(B) and the counts
@@ -145,51 +143,26 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP, keep_points=False):
       enumeration apply.
 
     Both factors recurse, and a column set that no split applies to is
-    enumerated by the packed layer step below.  Every factor yields its
-    layer sizes one degree at a time, and ResourceCap is raised as soon
-    as the running total of the layer sizes of p, the number of points an
-    enumeration of p would build, exceeds cap.  So the work done before a
-    cap stop is bounded by the layers already counted.
-
-    With keep_points the semigroup of p itself is enumerated, since every
-    point is wanted.  Each point is one int.  Every column is shifted by
-    low, the coordinatewise minimum over the columns, so its entries are
-    >= 0, and packed into fixed-width fields of
-    max(1, (n_max * max shifted entry).bit_length()) bits, coordinate 0
-    in the most significant field.  A layer step is then
-    {x + c for x in layer for c in packed}.  This is exact:
-
-    * a degree-k int encodes its point minus k * low, one bias for the
-      whole layer, so two points of one layer never collide;
-    * no coordinate sum exceeds n_max * max shifted entry, so no field
-      carries into the next;
-    * int order is lexicographic order of the points, so the sorted ints
-      decode to the sorted point tuples.
+    enumerated by the packed layer step of _packing.  Every factor yields
+    its layer sizes one degree at a time, and ResourceCap is raised as
+    soon as the running total of the layer sizes of p, the number of
+    points an enumeration of p would build, exceeds cap.  So the work
+    done before a cap stop is bounded by the layers already counted.
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
-    cols = set(p.columns())
-    if not keep_points:
-        sizes = _capped(_layer_sizes(cols, True, n_max), cap, int)
-        return SemigroupCensus(tuple(sizes))
-    low, offsets, mask, packed = _packing(cols, n_max)
-    layers = []
-    for k, layer in enumerate(_capped(_packed_layers(packed, n_max), cap, len)):
-        bias = [k * b for b in low]
-        layers.append(tuple(
-            tuple(((x >> off) & mask) + b for off, b in zip(offsets, bias))
-            for x in sorted(layer)))
-    return SemigroupCensus(tuple(map(len, layers)), tuple(layers))
+    sizes = _capped(_layer_sizes(set(p.columns()), True, n_max), cap)
+    return SemigroupCensus(tuple(sizes))
 
 
-def _capped(layers, cap, size):
-    """Pass layers 0, 1, ... through, capping the running total of their sizes."""
+def _capped(sizes, cap):
+    """Pass layer sizes 0, 1, ... through, capping their running total."""
     total = 0
-    for k, layer in enumerate(layers):
-        total += size(layer)
+    for k, size in enumerate(sizes):
+        total += size
         if k:
             check_cap(total, cap, "semigroup census")
-        yield layer
+        yield size
 
 
 def _layer_sizes(cols, graded, n_max):
@@ -211,7 +184,7 @@ def _layer_sizes(cols, graded, n_max):
             # case of an empty block, so both blocks are nonempty
             return _convolve(_layer_sizes({c[:s] for c in cols if any(c[:s])}, True, n_max),
                              _layer_sizes({c[s:] for c in cols if any(c[s:])}, True, n_max))
-    return map(len, _packed_layers(_packing(cols, n_max)[3], n_max))
+    return map(len, _packed_layers(_packing(cols, n_max), n_max))
 
 
 def _convolve(left, right):
@@ -224,13 +197,23 @@ def _convolve(left, right):
 
 
 def _packing(cols, n_max):
-    """(low, offsets, mask, packed columns) of the packed layer step."""
+    """The columns packed into ints for the packed layer step.
+
+    Each point is one int.  Every column is shifted by low, the
+    coordinatewise minimum over the columns, so its entries are >= 0,
+    and packed into fixed-width fields of
+    max(1, (n_max * max shifted entry).bit_length()) bits.  A layer step
+    is then {x + c for x in layer for c in packed}.  This counts exactly:
+
+    * a degree-k int encodes its point minus k * low, one bias for the
+      whole layer, so two points of one layer never collide;
+    * no coordinate sum exceeds n_max * max shifted entry, so no field
+      carries into the next.
+    """
     low = [min(entries) for entries in zip(*cols)]
     shifted = [[x - b for x, b in zip(col, low)] for col in cols]
     width = max(1, (n_max * max(map(max, shifted))).bit_length())
-    offsets = [width * i for i in reversed(range(len(low)))]
-    packed = {sum(x << off for x, off in zip(col, offsets)) for col in shifted}
-    return low, offsets, (1 << width) - 1, packed
+    return {sum(x << width * i for i, x in enumerate(col)) for col in shifted}
 
 
 def _packed_layers(packed, n_max):

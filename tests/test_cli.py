@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -218,7 +219,7 @@ class TestExitCodes:
         assert "monomial quotient K[a,b,c,d]" in err and "cap of 10" in err
 
     def test_toric_oracle_resource_cap(self, capsys, i2_path):
-        # the factor censuses need 15 points each, the Hom candidates 30 tests
+        # the factor semigroup layers hold 15 points each, the Hom candidates 30 tests
         assert run(["--cap", "20", "oracle", "friendly", "--toric1", i2_path,
                     "--toric2", i2_path, "--shift1", "1", "--shift2", "0",
                     "--window", "-4..4"]) == 4
@@ -231,6 +232,29 @@ class TestExitCodes:
                     "num: 1 0 ; den: 1", "--lo", "0", "--hi", "300000"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "series window [0, 300000]" in err and "cap of 10" in err
+
+    def test_oracle_window_resource_cap(self, capsys, i2_path):
+        # the window is counted before any degree of it is visited
+        assert run(["--cap", "1000", "oracle", "friendly", "--toric1", i2_path,
+                    "--toric2", i2_path, "--shift1", "0", "--shift2", "0",
+                    "--window", "-200000..0"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "hom window [-200000, 0]" in err and "cap of 1000" in err
+
+    def test_oracle_long_quotient_window_stops_at_once(self, capsys):
+        # the n_max + 1 levels of each quotient are counted before padding
+        start = time.perf_counter()
+        assert run(["oracle", "friendly", "--ring1", "x:2", "--ring2", "y:2",
+                    "--shift1", "0", "--shift2", "0", "--window", "0..1200000"]) == 4
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "monomial quotient K[x]/(x^2)" in err
+
+    def test_repeated_variable_is_usage_error(self, capsys):
+        assert run(["oracle", "friendly", "--ring1", "x,x:2 0", "--ring2", "y:2",
+                    "--shift1", "0", "--shift2", "0", "--window", "0..1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "repeats a variable name" in err
 
     def test_hilbert_hadamard_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "hadamard", "--left", "num: 1 0 ; den: 2",

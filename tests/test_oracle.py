@@ -12,7 +12,7 @@ from segrecm.oracle import (TruncatedModule, _first_unspanned,
                             shift_module, toric_friendliness)
 from segrecm.toric import census, segre, validate
 
-from oracles import dense_hom_dim
+from oracles import dense_hom_dim, points_by_multisets
 
 
 def nilpotent(name, power, n=8):
@@ -48,6 +48,14 @@ class TestMonomialQuotient:
     def test_cap(self):
         with pytest.raises(ResourceCap, match="monomial quotient K\\[a,b,c,d\\].* cap of 10"):
             algebra_from_monomial_quotient(list("abcd"), [], 6, cap=10)
+
+    def test_enumeration_stops_at_first_empty_level(self):
+        # eight labels and 201 levels fit the cap; the monomials of
+        # degrees up to 200 in three variables would not
+        alg = algebra_from_monomial_quotient(list("abc"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+                                             200, cap=300)
+        assert alg.complete and alg.hi == 200
+        assert [alg.dim(k) for k in range(6)] == [1, 3, 3, 1, 0, 0]
 
 
 class TestToricAlgebra:
@@ -266,7 +274,7 @@ class TestRingSpec:
         assert parse_ring_spec("x,y") == (["x", "y"], [])
 
     def test_errors(self):
-        for bad in ("", ":3", "x:1 2", "x:q"):
+        for bad in ("", ":3", "x:1 2", "x:q", "x,x:2 0"):
             with pytest.raises(ValueError):
                 parse_ring_spec(bad)
 
@@ -317,6 +325,37 @@ def quotient(relations, n_max, name):
     rels = [r for r in relations if any(r)]
     names = [f"{name}{j}" for j in range(len(relations[0]))]
     return algebra_from_monomial_quotient(names, rels, n_max)
+
+
+def _unit_vectors(nvars):
+    return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+
+
+@st.composite
+def monomial_quotients(draw):
+    """(nvars, relations): random nonzero exponent vectors, plus a pure
+    power of every variable when the draw asks for an Artinian quotient."""
+    nvars = draw(st.integers(1, 3))
+    rels = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars).filter(any),
+                         max_size=3))
+    if draw(st.booleans()):
+        rels += [tuple(draw(st.integers(1, 4)) * u for u in unit)
+                 for unit in _unit_vectors(nvars)]
+    return nvars, rels
+
+
+class TestMonomialQuotientProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(monomial_quotients(), st.integers(1, 6))
+    def test_levels_are_standard_monomials(self, quotient_rels, n_max):
+        nvars, rels = quotient_rels
+        alg = algebra_from_monomial_quotient([f"x{j}" for j in range(nvars)], rels, n_max)
+        for k in range(n_max + 1):
+            monomials = points_by_multisets(_unit_vectors(nvars), k)
+            assert alg.basis[k] == tuple(
+                m for m in monomials if not any(all(a >= r for a, r in zip(m, rel))
+                                                 for rel in rels))
+        assert alg.complete == (alg.basis[n_max] == ())
 
 
 class TestHomProperties:
