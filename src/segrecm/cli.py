@@ -179,33 +179,20 @@ def _do_classify_power(ns):
 
 
 def _oracle_factor(ring_spec, toric_path, which):
-    """A validated toric presentation, or the (names, relations) of a ring spec."""
+    """The factor named by --ring or --toric: a monomial quotient or a semigroup ring."""
     if (ring_spec is None) == (toric_path is None):
         raise ValueError(f"give exactly one of --ring{which} or --toric{which}")
     if ring_spec is not None:
-        return oracle.parse_ring_spec(ring_spec)
-    return _load(toric_path)
+        return oracle.monomial_factor(*oracle.parse_ring_spec(ring_spec))
+    return oracle.toric_factor(_load(toric_path))
 
 
 def _do_oracle_friendly(ns):
     i_lo, i_hi = _parse_window(ns.window)
     shifts = (ns.shift1, ns.shift2)
     factors = [_oracle_factor(ns.ring1, ns.toric1, 1), _oracle_factor(ns.ring2, ns.toric2, 2)]
-    is_toric = [isinstance(f, toric.ToricPresentation) for f in factors]
-    if all(is_toric):
-        # toric rings are domains, so every Hom dimension is an exact count
-        report = oracle.toric_friendliness(*factors, *shifts, i_lo, i_hi, cap=ns.cap)
-        names = [oracle.toric_name(f) for f in factors]
-    else:
-        n_alg = max(0, i_hi) + max(abs(shifts[0]), abs(shifts[1])) + \
-            oracle.MIN_INFORMATIVE_STEPS + 2
-        rings = [oracle.algebra_from_toric(f, n_alg, cap=ns.cap) if t else
-                 oracle.algebra_from_monomial_quotient(*f, n_alg, cap=ns.cap)
-                 for f, t in zip(factors, is_toric)]
-        report = oracle.friendliness_witness(*rings, *shifts, i_lo=i_lo, i_hi=i_hi,
-                                             cap=ns.cap)
-        names = [ring.name for ring in rings]
-    inputs = {"ring1": names[0], "ring2": names[1],
+    report = oracle.friendliness(*factors, *shifts, i_lo, i_hi, cap=ns.cap)
+    inputs = {"ring1": factors[0].name, "ring2": factors[1].name,
               "shift1": shifts[0], "shift2": shifts[1],
               "window": [i_lo, i_hi]}
     results = {
@@ -219,7 +206,8 @@ def _do_oracle_friendly(ns):
         "mismatch_degrees": list(report.mismatches),
         "verdict": report.verdict,
     }
-    return inputs, results, [TORIC_DEPTH_NOTE] if any(is_toric) else []
+    toric_given = ns.toric1 is not None or ns.toric2 is not None
+    return inputs, results, [TORIC_DEPTH_NOTE] if toric_given else []
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,7 @@ COMMANDS = {
         "anticanonical": (_do_classify_anticanonical, {"--rho": REQUIRED}),
         "power": (_do_classify_power, {"--rho": REQUIRED, "--a": REQUIRED_INT}),
     }),
-    "oracle": ("truncated graded module checks", {
+    "oracle": ("exact graded Hom checks", {
         "friendly": (_do_oracle_friendly, {
             "--ring1": {"help": 'monomial quotient, e.g. "x:3"'}, "--ring2": {},
             "--toric1": {"help": "toric matrix file"}, "--toric2": {},
@@ -274,7 +262,7 @@ def build_parser():
         prog="segrecm",
         description="Exact calculator for degreewise products of standard "
                     "graded algebras: Hilbert series, toric presentations, "
-                    "depth classification, truncated module checks.")
+                    "depth classification, exact graded Hom checks.")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=_cap, default=toric.DEFAULT_POINT_CAP,
                         help="resource bound for point enumerations")

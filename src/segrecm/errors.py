@@ -60,9 +60,5 @@ class ReconstructionFailed(DomainError):
     """Rational reconstruction of a coefficient stream did not terminate."""
 
 
-class EmptyWindow(DomainError):
-    """Two degree windows that must overlap do not."""
-
-
 class WindowTooSmall(DomainError):
-    """A truncation window contains no nonzero component to work with."""
+    """A twisted module to work with is zero in every degree."""

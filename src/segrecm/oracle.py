@@ -1,124 +1,75 @@
-"""Graded Hom into Segre products, on exponent-vector labels.
+"""Exact graded Hom into Segre products, one multidegree at a time.
 
-Every ring here is monomial: a monomial quotient, a semigroup ring, or a
-Segre product of those.  One type holds truncated rings and modules: a
-window start and, per degree, a tuple of labels, the exponent vectors
-that name the basis elements.  A ring is the free module over itself,
-starting in degree 0 and generated by its degree-1 labels; multiplying
-by a generator is vector addition followed by a membership test in the
-next degree, and a sum that is no label there is zero.  The Segre
-product M # N (Goto-Watanabe) is one construction for modules and rings
-alike: its labels concatenate the factor labels.  A shift only moves the
-window.  Quotients and semigroup rings share one layer step, level k plus
-each degree-1 label less what vanishes, which raises ResourceCap once
-its count exceeds the cap.
+Every ring here is a standard graded monomial ring: the labels of degree
+k are the exponent vectors of the degree-k monomials (or semigroup
+elements) in the degree-1 labels, less those divisible by a relation.
+Quotients of a polynomial ring by monomial relations and semigroup rings
+share one layer step.  The question is the comparison of Goto-Watanabe:
+for T = R # S and M = R(a) # S(b), is dim Hom_T(M, T)_i equal to
+dim (R(-a) # S(-b))_i, the product of the factor duals?
 
-Degreewise Hom into the ring splits by multidegree.  A degree-i family
-sends the basis element m to sum_t c[m, t] t, and commuting with a
-generator g couples only c[m, t] with c[m+g, t+g]: the difference t - m
-is fixed along every equation.  Each equation either identifies two
-coefficients or forces one to zero, so the dimension is the number of
-connected components of pairs (m, t) that no equation forces to zero.
-The module is generated in its lowest degree, so every component holds
-a seed pair there; hom_window propagates the seeds degree by degree as a
-union-find, after checking that and that the ring is standard graded
-(enumeration, concatenation and shifts keep both).  Its dimension is
-exact when the module and ring supports are provably enclosed in their
-windows, and otherwise an upper bound that the report marks.
+Proof of the count.  Swapping the factors changes neither side, so let
+a <= b.  M is generated in degree k0 = -a by G = R_0 x S_{b-a} = {1} x
+G_S, because standard graded rings are generated in degree 1.  M, T and
+the action of T_1 are graded by the multidegrees of the labels, so
+Hom_T(M, T)_i splits into pieces of multidegree (t, u), |t| = i - a and
+|u| = i - b, nonzero only for t a label of R.  A map of that multidegree sends the generator
+g of G_S to c_g (t, g + u), so c_g is free only when g + u is a label of
+S (g is a candidate) and is 0 otherwise.  The relations of M among its
+generators are x g = 0 when g + x is no label of M, and x g = x' g' when
+g + x = g' + x' =: m is one, for labels x, x' of T.  Applying the map:
+a candidate g is killed (c_g = 0) when some x has g + x vanishing in M
+but (t, g + u) + x a label of T; two generators are linked (c_g = c_g',
+a zero if g' is no candidate) when some such m has m + (t, u) a label of
+T.  So the piece has dimension the number of classes of candidates
+under the links that hold no killed or non-candidate generator: a
+union-find with a zero class.
 
-Semigroup rings are domains, which makes each multidegree piece of Hom
-0- or 1-dimensional, so for two toric factors toric_friendliness counts
-the pieces from the factor semigroup layers with no truncation: every
-degree is certified.  Monomial quotients need not be domains, so a pair with one
-goes through the truncated engine.
+Only minimal witnesses need testing, since vanishing is upward-closed
+and being a label is downward-closed on a quotient.  Write x = (y, z),
+deg y = deg z = d.  On the R side, y and t + y are labels for some y of
+degree d exactly when d <= h(t), the height of t: the largest degree of
+a label that is a multiple of t, less that of t (any d on a domain).  On the S side, g + z vanishes
+exactly when z >= p = max(r - g, 0) for a relation r, so g is killed
+when g + u + p is a label and deg p <= h(t).  A common multiple m of g
+and g' is at least mu = max(g, g'), and m + u is a label only if mu + u
+is; the degrees m - g then form an interval from deg mu - deg g, because
+they are those of the standard monomials of (I : x^mu) + (I : x^(mu+u))
+shifted by deg mu - deg g, and they must meet [0, h(t)] on the R side.
+So g and g' are linked when mu and mu + u are labels and deg mu - deg g
+<= h(t).  If S has no relations it is a domain: every sum of labels is a
+label, so it kills nothing and links g, g' from the least degree d with
+(g + S_d) meeting (g' + S_d).  When neither factor has relations every
+candidate links and nothing is killed, so a piece is 1 exactly when
+every generator is a candidate, which counts factor by factor: dim
+Hom_i = N_R(i) N_S(i), N_R(i) = #{p in R_{k0+i} : p - g0 + G_R lies in
+R_{k0+i}} for any g0 in G_R.
+
+Every dimension is therefore exact on every degree of the window.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from math import inf
 from operator import add, ge, sub
-from typing import Optional
 
-from .errors import (DEFAULT_POINT_CAP, EmptyWindow, WindowTooSmall,
-                     check_cap)
-
-
-def _first_unspanned(levels, gens):
-    """Offset of the first level above the lowest nonzero one holding a
-    label that is no generator plus a label of the level below, or None."""
-    start = next((off for off, level in enumerate(levels) if level), len(levels))
-    for off in range(start + 1, len(levels)):
-        below = set(levels[off - 1])
-        if not all(any(tuple(map(sub, n, g)) in below for g in gens)
-                   for n in levels[off]):
-            return off
-    return None
+from .errors import DEFAULT_POINT_CAP, WindowTooSmall, check_cap
 
 
 @dataclass(frozen=True)
-class TruncatedModule:
-    """Graded module truncated to the window [lo, hi], hi = lo + len(basis) - 1.
+class Factor:
+    """A standard graded monomial ring, generated by the degree-1 labels
+    gens, less the labels divisible by a relation.  Relations belong to
+    quotients of a polynomial ring, whose gens are the unit vectors; a
+    factor without relations is a semigroup ring, hence a domain.  what
+    names its label enumeration in ResourceCap messages."""
 
-    Degrees below lo are provably zero (windows start at the vanishing
-    bound); complete means degrees above hi are provably zero too.
-    basis is indexed by k - lo and holds labels that the ring's
-    generators act on by label addition.  A ring is the free module
-    over itself: lo = 0, a one-dimensional degree 0, and gens, its
-    degree-1 labels, generate it.
-    """
-
-    lo: int
-    basis: tuple[tuple[tuple[int, ...], ...], ...]
-    complete: bool
-    name: str = ""
-
-    @property
-    def hi(self):
-        return self.lo + len(self.basis) - 1
-
-    @property
-    def gens(self):
-        """The degree-1 labels, which generate a ring."""
-        return self.basis[1 - self.lo] if self.lo <= 1 <= self.hi else ()
-
-    def dim(self, k):
-        """Dimension of the degree k piece, or None when truncated away."""
-        if k < self.lo:
-            return 0
-        if k <= self.hi:
-            return len(self.basis[k - self.lo])
-        return 0 if self.complete else None
-
-    def dims(self):
-        """Mapping degree -> dimension over the window."""
-        return {self.lo + off: len(b) for off, b in enumerate(self.basis)}
-
-    def support(self):
-        return [self.lo + off for off, b in enumerate(self.basis) if b]
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def _levels(gens, n_max, cap, what, vanishes=lambda label: False):
-    """Labels of degrees 0..n_max of the ring generated by the degree-1
-    labels gens, each level sorted.
-
-    Level k + 1 is level k plus each generator, less the labels that
-    vanish: the labels of a standard graded monomial ring form an order
-    ideal under adding generators.  The first empty level stays empty
-    above, so the rest is padded with ().  ResourceCap counts the n_max + 1
-    levels, then the running total of the labels built.
-    """
-    check_cap(n_max + 1, cap, what)
-    levels, total = [((0,) * len(gens[0]),)], 1
-    while len(levels) <= n_max and levels[-1]:
-        sums = {tuple(map(add, label, g)) for label in levels[-1] for g in gens}
-        levels.append(tuple(sorted(s for s in sums if not vanishes(s))))
-        total += len(levels[-1])
-        check_cap(total, cap, what)
-    return tuple(levels) + ((),) * (n_max + 1 - len(levels))
+    name: str
+    gens: tuple[tuple[int, ...], ...]
+    relations: tuple[tuple[int, ...], ...]
+    what: str
 
 
 def monomial_str(names, exps):
@@ -126,138 +77,128 @@ def monomial_str(names, exps):
     return "*".join(parts) or "1"
 
 
-def algebra_from_monomial_quotient(names, relations, n_max,
-                                   cap=DEFAULT_POINT_CAP):
-    """Quotient of a polynomial ring by monomial relations, to degree n_max.
-
-    The degree k labels are the exponent vectors of the degree k
-    monomials divisible by no relation, found by _levels from the unit
-    vectors.
-    """
+def monomial_factor(names, relations):
+    """The quotient of a polynomial ring by monomial relations."""
     names = list(names)
     if not names:
         raise ValueError("need at least one variable")
-    if n_max < 1:
-        raise ValueError("truncation degree must be at least 1")
     nvars = len(names)
-    rels = [tuple(int(x) for x in rel) for rel in relations]
+    rels = tuple(tuple(int(x) for x in rel) for rel in relations)
     for rel in rels:
         if len(rel) != nvars or any(x < 0 for x in rel) or sum(rel) == 0:
             raise ValueError(f"bad relation exponent vector {rel}")
     rel_names = ", ".join(monomial_str(names, r) for r in rels)
     name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
-    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-    basis = _levels(units, n_max, cap, f"monomial quotient {name}",
-                    lambda label: any(all(map(ge, label, r)) for r in rels))
-    return TruncatedModule(0, basis, complete=not basis[n_max], name=name)
+    units = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+    return Factor(name, units, rels, f"monomial quotient {name}")
 
 
-def algebra_from_toric(pres, n_max, cap=DEFAULT_POINT_CAP):
-    """Semigroup ring of a toric presentation, truncated to degree n_max.
+def toric_factor(pres):
+    """The semigroup ring of a toric presentation."""
+    return Factor(f"toric[{pres.nrows}x{pres.ncols}]", tuple(pres.columns()), (),
+                  "semigroup census")
 
-    Labels are the semigroup elements per degree; a sum of two labels is
-    always a label, so multiplication never vanishes.  Used for a toric
-    factor paired with a monomial quotient, and by the tests as the
-    truncated reference for toric_friendliness.
+
+def _levels(factor, n_max, cap):
+    """Labels of degrees 0..n_max of factor, each level sorted.
+
+    Level k + 1 is level k plus each generator, less the labels divisible
+    by a relation: the labels of a standard graded monomial ring form an
+    order ideal under adding generators.  The first empty level stays
+    empty above, so the rest is padded with ().  ResourceCap counts the
+    n_max + 1 levels, then the running total of the labels built.
     """
-    if n_max < 1:
-        raise ValueError("truncation degree must be at least 1")
-    basis = _levels(pres.columns(), n_max, cap, "semigroup census")
-    return TruncatedModule(0, basis, complete=False, name=toric_name(pres))
-
-
-def toric_name(pres):
-    return f"toric[{pres.nrows}x{pres.ncols}]"
-
-
-def shift_module(mod, a):
-    """Twist by a: degree k of the result is degree k + a of the input."""
-    return replace(mod, lo=mod.lo - a)
-
-
-def segre_module(m, n, cap=DEFAULT_POINT_CAP):
-    """Degreewise product of two modules, or of two rings.
-
-    The window is the intersection of the factor windows; labels are
-    concatenations, row-major in the factor bases, so the product of two
-    rings has the concatenated pairs of degree-1 labels as generators.
-    The result is complete when either factor is complete with support
-    inside the intersection.
-    """
-    lo = max(m.lo, n.lo)
-    hi = min(m.hi, n.hi)
-    if lo > hi:
-        raise EmptyWindow(
-            f"windows [{m.lo}, {m.hi}] and [{n.lo}, {n.hi}] do not overlap")
-    name = f"{m.name} # {n.name}"
-    basis, total = [], 0
-    for k in range(lo, hi + 1):
-        left, right = m.basis[k - m.lo], n.basis[k - n.lo]
-        total += len(left) * len(right)
-        check_cap(total, cap, f"Segre product {name}")
-        basis.append(tuple(p + q for p in left for q in right))
-    # a factor provably zero outside the common window makes the product so
-    complete = any(f.complete and all(lo <= k <= hi for k in f.support())
-                   for f in (m, n))
-    return TruncatedModule(lo, tuple(basis), complete, name)
+    check_cap(n_max + 1, cap, factor.what)
+    levels, total = [((0,) * len(factor.gens[0]),)], 1
+    while len(levels) <= n_max and levels[-1]:
+        sums = {tuple(map(add, label, g)) for label in levels[-1] for g in factor.gens}
+        levels.append(tuple(sorted(s for s in sums if not any(
+            all(map(ge, s, r)) for r in factor.relations))))
+        total += len(levels[-1])
+        check_cap(total, cap, factor.what)
+    return tuple(levels) + ((),) * (n_max + 1 - len(levels))
 
 
 # ---------------------------------------------------------------------------
-# graded Hom into the ring
+# the Hom count
 
 
-@dataclass(frozen=True)
-class HomWindowReport:
-    """Dimensions of degree-i hom families for i in [i_lo, i_hi].
+class _Side:
+    """One factor at its shift: labels to degree n_max, a membership set
+    and the generators G of its part of M, the labels of degree k0 + shift."""
 
-    dims[i - i_lo] is the solution dimension (None when the truncation
-    made degree i unmodelable), squares counts the propagation steps
-    whose equations were applied, and clipped records whether the window
-    boundary cut the computation.  exact means both the module support
-    and the ring support were provably enclosed, so every dimension
-    equals the actual graded Hom dimension; inexact dimensions are upper
-    bounds.
-    """
+    def __init__(self, factor, shift, k0, n_max, cap):
+        self.rels = factor.relations
+        self.levels = _levels(factor, n_max, cap)
+        self.members = {label for level in self.levels for label in level}
+        self.deg = k0 + shift
+        self.gens = self.levels[self.deg]
 
-    i_lo: int
-    i_hi: int
-    dims: tuple[Optional[int], ...]
-    squares: tuple[int, ...]
-    clipped: tuple[bool, ...]
-    exact: bool
+    def height(self, t, limit):
+        """min(h(t), limit): the largest e <= limit such that a label of
+        degree deg t + e is a multiple of t.  Such degrees form an interval
+        from 0, and on a domain every degree has one."""
+        if not self.rels:
+            return limit
+        e = 0
+        while e < limit and any(all(map(ge, z, t)) for z in self.levels[sum(t) + e + 1]):
+            e += 1
+        return e
 
-    def dim_at(self, i):
-        return self.dims[i - self.i_lo]
+    @cached_property
+    def pairs(self):
+        """pairs[j]: (h, low, mu) for each other generator g_h that may link
+        with g_j, low the least deg m - deg g_j over the common multiples m.
+        On a quotient mu = max(g_j, g_h), which must be a label; a domain
+        links any two from its least semigroup offset, and mu is None."""
+        if self.rels:
+            return [[(h, sum(m) - self.deg, m) for h, m in
+                     enumerate(tuple(map(max, g, k)) for k in self.gens)
+                     if h != j and m in self.members]
+                    for j, g in enumerate(self.gens)]
+        sets = [set(level) for level in self.levels[:self.deg + 1]]
+        return [[(h, next(d for d, layer in enumerate(sets)
+                          if any(tuple(map(add, x, step)) in layer for x in layer)), None)
+                 for h, step in enumerate(tuple(map(sub, g, k)) for k in self.gens) if h != j]
+                for j, g in enumerate(self.gens)]
 
-    def nonzero(self):
-        return {self.i_lo + off: d for off, d in enumerate(self.dims) if d}
+    @cached_property
+    def kills(self):
+        """Per generator g, the least pads p = max(r - g, 0) = max(r, g) - g
+        of the relations r, by degree."""
+        return [sorted((sum(p), p) for p in
+                       (tuple(map(sub, map(max, r, g), g)) for r in self.rels))
+                for g in self.gens]
 
-    def certified(self, i):
-        """True when the dimension at degree i is provably exact.
-
-        A degree is certified when its computation never touched the
-        truncation boundary: it ended through a provably zero codomain,
-        the death of every component, or the visible end of the module
-        support.
-        """
-        off = i - self.i_lo
-        return self.dims[off] is not None and not self.clipped[off]
-
-
-def _successors(levels, gens):
-    """succ[k][j][g]: index of label j of level k plus generator g in
-    level k + 1, or None when the sum is not a label there.  The top
-    level maps into an empty level, so all its products vanish."""
-    out = []
-    for level, above in zip(levels, levels[1:] + ((),)):
-        index = {label: j for j, label in enumerate(above)}
-        out.append([tuple(index.get(tuple(map(add, label, g))) for g in gens)
-                    for label in level])
-    return out
+    def multidegrees(self, targets):
+        """How many multidegrees u = t - g, t in targets, share each
+        signature (cands, links).  cands lists (j, kappa) per candidate
+        g_j, g_j + u a label, with kappa the least degree of its kill
+        witnesses; links lists (j, h, low) per candidate g_j and generator
+        g_h that link in degree low and up."""
+        members, kills, pairs = self.members, self.kills, self.pairs
+        # the candidates g_j + u = t of each u, listed by j: t orders as g_j
+        shifted = {}
+        for t in targets:
+            for j, g in enumerate(self.gens):
+                shifted.setdefault(tuple(map(sub, t, g)), {})[j] = t
+        signatures = Counter()
+        for u, cand in shifted.items():
+            # max(g, r) + u is a multiple of r unless u < 0 somewhere
+            killing = min(u) < 0
+            cands = tuple((j, next((d for d, p in kills[j]
+                                    if killing and tuple(map(add, v, p)) in members), inf))
+                          for j, v in cand.items())
+            # one link per pair: mu + u = max(g_j + u, g_h + u) is a label
+            links = tuple((j, h, low) for j in cand for h, low, mu in pairs[j]
+                          if (h > j or h not in cand)
+                          and (mu is None or tuple(map(add, mu, u)) in members))
+            signatures[cands, links] += 1
+        return signatures
 
 
 class _Components:
-    """Union-find over the seed pairs plus one class for the forced zeros.
+    """Union-find over the generators plus one class for the forced zeros.
 
     Every merge of two classes removes one live component: either two
     live ones become one, or a live one joins the zeros.
@@ -280,226 +221,144 @@ class _Components:
         if rx != ry:
             self.parent[ry] = rx
             self.live -= 1
-        return rx
-
-    def kill(self, x):
-        self.union(self.zero, x)
 
 
-def _live_components(mod, ring, i, k, m_succ, t_succ, in_degree):
-    """(dimension or None, steps applied, clipped) for one hom degree.
-
-    Nodes are pairs (m, t) of label indices in module degree k and ring
-    degree k + i, k starting at the lowest nonzero module degree, and the
-    front holds the pairs reached so far that are not forced to zero.  A step
-    to degree k + 1 links (m, t) to (m+g, t+g) and forces a component to
-    zero when m+g vanishes while t+g does not, or when a pair (n, s) is
-    reached by fewer front pairs than n has predecessors in the module:
-    then some predecessor's partner s-g is not a label.
-    """
-    d_cod = ring.dim(k + i)
-    if d_cod is None:
-        return None, 0, True
-    if d_cod == 0:
-        # zero codomain at the generating degree forces the zero family
-        return 0, 0, False
-    comps = _Components(mod.dim(k) * d_cod)
-    front = {(j, t): j * d_cod + t for j in range(mod.dim(k)) for t in range(d_cod)}
-    squares = 0
-    while True:
-        d_next, c_next = mod.dim(k + 1), ring.dim(k + i + 1)
-        if d_next is None or c_next is None:
-            return comps.live, squares, True
-        if d_next == 0 and c_next == 0:
-            break
-        squares += 1
-        edges = {}
-        for (j, t), node in front.items():
-            for n, s in zip(m_succ[k - mod.lo][j], t_succ[k + i][t]):
-                if s is None:
-                    continue
-                if n is None:
-                    comps.kill(node)
-                else:
-                    edges.setdefault((n, s), []).append(node)
-        front = {}
-        for (n, s), nodes in edges.items():
-            root = nodes[0]
-            for node in nodes[1:]:
-                root = comps.union(root, node)
-            if len(nodes) < in_degree[k + 1 - mod.lo][n]:
-                comps.kill(root)
-            front[n, s] = root
-        if not comps.live:
-            return 0, squares, False
-        if d_next == 0:
-            break
-        # pairs forced to zero only spread zeros; drop them from the front
-        zero = comps.find(comps.zero)
-        front = {pair: node for pair, node in front.items()
-                 if comps.find(node) != zero}
-        k += 1
-    return comps.live, squares, False
+def _live(signature, height):
+    """The Hom count of one multidegree: the live classes of the
+    candidates that no witness of degree at most height kills, under the
+    links of degree at most height."""
+    cands, links = signature
+    nodes = {}
+    for j, kappa in cands:
+        if kappa > height:
+            nodes[j] = len(nodes)
+    zero = len(nodes)
+    comps = _Components(zero)
+    for j, h, low in links:
+        if low <= height:
+            comps.union(nodes.get(j, zero), nodes.get(h, zero))
+    return comps.live
 
 
-def hom_window(mod, ring, i_lo, i_hi):
-    """Degreewise dimensions of hom families from mod to ring raising degree by i.
-
-    A family assigns to each degree k a map from the module piece to the
-    ring piece k + i, commuting with all degree-1 multiplications; over a
-    standard graded ring these are exactly the graded hom components.
-    Raises ValueError unless the ring is standard graded and the module
-    is generated in its lowest degree, the two facts seeding rests on.
-    """
-    if i_lo > i_hi:
-        raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
-    if ring.lo != 0 or ring.dim(0) != 1:
-        raise ValueError("ring degree 0 must be one-dimensional")
-    gens = ring.gens
-    k = _first_unspanned(ring.basis, gens)
-    if k is not None:
-        raise ValueError(
-            f"ring degree {k} is not spanned by degree-1 products; "
-            f"the ring is not standard graded")
-    support = mod.support()
-    if not support:
-        raise WindowTooSmall(
-            f"module window [{mod.lo}, {mod.hi}] has no nonzero component")
-    off = _first_unspanned(mod.basis, gens)
-    if off is not None:
-        raise ValueError(
-            f"module degree {mod.lo + off} is not generated from the "
-            f"lowest component; hom propagation would be unsound")
-    m_succ = _successors(mod.basis, gens)
-    t_succ = _successors(ring.basis, gens)
-    # in_degree[off][n]: the (label, generator) pairs one level down reaching n
-    in_degree = [Counter()] + [Counter(n for row in level for n in row if n is not None)
-                               for level in m_succ]
-    dims, squares, clipped = [], [], []
-    for i in range(i_lo, i_hi + 1):
-        d, sq, cl = _live_components(mod, ring, i, support[0], m_succ, t_succ, in_degree)
-        dims.append(d)
-        squares.append(sq)
-        clipped.append(cl)
-    exact = mod.complete and ring.complete and not any(clipped)
-    return HomWindowReport(i_lo, i_hi, tuple(dims), tuple(squares),
-                           tuple(clipped), exact)
+def _linked_counts(unit, side, degrees, k0, cap):
+    """dim Hom_i when a factor has relations: over the labels t of the
+    unit side, generated by 1, and the multidegrees u of the other side,
+    the live classes of its generators at the height of t."""
+    work = len(side.gens) ** 2
+    check_cap(work, cap, "monomial Hom candidates")
+    # heights matter only up to the largest kill degree and link degree
+    limit = max([low for row in side.pairs for _, low, _ in row] + [sum(r) for r in side.rels],
+                default=0)
+    counts, left = {}, []
+    for i in degrees:
+        targets = (unit.levels[k0 + i], side.levels[k0 + i]) if k0 + i >= 0 else ((), ())
+        heights = Counter(unit.height(t, limit) for t in targets[0])
+        dim = 0
+        for signature, m in (side.multidegrees(targets[1]).items() if heights else ()):
+            for height, n in heights.items():
+                count = counts.get((signature, height))
+                if count is None:
+                    work += len(signature[0]) + len(signature[1])
+                    check_cap(work, cap, "monomial Hom candidates")
+                    count = counts[signature, height] = _live(signature, height)
+                dim += m * n * count
+        left.append(dim)
+    return left
 
 
-# ---------------------------------------------------------------------------
-# friendliness witness
+def _product_counts(sides, degrees, k0, cap):
+    """dim Hom_i = N_R(i) N_S(i) when neither factor has relations."""
+    left, work = [1] * len(degrees), 0
+    for side in sides:
+        steps = [tuple(map(sub, g, side.gens[0])) for g in side.gens]
+        for off, i in enumerate(degrees):
+            layer = side.levels[k0 + i] if k0 + i >= 0 else ()
+            work += len(layer) * len(steps)
+            check_cap(work, cap, "toric Hom candidates")
+            members = set(layer)
+            left[off] *= sum(all(tuple(map(add, p, s)) in members for s in steps)
+                             for p in layer)
+    return left
+
+
+def _sides(factors, shifts, i_hi, cap):
+    """k0 and the two factors with their labels built to the degrees that
+    a window ending at i_hi reads: G, the targets and the right side."""
+    k0 = -min(shifts)
+    n_max = max(i_hi + k0, max(shifts) + k0)
+    # a quotient also holds the heights, common multiples and kill
+    # witnesses of the Hom count, all within this many degrees more
+    extra = max([max(shifts) + k0] + [sum(r) for f in factors for r in f.relations])
+    return k0, [_Side(f, shift, k0, n_max + (extra if f.relations else 0), cap)
+                for f, shift in zip(factors, shifts)]
 
 
 @dataclass(frozen=True)
 class FriendlinessReport:
     """Comparison of the dual of a product with the product of the duals.
 
-    left_dims are the hom dimensions of (R shifted by a) # (S shifted by
+    left_dims are the Hom dimensions of (R shifted by a) # (S shifted by
     b) into the product ring; right_dims are the plain dimensions of
     (R shifted by -a) # (S shifted by -b), which is the product of the
     factor duals because duals of shifted free modules are the opposite
-    shifts.  A mismatch on exact data certifies that the two sides are
-    not isomorphic; a match is consistency evidence only.
+    shifts.  Every dimension is exact, so a mismatch at any degree
+    certifies that the two sides are not isomorphic; a match on the
+    window is consistency evidence only.
     """
 
     i_lo: int
-    i_hi: int
-    left_dims: tuple[Optional[int], ...]
-    right_dims: tuple[Optional[int], ...]
-    exact: bool
-    compared: tuple[int, ...]
-    mismatches: tuple[int, ...]
-    verdict: str
+    left_dims: tuple[int, ...]
+    right_dims: tuple[int, ...]
+
+    exact = True
+
+    @property
+    def compared(self):
+        return tuple(range(self.i_lo, self.i_lo + len(self.left_dims)))
+
+    @property
+    def mismatches(self):
+        return tuple(i for i, l, r in zip(self.compared, self.left_dims, self.right_dims)
+                     if l != r)
+
+    @property
+    def verdict(self):
+        return "not_friendly_certified" if self.mismatches else "consistent"
 
     def left_nonzero(self):
-        return {self.i_lo + o: d for o, d in enumerate(self.left_dims) if d}
+        return {i: d for i, d in zip(self.compared, self.left_dims) if d}
 
     def right_nonzero(self):
-        return {self.i_lo + o: d for o, d in enumerate(self.right_dims) if d}
+        return {i: d for i, d in zip(self.compared, self.right_dims) if d}
 
 
-MIN_INFORMATIVE_STEPS = 2
+def friendliness(factor1, factor2, shift1, shift2, i_lo=-6, i_hi=6,
+                 cap=DEFAULT_POINT_CAP):
+    """Compare dim Hom_T(R(a) # S(b), T)_i with dim (R(-a) # S(-b))_i.
 
-
-def _friendliness_report(i_lo, left, right, informative, certified, exact):
-    """The one verdict rule.  Per degree from i_lo, informative flags that
-    the left side enters the verdict (unless the right side is None) and
-    certified that it is exact.  Differing dimensions at one certified
-    degree rule out an isomorphism; a mismatch elsewhere, or no compared
-    degree, leaves the verdict inconclusive."""
-    degrees = range(i_lo, i_lo + len(left))
-    compared = [i for i, c, r in zip(degrees, informative, right) if c and r is not None]
-    mismatches = [i for i in compared if left[i - i_lo] != right[i - i_lo]]
-    if any(certified[i - i_lo] for i in mismatches):
-        verdict = "not_friendly_certified"
-    elif mismatches or not compared:
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent"
-    return FriendlinessReport(i_lo, degrees[-1], tuple(left), tuple(right), exact,
-                              tuple(compared), tuple(mismatches), verdict)
-
-
-def friendliness_witness(ring1, ring2, shift1, shift2, i_lo=-6, i_hi=6,
-                         cap=DEFAULT_POINT_CAP):
-    """Compare duals of a twisted product against the product of duals.
-
-    On inexact (truncated) data the hom side of degree i only enters the
-    verdict when at least MIN_INFORMATIVE_STEPS propagation steps were
-    consistency checked; degrees near the window boundary are reported
-    but not compared.  cap bounds the window and every Segre level
-    enumeration.
+    cap bounds both factor label enumerations (built first, to the
+    degrees the window needs), the window, and the Hom work: membership
+    tests when neither factor has relations ("toric Hom candidates"),
+    signatures otherwise ("monomial Hom candidates").  Raises
+    WindowTooSmall when R(a) # S(b) is zero.
     """
-    check_cap(i_hi - i_lo + 1, cap, f"hom window [{i_lo}, {i_hi}]")
-    t = segre_module(ring1, ring2, cap=cap)
-    twisted = segre_module(shift_module(ring1, shift1),
-                           shift_module(ring2, shift2), cap=cap)
-    hom = hom_window(twisted, t, i_lo, i_hi)
-    dual = segre_module(shift_module(ring1, -shift1),
-                        shift_module(ring2, -shift2), cap=cap)
-    degrees = range(i_lo, i_hi + 1)
-    certified = [hom.certified(i) for i in degrees]
-    evidence = [c or (d is not None and sq >= MIN_INFORMATIVE_STEPS)
-                for c, d, sq in zip(certified, hom.dims, hom.squares)]
-    return _friendliness_report(i_lo, hom.dims, [dual.dim(i) for i in degrees],
-                                evidence, certified, hom.exact and dual.complete)
-
-
-def toric_friendliness(pres1, pres2, shift1, shift2, i_lo=-6, i_hi=6,
-                       cap=DEFAULT_POINT_CAP):
-    """friendliness_witness for two toric presentations, certified on every degree.
-
-    R = K[S_R] and S = K[S_S] are domains, so M = R(a) # S(b) is a
-    rank-one monomial module over T = R # S, and the piece of Hom_T(M, T)
-    of multidegree (u, v) is spanned by m -> m + (u, v) when (u, v) + M
-    lies in T, and zero otherwise.  M is G_R x G_S plus T, G_R being layer
-    k0 + a of S_R with k0 = max(-a, -b), so the test splits by factor:
-    dim Hom_i = N_R(i) N_S(i), N_R(i) = #{p in layer k0 + i : p - g0 + G_R
-    lies in that layer} for any g0 in G_R.  The right side is |layer i - a
-    of S_R| |layer i - b of S_S|.  cap bounds the window, both factor
-    label enumerations and the candidate x |G| membership tests.
-    """
-    check_cap(i_hi - i_lo + 1, cap, f"hom window [{i_lo}, {i_hi}]")
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
-    k0 = max(-shift1, -shift2)
-    n_max = max(k0 + max(shift1, shift2, i_hi), i_hi - min(shift1, shift2))
+    shifts = (shift1, shift2)
+    k0, sides = _sides((factor1, factor2), shifts, i_hi, cap)
+    check_cap(i_hi - i_lo + 1, cap, f"hom window [{i_lo}, {i_hi}]")
+    if not all(side.gens for side in sides):
+        raise WindowTooSmall(f"{factor1.name}({shift1}) # {factor2.name}({shift2}) is zero")
     degrees = range(i_lo, i_hi + 1)
-    left, right, work = [1] * len(degrees), [1] * len(degrees), 0
-    for pres, shift in ((pres1, shift1), (pres2, shift2)):
-        layers = _levels(pres.columns(), n_max, cap, "semigroup census")
-        gens = layers[k0 + shift]
-        steps = [tuple(map(sub, g, gens[0])) for g in gens]
-        for off, i in enumerate(degrees):
-            layer = layers[k0 + i] if k0 + i >= 0 else ()
-            work += len(layer) * len(steps)
-            check_cap(work, cap, "toric Hom candidates")
-            members = set(layer)
-            left[off] *= sum(all(tuple(map(add, p, s)) in members for s in steps)
-                             for p in layer)
-            right[off] *= len(layers[i - shift]) if i >= shift else 0
-    every = [True] * len(degrees)
-    return _friendliness_report(i_lo, left, right, every, every, True)
+    if factor1.relations or factor2.relations:
+        # the factor with the smaller shift is generated by its unit
+        unit, side = sides if shift1 <= shift2 else sides[::-1]
+        left = _linked_counts(unit, side, degrees, k0, cap)
+    else:
+        left = _product_counts(sides, degrees, k0, cap)
+    right = [len(sides[0].levels[i - shift1]) * len(sides[1].levels[i - shift2])
+             if i >= max(shifts) else 0 for i in degrees]
+    return FriendlinessReport(i_lo, tuple(left), tuple(right))
 
 
 # ---------------------------------------------------------------------------

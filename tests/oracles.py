@@ -3,16 +3,21 @@
 Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
 local Gaussian elimination, Smith elementary divisors by unimodular row
-and column operations, graded hom by one dense linear solve, and the
-depth witnesses and uniform twist criterion by visiting every subset, and
+and column operations, graded hom by seed propagation on truncated
+modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
 with the package but not algorithms.
 """
 
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import add, ge, sub
+from typing import Optional
 
 from segrecm.cohomo import DepthReport, Witness
+from segrecm.oracle import _Components, monomial_str
 
 
 def gauss_rank(rows):
@@ -164,6 +169,299 @@ def dense_hom_dim(mod, ring, i):
                     if any(row):
                         eqs.append(row)
     return len(var) - gauss_rank(eqs)
+
+
+# ---------------------------------------------------------------------------
+# truncated graded modules and seed-propagation Hom: the reference for the
+# exact multidegree count of segrecm.oracle.friendliness
+#
+# A truncated module is a window start and, per degree, a tuple of labels.
+# A ring is the free module over itself, starting in degree 0 and
+# generated by its degree-1 labels; multiplying by a generator is label
+# addition followed by a membership test in the next degree.  A degree-i
+# Hom family sends the basis element m to sum_t c[m, t] t, and commuting
+# with a generator g couples only c[m, t] with c[m+g, t+g], so the
+# dimension is the number of components of pairs (m, t) that no equation
+# forces to zero.  hom_window propagates seed pairs from the lowest module
+# degree as a union-find; its dimension is exact when the module and ring
+# supports are provably enclosed in their windows (certified degrees), and
+# otherwise an upper bound.
+
+
+def _first_unspanned(levels, gens):
+    """Offset of the first level above the lowest nonzero one holding a
+    label that is no generator plus a label of the level below, or None."""
+    start = next((off for off, level in enumerate(levels) if level), len(levels))
+    for off in range(start + 1, len(levels)):
+        below = set(levels[off - 1])
+        if not all(any(tuple(map(sub, n, g)) in below for g in gens)
+                   for n in levels[off]):
+            return off
+    return None
+
+
+@dataclass(frozen=True)
+class TruncatedModule:
+    """Graded module truncated to the window [lo, hi], hi = lo + len(basis) - 1.
+
+    Degrees below lo are provably zero (windows start at the vanishing
+    bound); complete means degrees above hi are provably zero too.
+    basis is indexed by k - lo and holds labels that the ring's
+    generators act on by label addition.  A ring is the free module
+    over itself: lo = 0, a one-dimensional degree 0, and gens, its
+    degree-1 labels, generate it.
+    """
+
+    lo: int
+    basis: tuple[tuple[tuple[int, ...], ...], ...]
+    complete: bool
+    name: str = ""
+
+    @property
+    def hi(self):
+        return self.lo + len(self.basis) - 1
+
+    @property
+    def gens(self):
+        """The degree-1 labels, which generate a ring."""
+        return self.basis[1 - self.lo] if self.lo <= 1 <= self.hi else ()
+
+    def dim(self, k):
+        """Dimension of the degree k piece, or None when truncated away."""
+        if k < self.lo:
+            return 0
+        if k <= self.hi:
+            return len(self.basis[k - self.lo])
+        return 0 if self.complete else None
+
+    def dims(self):
+        """Mapping degree -> dimension over the window."""
+        return {self.lo + off: len(b) for off, b in enumerate(self.basis)}
+
+    def support(self):
+        return [self.lo + off for off, b in enumerate(self.basis) if b]
+
+
+def _levels(gens, n_max, vanishes=lambda label: False):
+    """Labels of degrees 0..n_max of the ring generated by the degree-1
+    labels gens, each level sorted: level k plus each generator, less the
+    labels that vanish, padded with () above the first empty level."""
+    levels = [((0,) * len(gens[0]),)]
+    while len(levels) <= n_max and levels[-1]:
+        sums = {tuple(map(add, label, g)) for label in levels[-1] for g in gens}
+        levels.append(tuple(sorted(s for s in sums if not vanishes(s))))
+    return tuple(levels) + ((),) * (n_max + 1 - len(levels))
+
+
+def algebra_from_monomial_quotient(names, relations, n_max):
+    """Quotient of a polynomial ring by monomial relations, to degree n_max.
+
+    The degree k labels are the exponent vectors of the degree k
+    monomials divisible by no relation, found by _levels from the unit
+    vectors.
+    """
+    names = list(names)
+    if not names:
+        raise ValueError("need at least one variable")
+    if n_max < 1:
+        raise ValueError("truncation degree must be at least 1")
+    nvars = len(names)
+    rels = [tuple(int(x) for x in rel) for rel in relations]
+    for rel in rels:
+        if len(rel) != nvars or any(x < 0 for x in rel) or sum(rel) == 0:
+            raise ValueError(f"bad relation exponent vector {rel}")
+    rel_names = ", ".join(monomial_str(names, r) for r in rels)
+    name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    basis = _levels(units, n_max, lambda label: any(all(map(ge, label, r)) for r in rels))
+    return TruncatedModule(0, basis, complete=not basis[n_max], name=name)
+
+
+def algebra_from_toric(pres, n_max):
+    """Semigroup ring of a toric presentation, truncated to degree n_max.
+
+    Labels are the semigroup elements per degree; a sum of two labels is
+    always a label, so multiplication never vanishes.
+    """
+    if n_max < 1:
+        raise ValueError("truncation degree must be at least 1")
+    basis = _levels(pres.columns(), n_max)
+    return TruncatedModule(0, basis, complete=False, name=f"toric[{pres.nrows}x{pres.ncols}]")
+
+
+def shift_module(mod, a):
+    """Twist by a: degree k of the result is degree k + a of the input."""
+    return replace(mod, lo=mod.lo - a)
+
+
+def segre_module(m, n):
+    """Degreewise product of two modules, or of two rings.
+
+    The window is the intersection of the factor windows; labels are
+    concatenations, row-major in the factor bases, so the product of two
+    rings has the concatenated pairs of degree-1 labels as generators.
+    The result is complete when either factor is complete with support
+    inside the intersection.
+    """
+    lo = max(m.lo, n.lo)
+    hi = min(m.hi, n.hi)
+    if lo > hi:
+        raise ValueError(
+            f"windows [{m.lo}, {m.hi}] and [{n.lo}, {n.hi}] do not overlap")
+    name = f"{m.name} # {n.name}"
+    basis = tuple(tuple(p + q for p in m.basis[k - m.lo] for q in n.basis[k - n.lo])
+                  for k in range(lo, hi + 1))
+    # a factor provably zero outside the common window makes the product so
+    complete = any(f.complete and all(lo <= k <= hi for k in f.support())
+                   for f in (m, n))
+    return TruncatedModule(lo, basis, complete, name)
+
+
+@dataclass(frozen=True)
+class HomWindowReport:
+    """Dimensions of degree-i hom families for i in [i_lo, i_hi].
+
+    dims[i - i_lo] is the solution dimension (None when the truncation
+    made degree i unmodelable), squares counts the propagation steps
+    whose equations were applied, and clipped records whether the window
+    boundary cut the computation.  exact means both the module support
+    and the ring support were provably enclosed, so every dimension
+    equals the actual graded Hom dimension; inexact dimensions are upper
+    bounds.
+    """
+
+    i_lo: int
+    i_hi: int
+    dims: tuple[Optional[int], ...]
+    squares: tuple[int, ...]
+    clipped: tuple[bool, ...]
+    exact: bool
+
+    def dim_at(self, i):
+        return self.dims[i - self.i_lo]
+
+    def certified(self, i):
+        """True when the dimension at degree i is provably exact.
+
+        A degree is certified when its computation never touched the
+        truncation boundary: it ended through a provably zero codomain,
+        the death of every component, or the visible end of the module
+        support.
+        """
+        off = i - self.i_lo
+        return self.dims[off] is not None and not self.clipped[off]
+
+
+def _successors(levels, gens):
+    """succ[k][j][g]: index of label j of level k plus generator g in
+    level k + 1, or None when the sum is not a label there.  The top
+    level maps into an empty level, so all its products vanish."""
+    out = []
+    for level, above in zip(levels, levels[1:] + ((),)):
+        index = {label: j for j, label in enumerate(above)}
+        out.append([tuple(index.get(tuple(map(add, label, g))) for g in gens)
+                    for label in level])
+    return out
+
+
+def _live_components(mod, ring, i, k, m_succ, t_succ, in_degree):
+    """(dimension or None, steps applied, clipped) for one hom degree.
+
+    Nodes are pairs (m, t) of label indices in module degree k and ring
+    degree k + i, k starting at the lowest nonzero module degree, and the
+    front holds the pairs reached so far that are not forced to zero.  A step
+    to degree k + 1 links (m, t) to (m+g, t+g) and forces a component to
+    zero when m+g vanishes while t+g does not, or when a pair (n, s) is
+    reached by fewer front pairs than n has predecessors in the module:
+    then some predecessor's partner s-g is not a label.
+    """
+    d_cod = ring.dim(k + i)
+    if d_cod is None:
+        return None, 0, True
+    if d_cod == 0:
+        # zero codomain at the generating degree forces the zero family
+        return 0, 0, False
+    comps = _Components(mod.dim(k) * d_cod)
+    front = {(j, t): j * d_cod + t for j in range(mod.dim(k)) for t in range(d_cod)}
+    squares = 0
+    while True:
+        d_next, c_next = mod.dim(k + 1), ring.dim(k + i + 1)
+        if d_next is None or c_next is None:
+            return comps.live, squares, True
+        if d_next == 0 and c_next == 0:
+            break
+        squares += 1
+        edges = {}
+        for (j, t), node in front.items():
+            for n, s in zip(m_succ[k - mod.lo][j], t_succ[k + i][t]):
+                if s is None:
+                    continue
+                if n is None:
+                    comps.union(comps.zero, node)
+                else:
+                    edges.setdefault((n, s), []).append(node)
+        front = {}
+        for (n, s), nodes in edges.items():
+            root = nodes[0]
+            for node in nodes[1:]:
+                comps.union(root, node)
+            if len(nodes) < in_degree[k + 1 - mod.lo][n]:
+                comps.union(comps.zero, root)
+            front[n, s] = root
+        if not comps.live:
+            return 0, squares, False
+        if d_next == 0:
+            break
+        # pairs forced to zero only spread zeros; drop them from the front
+        zero = comps.find(comps.zero)
+        front = {pair: node for pair, node in front.items()
+                 if comps.find(node) != zero}
+        k += 1
+    return comps.live, squares, False
+
+
+def hom_window(mod, ring, i_lo, i_hi):
+    """Degreewise dimensions of hom families from mod to ring raising degree by i.
+
+    A family assigns to each degree k a map from the module piece to the
+    ring piece k + i, commuting with all degree-1 multiplications; over a
+    standard graded ring these are exactly the graded hom components.
+    Raises ValueError unless the ring is standard graded and the module
+    is generated in its lowest degree, the two facts seeding rests on.
+    """
+    if i_lo > i_hi:
+        raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
+    if ring.lo != 0 or ring.dim(0) != 1:
+        raise ValueError("ring degree 0 must be one-dimensional")
+    gens = ring.gens
+    k = _first_unspanned(ring.basis, gens)
+    if k is not None:
+        raise ValueError(
+            f"ring degree {k} is not spanned by degree-1 products; "
+            f"the ring is not standard graded")
+    support = mod.support()
+    if not support:
+        raise ValueError(
+            f"module window [{mod.lo}, {mod.hi}] has no nonzero component")
+    off = _first_unspanned(mod.basis, gens)
+    if off is not None:
+        raise ValueError(
+            f"module degree {mod.lo + off} is not generated from the "
+            f"lowest component; hom propagation would be unsound")
+    m_succ = _successors(mod.basis, gens)
+    t_succ = _successors(ring.basis, gens)
+    # in_degree[off][n]: the (label, generator) pairs one level down reaching n
+    in_degree = [Counter()] + [Counter(n for row in level for n in row if n is not None)
+                               for level in m_succ]
+    dims, squares, clipped = [], [], []
+    for i in range(i_lo, i_hi + 1):
+        d, sq, cl = _live_components(mod, ring, i, support[0], m_succ, t_succ, in_degree)
+        dims.append(d)
+        squares.append(sq)
+        clipped.append(cl)
+    exact = mod.complete and ring.complete and not any(clipped)
+    return HomWindowReport(i_lo, i_hi, tuple(dims), tuple(squares),
+                           tuple(clipped), exact)
 
 
 def support_witnesses(factors):

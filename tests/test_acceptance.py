@@ -12,9 +12,7 @@ from segrecm.cli import run
 from segrecm.cohomo import (anticanonical_cm_m2, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
                             cohomology_support, dual_shift)
-from segrecm.oracle import (algebra_from_monomial_quotient,
-                            algebra_from_toric, friendliness_witness,
-                            hom_window, segre_module, shift_module)
+from segrecm.oracle import friendliness, monomial_factor, toric_factor
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, segre, validate
 
@@ -42,9 +40,9 @@ def _sweep_cases():
 
 def test_criterion_1_golden_counterexample(capsys):
     t0 = time.perf_counter()
-    ring_r = algebra_from_monomial_quotient(["x"], [(3,)], 8)
-    ring_s = algebra_from_monomial_quotient(["y"], [(2,)], 8)
-    rep = friendliness_witness(ring_r, ring_s, 2, 1, i_lo=-6, i_hi=6)
+    ring_r = monomial_factor(["x"], [(3,)])
+    ring_s = monomial_factor(["y"], [(2,)])
+    rep = friendliness(ring_r, ring_s, 2, 1, i_lo=-6, i_hi=6)
     elapsed = time.perf_counter() - t0
     assert rep.left_nonzero() == {1: 1, 2: 1}
     assert rep.right_nonzero() == {2: 1}
@@ -183,18 +181,13 @@ def test_criterion_7_census_hadamard_law(capsys):
 
 def test_criterion_8_toric_dual_consistency(capsys):
     compared_total = 0
+    plane = toric_factor(I2)
     for a in (1, 2):
-        n_alg = 4 + a + 4
-        ring = algebra_from_toric(I2, n_alg)
-        t = segre_module(ring, ring)
-        mod = segre_module(shift_module(ring, -a), ring)
-        hom = hom_window(mod, t, -4, 4)
+        rep = friendliness(plane, plane, -a, 0, -4, 4)
+        assert rep.exact
         for off, i in enumerate(range(-4, 5)):
-            informative = hom.certified(i) or hom.squares[off] >= 2
-            if not informative:
-                continue
             expected = (i + a + 1) * (i + 1) if i >= 0 else 0
-            assert hom.dims[off] == expected, (a, i, hom.dims[off], expected)
+            assert rep.left_dims[off] == expected, (a, i, rep.left_dims[off], expected)
             compared_total += 1
     assert compared_total >= 14
     with capsys.disabled():

@@ -149,6 +149,34 @@ class TestReports:
             assert results["left_dims"][mismatch + 3] == left
             assert results["right_dims"][mismatch + 3] == right
 
+    def test_oracle_friendly_non_artinian_is_exact(self, capsys):
+        # K[x,y]/(xy) # K[z,w]/(zw) twisted by (1, 0): the non-Artinian pair
+        # is counted exactly, and degree 1 certifies the mismatch
+        report = invoke_json(capsys, ["oracle", "friendly", "--ring1", "x,y:1 1",
+                                      "--ring2", "z,w:1 1", "--shift1", "1",
+                                      "--shift2", "0", "--window", "-3..3"])
+        results = report["results"]
+        assert results["exact"] is True
+        assert results["verdict"] == "not_friendly_certified"
+        assert results["mismatch_degrees"] == [1]
+        assert (results["left_dims"][4], results["right_dims"][4]) == (4, 2)
+
+    def test_oracle_friendly_polynomial_rings_match_toric(self, capsys, tmp_path):
+        # relation-free specs are semigroup rings: K[x,y,z] # K[u,v,w] is I3 # I3
+        i3 = tmp_path / "I3.mat"
+        i3.write_text(format_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        shifts = ["--shift1", "1", "--shift2", "0", "--window", "-3..3"]
+        start = time.perf_counter()
+        report = invoke_json(capsys, ["oracle", "friendly", "--ring1", "x,y,z",
+                                      "--ring2", "u,v,w"] + shifts)
+        elapsed = time.perf_counter() - start
+        toric = invoke_json(capsys, ["oracle", "friendly", "--toric1", str(i3),
+                                     "--toric2", str(i3)] + shifts)
+        assert report["results"]["left_dims"] == toric["results"]["left_dims"] == \
+            [0, 0, 0, 0, 3, 18, 60]
+        assert report["results"]["exact"] is True
+        assert elapsed < 0.05, f"took {elapsed * 1000:.1f} ms"
+
     def test_text_format(self, capsys):
         code, out = invoke(capsys, ["--format", "text", "classify",
                                     "anticanonical", "--rho", "3,2"])
@@ -226,6 +254,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == ("error: resource cap: toric Hom candidates: "
                                      "needs at least 30 entries, over the cap of 20\n")
+
+    def test_monomial_oracle_resource_cap(self, capsys):
+        # the labels and the window fit the cap; the Hom signatures do not
+        assert run(["--cap", "14", "oracle", "friendly", "--ring1", "a,b:2 0,0 2",
+                    "--ring2", "c:3", "--shift1", "1", "--shift2", "0",
+                    "--window", "-4..4"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: resource cap: monomial Hom candidates: "
+                                     "needs at least 15 entries, over the cap of 14\n")
+
+    def test_zero_twisted_module_is_domain_error(self, capsys):
+        # K[x]/(x^2)(3) lives in degrees -3..-2 and K[y]/(y^2) in 0..1
+        assert run(["oracle", "friendly", "--ring1", "x:2", "--ring2", "y:2",
+                    "--shift1", "3", "--shift2", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: WindowTooSmall: ")
 
     def test_hilbert_window_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "window", "--series",

@@ -4,23 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrecm.errors import EmptyWindow, ResourceCap, WindowTooSmall
-from segrecm.oracle import (TruncatedModule, _first_unspanned,
-                            algebra_from_monomial_quotient,
-                            algebra_from_toric, friendliness_witness,
-                            hom_window, parse_ring_spec, segre_module,
-                            shift_module, toric_friendliness)
+from segrecm.errors import ResourceCap, WindowTooSmall
+from segrecm.oracle import (_levels, _linked_counts, _sides, friendliness,
+                            monomial_factor, parse_ring_spec, toric_factor)
 from segrecm.toric import census, segre, validate
 
-from oracles import dense_hom_dim, points_by_multisets
+from oracles import (TruncatedModule, _first_unspanned,
+                     algebra_from_monomial_quotient, algebra_from_toric,
+                     dense_hom_dim, hom_window, points_by_multisets,
+                     segre_module, shift_module)
 
 
 def nilpotent(name, power, n=8):
     return algebra_from_monomial_quotient([name], [(power,)], n)
 
 
+# truncated reference rings, and the same rings as factors of the engine
 R3 = nilpotent("x", 3)
 S2 = nilpotent("y", 2)
+X3 = monomial_factor(["x"], [(3,)])
+Y2 = monomial_factor(["y"], [(2,)])
+# K[z] is the unit of the Segre product: R # K[z] is R, R(a) # K[z](a) is R(a)
+Z = monomial_factor(["z"], [])
 I2 = validate([[1, 0], [0, 1]])
 
 
@@ -47,15 +52,15 @@ class TestMonomialQuotient:
 
     def test_cap(self):
         with pytest.raises(ResourceCap, match="monomial quotient K\\[a,b,c,d\\].* cap of 10"):
-            algebra_from_monomial_quotient(list("abcd"), [], 6, cap=10)
+            _levels(monomial_factor(list("abcd"), []), 6, cap=10)
 
     def test_enumeration_stops_at_first_empty_level(self):
         # eight labels and 201 levels fit the cap; the monomials of
         # degrees up to 200 in three variables would not
-        alg = algebra_from_monomial_quotient(list("abc"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
-                                             200, cap=300)
-        assert alg.complete and alg.hi == 200
-        assert [alg.dim(k) for k in range(6)] == [1, 3, 3, 1, 0, 0]
+        levels = _levels(monomial_factor(list("abc"), [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+                         200, cap=300)
+        assert len(levels) == 201 and levels[200] == ()
+        assert [len(level) for level in levels[:6]] == [1, 3, 3, 1, 0, 0]
 
 
 class TestToricAlgebra:
@@ -102,7 +107,7 @@ class TestSegreModule:
                 assert prod.dim(k) == m1.dim(k) * m2.dim(k)
 
     def test_disjoint_windows(self):
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(ValueError, match="do not overlap"):
             segre_module(shift_module(R3, 30), shift_module(S2, -30))
 
     def test_toric_free_product_reproduces_census(self):
@@ -128,73 +133,70 @@ class TestShiftModule:
 
 
 class TestHomWindow:
+    """The exact engine on Artinian pairs, where the truncated reference
+    and the dense solver see the whole module."""
+
     def test_golden_dual_components(self):
-        t = segre_module(R3, S2)
-        m = segre_module(shift_module(R3, 2), shift_module(S2, 1))
-        hom = hom_window(m, t, -6, 6)
-        assert hom.exact
-        assert hom.nonzero() == {1: 1, 2: 1}
+        rep = friendliness(X3, Y2, 2, 1, -6, 6)
+        assert rep.exact
+        assert rep.left_nonzero() == {1: 1, 2: 1}
 
     def test_hom_of_ring_is_hilbert_function(self):
-        for alg in (R3, S2, algebra_from_monomial_quotient(
-                ["x", "y"], [(2, 0), (0, 2)], 6)):
-            hom = hom_window(alg, alg, -3, 6)
-            assert hom.exact
-            for i in range(-3, 7):
-                assert hom.dim_at(i) == alg.dim(i)
+        for alg, factor in ((R3, X3), (S2, Y2), (
+                algebra_from_monomial_quotient(["x", "y"], [(2, 0), (0, 2)], 6),
+                monomial_factor(["x", "y"], [(2, 0), (0, 2)]))):
+            rep = friendliness(factor, Z, 0, 0, -3, 6)
+            assert rep.exact
+            for off, i in enumerate(range(-3, 7)):
+                assert rep.left_dims[off] == alg.dim(i)
 
     def test_free_shift_dual(self):
         # hom dimensions of a shifted free module match the opposite shift
         for a in (-2, -1, 0, 1, 2):
-            m = shift_module(R3, a)
+            rep = friendliness(X3, Z, a, a, -6, 6)
             dual = shift_module(R3, -a)
-            hom = hom_window(m, R3, -6, 6)
-            assert hom.exact
-            for i in range(-6, 7):
-                assert hom.dim_at(i) == dual.dim(i)
+            for off, i in enumerate(range(-6, 7)):
+                assert rep.left_dims[off] == rep.right_dims[off] == dual.dim(i)
 
     def test_single_socle_module(self):
         # one basis element with zero action: only one hom degree survives
-        t = segre_module(R3, S2)
         m = segre_module(shift_module(R3, -2), shift_module(S2, -1))
         assert m.support() == [2]
-        hom = hom_window(m, t, -6, 6)
-        assert hom.exact
-        assert hom.nonzero() == {-1: 1}
+        rep = friendliness(X3, Y2, -2, -1, -6, 6)
+        assert rep.left_nonzero() == {-1: 1}
 
     def test_empty_window(self):
-        t = segre_module(R3, S2)
         m = segre_module(shift_module(R3, 2), shift_module(S2, -1))
         assert not m.support()
         with pytest.raises(WindowTooSmall):
-            hom_window(m, t, -2, 2)
+            friendliness(X3, Y2, 2, -1, -2, 2)
 
     def test_matches_dense_solver(self):
-        algebras = [
-            (nilpotent("x", 3), nilpotent("y", 2)),
-            (nilpotent("x", 4), nilpotent("y", 3)),
-            (algebra_from_monomial_quotient(["x", "y"], [(2, 0), (0, 2)], 8),
-             nilpotent("z", 2)),
+        pairs = [
+            ((["x"], [(3,)]), (["y"], [(2,)])),
+            ((["x"], [(4,)]), (["y"], [(3,)])),
+            ((["x", "y"], [(2, 0), (0, 2)]), (["z"], [(2,)])),
         ]
-        for ra, rb in algebras:
+        for spec1, spec2 in pairs:
+            ra, rb = (algebra_from_monomial_quotient(*spec, 8) for spec in (spec1, spec2))
             t = segre_module(ra, rb)
             for sa in (-1, 0, 2):
                 for sb in (0, 1):
                     m = segre_module(shift_module(ra, sa), shift_module(rb, sb))
                     if not m.support():
                         continue
-                    hom = hom_window(m, t, -5, 5)
-                    assert hom.exact
-                    for i in range(-5, 6):
-                        assert hom.dim_at(i) == dense_hom_dim(m, t, i), (
+                    rep = friendliness(monomial_factor(*spec1), monomial_factor(*spec2),
+                                       sa, sb, -5, 5)
+                    for off, i in enumerate(range(-5, 6)):
+                        assert rep.left_dims[off] == dense_hom_dim(m, t, i), (
                             ra.name, rb.name, sa, sb, i)
 
     def test_relabeling_invariance(self):
-        base = algebra_from_monomial_quotient(["x", "y"], [(3, 0), (1, 1)], 6)
-        perm = _permuted_copy(base, random.Random(43))
-        left = hom_window(base, base, -2, 5).dims
-        right = hom_window(perm, perm, -2, 5).dims
-        assert left == right
+        # listing the variables in another order changes no dimension
+        base = monomial_factor(["x", "y"], [(3, 0), (1, 1)])
+        swapped = monomial_factor(["y", "x"], [(0, 3), (1, 1)])
+        for a, b in ((0, 0), (1, 0), (-1, 2)):
+            assert friendliness(base, Z, a, b, -2, 5) == friendliness(swapped, Z, a, b, -2, 5)
 
 
 def _shuffled_levels(levels, rng):
@@ -210,43 +212,46 @@ def _permuted_copy(mod, rng):
 
 class TestFriendliness:
     def test_golden_counterexample(self):
-        rep = friendliness_witness(R3, S2, 2, 1)
+        rep = friendliness(X3, Y2, 2, 1)
         assert rep.verdict == "not_friendly_certified"
         assert rep.exact
         assert rep.left_nonzero() == {1: 1, 2: 1}
         assert rep.right_nonzero() == {2: 1}
 
     def test_zero_shifts_always_match(self):
-        for ra, rb in ((R3, S2), (nilpotent("x", 4), nilpotent("y", 4))):
-            rep = friendliness_witness(ra, rb, 0, 0)
+        for f1, f2 in ((X3, Y2), (monomial_factor(["x"], [(4,)]), monomial_factor(["y"], [(4,)]))):
+            rep = friendliness(f1, f2, 0, 0)
             assert rep.verdict == "consistent"
             assert rep.left_nonzero() == rep.right_nonzero()
 
     def test_toric_pair_consistent(self):
-        plane = algebra_from_toric(I2, 9)
-        rep = friendliness_witness(plane, plane, 1, 0, i_lo=-4, i_hi=4)
+        # the plane as a semigroup ring and as the polynomial ring K[x, y]
+        rep = friendliness(toric_factor(I2), monomial_factor(["x", "y"], []), 1, 0,
+                           i_lo=-4, i_hi=4)
         assert rep.verdict == "consistent"
-        assert not rep.exact
+        assert rep.exact
         assert rep.mismatches == ()
 
 
 # the rational quartic K[s^4, s^3 t, s t^3, t^4]: not normal, depth 1
 QUARTIC = validate([[4, 3, 1, 0], [0, 1, 3, 4]])
+P2 = toric_factor(I2)
+Q = toric_factor(QUARTIC)
 
 
 class TestToricFriendliness:
     def test_plane_square_is_exact(self):
-        rep = toric_friendliness(I2, I2, 1, 0, -4, 4)
+        rep = friendliness(P2, P2, 1, 0, -4, 4)
         assert rep.exact and rep.verdict == "consistent"
         assert rep.compared == tuple(range(-4, 5))
         assert rep.left_dims == rep.right_dims == (0, 0, 0, 0, 0, 2, 6, 12, 20)
 
     def test_quartic_is_certified_not_friendly(self):
-        rep = toric_friendliness(QUARTIC, I2, 1, 0, -3, 3)
+        rep = friendliness(Q, P2, 1, 0, -3, 3)
         assert rep.exact and rep.verdict == "not_friendly_certified"
         assert rep.mismatches == (2,)
         assert (rep.left_dims[5], rep.right_dims[5]) == (15, 12)
-        rep = toric_friendliness(QUARTIC, QUARTIC, 2, 0, -3, 3)
+        rep = friendliness(Q, Q, 2, 0, -3, 3)
         assert rep.verdict == "not_friendly_certified" and rep.mismatches == (3,)
         assert (rep.left_dims[6], rep.right_dims[6]) == (65, 52)
 
@@ -254,13 +259,13 @@ class TestToricFriendliness:
         # the census of I2 to degree 4 holds 15 points; the candidates of
         # degrees 0..4 times the two generators of G_R make 30 tests, and
         # times the one generator of G_S another 15
-        toric_friendliness(I2, I2, 1, 0, -4, 4, cap=45)
+        friendliness(P2, P2, 1, 0, -4, 4, cap=45)
         with pytest.raises(ResourceCap, match="toric Hom candidates: .* 30 .* cap of 20"):
-            toric_friendliness(I2, I2, 1, 0, -4, 4, cap=20)
+            friendliness(P2, P2, 1, 0, -4, 4, cap=20)
 
     def test_empty_window(self):
         with pytest.raises(ValueError, match="empty"):
-            toric_friendliness(I2, I2, 0, 0, 1, 0)
+            friendliness(P2, P2, 0, 0, 1, 0)
 
 
 class TestRingSpec:
@@ -303,12 +308,14 @@ class TestModuleInvariants:
 
 
 class TestCaps:
-    def test_segre_levels(self):
-        plane = algebra_from_toric(I2, 6)
-        with pytest.raises(ResourceCap, match="Segre product .* cap of 40"):
-            segre_module(plane, plane, cap=40)
-        with pytest.raises(ResourceCap, match="Segre product .* cap of 40"):
-            segre_module(shift_module(plane, 1), shift_module(plane, 1), cap=40)
+    def test_monomial_hom_candidates(self):
+        # (a^2, b^2)(1) # (c^3): 2 x 2 pairs of the generators a, b, and
+        # the distinct multidegree signatures over degrees 0..2 hold 8
+        # candidates and 3 links
+        pair = (monomial_factor(["a", "b"], [(2, 0), (0, 2)]), monomial_factor(["c"], [(3,)]))
+        friendliness(*pair, 1, 0, -4, 4, cap=15)
+        with pytest.raises(ResourceCap, match="monomial Hom candidates: .* 15 .* cap of 14"):
+            friendliness(*pair, 1, 0, -4, 4, cap=14)
 
 
 # random Artinian monomial quotients: pure powers of every variable keep
@@ -358,32 +365,83 @@ class TestMonomialQuotientProperties:
         assert alg.complete == (alg.basis[n_max] == ())
 
 
+def quotient_factor(relations, name):
+    """The engine's factor for the ring that quotient(relations, n, name) truncates."""
+    return monomial_factor([f"{name}{j}" for j in range(len(relations[0]))],
+                           [r for r in relations if any(r)])
+
+
+def reference_ring(spec, n_alg, name):
+    """The truncated reference ring of a monomial quotient (nvars, relations)
+    or of a toric presentation."""
+    if isinstance(spec, tuple):
+        nvars, rels = spec
+        return algebra_from_monomial_quotient([f"{name}{j}" for j in range(nvars)], rels, n_alg)
+    return algebra_from_toric(spec, n_alg)
+
+
+def engine_factor(spec, name):
+    if isinstance(spec, tuple):
+        nvars, rels = spec
+        return monomial_factor([f"{name}{j}" for j in range(nvars)], rels)
+    return toric_factor(spec)
+
+
+# small standard graded presentations: an all-ones top row grades every column
+toric_presentations = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=2)
+    .map(lambda rows: validate([[1] * cols] + rows)))
+
+
 class TestHomProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(artinian_rings, artinian_rings, st.integers(-2, 3), st.integers(-2, 3))
     def test_matches_dense_solver(self, rels1, rels2, a, b):
         ra, rb = quotient(rels1, 10, "x"), quotient(rels2, 10, "y")
-        try:
-            m = segre_module(shift_module(ra, a), shift_module(rb, b))
-        except EmptyWindow:
-            return
+        pair = (quotient_factor(rels1, "x"), quotient_factor(rels2, "y"))
+        m = segre_module(shift_module(ra, a), shift_module(rb, b))
         if not m.support():
+            with pytest.raises(WindowTooSmall):
+                friendliness(*pair, a, b, -4, 4)
             return
         t = segre_module(ra, rb)
         hom = hom_window(m, t, -4, 4)
-        assert hom.exact
-        for i in range(-4, 5):
-            assert hom.dim_at(i) == dense_hom_dim(m, t, i), (ra.name, rb.name, a, b, i)
+        rep = friendliness(*pair, a, b, -4, 4)
+        assert hom.exact and rep.exact
+        for off, i in enumerate(range(-4, 5)):
+            assert rep.left_dims[off] == hom.dim_at(i) == dense_hom_dim(m, t, i), (
+                ra.name, rb.name, a, b, i)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(monomial_quotients(), st.one_of(monomial_quotients(), toric_presentations),
+           st.integers(-2, 2), st.integers(-2, 2), st.booleans())
+    def test_matches_truncated_reference(self, spec1, spec2, a, b, swap):
+        # non-Artinian quotients and quotients paired with toric rings:
+        # the reference is exact on its certified degrees and an upper
+        # bound on the other degrees it models
+        specs = (spec2, spec1) if swap else (spec1, spec2)
+        n_alg = 2 + max(abs(a), abs(b)) + 4
+        r1, r2 = (reference_ring(spec, n_alg, name) for spec, name in zip(specs, "xy"))
+        m = segre_module(shift_module(r1, a), shift_module(r2, b))
+        pair = [engine_factor(spec, name) for spec, name in zip(specs, "xy")]
+        if not m.support():
+            with pytest.raises(WindowTooSmall):
+                friendliness(*pair, a, b, -2, 2)
+            return
+        hom = hom_window(m, segre_module(r1, r2), -2, 2)
+        rep = friendliness(*pair, a, b, -2, 2)
+        for off, i in enumerate(range(-2, 3)):
+            if hom.certified(i):
+                assert rep.left_dims[off] == hom.dims[off], (specs, a, b, i)
+            elif hom.dims[off] is not None:
+                assert rep.left_dims[off] <= hom.dims[off], (specs, a, b, i)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(artinian_rings, truncated_rings), artinian_rings,
            st.integers(-2, 2), st.integers(-2, 2), st.randoms(use_true_random=False))
     def test_reordering_each_degree(self, rels1, rels2, a, b, rng):
         ra, rb = quotient(rels1, 6, "x"), quotient(rels2, 6, "y")
-        try:
-            m = segre_module(shift_module(ra, a), shift_module(rb, b))
-        except EmptyWindow:
-            return
+        m = segre_module(shift_module(ra, a), shift_module(rb, b))
         if not m.support():
             return
         t = segre_module(ra, rb)
@@ -412,10 +470,7 @@ class TestConstructorsKeepTheChecks:
     @given(any_rings, any_rings, st.integers(-3, 3), st.integers(-3, 3))
     def test_shifted_segre_generated_in_lowest_degree(self, rels1, rels2, a, b):
         ra, rb = quotient(rels1, 6, "x"), quotient(rels2, 6, "y")
-        try:
-            m = segre_module(shift_module(ra, a), shift_module(rb, b))
-        except EmptyWindow:
-            return
+        m = segre_module(shift_module(ra, a), shift_module(rb, b))
         assert _first_unspanned(m.basis, segre_module(ra, rb).gens) is None
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -426,17 +481,11 @@ class TestConstructorsKeepTheChecks:
         n = shift_module(quotient(rels2, 6, "y"), b)
         try:
             expected = shift_module(segre_module(m, n), c)
-        except EmptyWindow:
-            with pytest.raises(EmptyWindow):
+        except ValueError:
+            with pytest.raises(ValueError):
                 segre_module(shift_module(m, c), shift_module(n, c))
             return
         assert segre_module(shift_module(m, c), shift_module(n, c)) == expected
-
-
-# small standard graded presentations: an all-ones top row grades every column
-toric_presentations = st.integers(1, 4).flatmap(lambda cols: st.lists(
-    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=2)
-    .map(lambda rows: validate([[1] * cols] + rows)))
 
 
 class TestToricFriendlinessProperties:
@@ -445,7 +494,7 @@ class TestToricFriendlinessProperties:
            st.integers(-2, 2), st.integers(-3, 1), st.integers(0, 3))
     def test_matches_truncated_engine(self, p, q, a, b, i_lo, width):
         i_hi = i_lo + width
-        rep = toric_friendliness(p, q, a, b, i_lo, i_hi)
+        rep = friendliness(toric_factor(p), toric_factor(q), a, b, i_lo, i_hi)
         assert rep.exact and rep.compared == tuple(range(i_lo, i_hi + 1))
         # the truncated engine: certified degrees are exact, clipped ones
         # upper bounds; the windows overlap since n_alg >= |a - b|
@@ -462,3 +511,16 @@ class TestToricFriendlinessProperties:
                 assert rep.left_dims[off] <= hom.dims[off], (p, q, a, b, i)
             want = c1[i - a] * c2[i - b] if i >= max(a, b) else 0
             assert rep.right_dims[off] == want, (p, q, a, b, i)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(toric_presentations, toric_presentations, st.integers(-2, 2),
+           st.integers(-2, 2), st.integers(-3, 1), st.integers(0, 3))
+    def test_union_find_matches_product_count(self, p, q, a, b, i_lo, width):
+        # without relations every candidate links and nothing is killed,
+        # so the union-find count is the product count
+        pair = (toric_factor(p), toric_factor(q))
+        rep = friendliness(*pair, a, b, i_lo, i_lo + width)
+        k0, sides = _sides(pair, (a, b), i_lo + width, None)
+        unit, side = sides if a <= b else sides[::-1]
+        degrees = range(i_lo, i_lo + width + 1)
+        assert tuple(_linked_counts(unit, side, degrees, k0, None)) == rep.left_dims

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrecm.errors import NotStandardGraded, ResourceCap
-from segrecm.oracle import algebra_from_toric
+from segrecm.oracle import _levels, toric_factor
 from segrecm.toric import (ToricPresentation, census, kernel_lattice,
                            format_matrix, parse_matrix, segre, tensor,
                            validate)
@@ -268,15 +268,14 @@ class TestCensus:
         assert counts == tuple(census_by_multisets(cols, k) for k in range(n + 1))
 
     def test_points_kept(self):
-        basis = algebra_from_toric(I2, 2).basis
+        basis = _levels(toric_factor(I2), 2, None)
         assert basis[1] == ((0, 1), (1, 0)) == points_by_multisets(I2.columns(), 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(signed_presentations(), st.integers(0, 5))
     def test_packed_points_match_multisets(self, p, n):
-        # the labels of the truncated semigroup ring are the points that
-        # census counts
-        basis = algebra_from_toric(p, max(n, 1)).basis
+        # the labels of the semigroup ring are the points that census counts
+        basis = _levels(toric_factor(p), n, None)
         cols = p.columns()
         assert basis[n] == points_by_multisets(cols, n)
         assert len(basis[n]) == census(p, n).counts[n] == census_by_multisets(cols, n)
