@@ -1,8 +1,9 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything works on plain lists of Python ints or Fractions.  Matrices at
-desk scale (a few hundred rows) are the target, so clarity and exactness
-win over asymptotics throughout.
+Everything works on plain lists of Python ints, by integer elimination to
+the row Hermite normal form; only the answer of solve_right is rational.
+Matrices at desk scale (a few hundred rows) are the target, so clarity
+and exactness win over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -10,61 +11,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-# ---------------------------------------------------------------------------
-# rational elimination
-
-
-def frac_rref(rows):
-    """Reduced row echelon form over the rationals.
-
-    Returns (rref_rows, pivot_columns); the input is not modified.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def solve_right(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 
-    Free coordinates are set to zero, which makes the answer deterministic.
+    The row Hermite form of [A | b] has the row space, hence the pivots,
+    of the reduced echelon form: b is a pivot exactly when inconsistent.
+    Free coordinates are set to zero, which makes the answer deterministic,
+    and back-substitution from the last pivot row gives the rest.
     """
     if not a_rows:
         return None
     n = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    rref, pivots = frac_rref(aug)
-    if n in pivots:
-        return None
     x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][n]
+    for row in reversed(hermite_rows([list(row) + [bv] for row, bv in zip(a_rows, b)])):
+        pc = next((j for j, v in enumerate(row) if v), None)
+        if pc == n:
+            return None
+        if pc is not None:
+            rest = sum(v * xj for v, xj in zip(row[pc + 1:n], x[pc + 1:]))
+            x[pc] = Fraction(row[n] - rest, row[pc])
     return x
-
-
-# ---------------------------------------------------------------------------
-# integer elimination
 
 
 def hermite_rows(rows):

@@ -5,18 +5,25 @@ degree-1 monomial generators, together with a rational certificate vector
 giving every column degree exactly 1.  Tensor and degreewise products are
 matrix constructions; the defining relations live in the integer kernel
 of the matrix, and the Hilbert function is counted degree by degree, as a
-product or convolution of factor counts where the columns split and by
-enumerating the semigroup where they do not.
+product or convolution of factor counts where the columns split.  Where
+they do not, points are mixed-radix codes over coordinates independent on
+the column differences, and layers step as bitsets, or as sets of ints
+when the box of codes is sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, prod
 from operator import mul
 
 from . import linalg
 from .errors import DEFAULT_POINT_CAP, NotStandardGraded, check_cap
+
+# census steps a box of codes as a bitset when it has at most 2**24 bits,
+# 2 MB a layer, and at most 2**10 bits per multiset of n_max codes
+_BITSET_BOX, _BITS_PER_MULTISET = 1 << 24, 1 << 10
 
 
 @dataclass(frozen=True)
@@ -25,7 +32,8 @@ class ToricPresentation:
 
     The certificate is a rational row vector lam with lam . column == 1
     for every column; its existence is exactly the standard graded
-    condition and is re-checked on every construction.
+    condition and is re-checked, in integers over the lcm of its
+    denominators, on every construction.
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -34,16 +42,17 @@ class ToricPresentation:
     def __post_init__(self):
         if not self.matrix or not self.matrix[0]:
             raise NotStandardGraded("presentation matrix must be nonempty")
-        width = len(self.matrix[0])
-        if any(len(row) != width for row in self.matrix):
+        if any(len(row) != len(self.matrix[0]) for row in self.matrix):
             raise NotStandardGraded("presentation matrix rows have unequal length")
         if len(self.grading) != len(self.matrix):
             raise NotStandardGraded("grading length does not match row count")
+        denom = lcm(*(l.denominator for l in self.grading))
+        nums = [l.numerator * (denom // l.denominator) for l in self.grading]
         for j, col in enumerate(self.columns()):
-            deg = sum(l * x for l, x in zip(self.grading, col))
-            if deg != 1:
+            deg = sum(map(mul, nums, col))
+            if deg != denom:
                 raise NotStandardGraded(
-                    f"column {j} = {col} has certificate degree {deg}, not 1")
+                    f"column {j} = {col} has certificate degree {Fraction(deg, denom)}, not 1")
 
     @property
     def nrows(self):
@@ -54,7 +63,7 @@ class ToricPresentation:
         return len(self.matrix[0])
 
     def columns(self):
-        return [tuple(row[j] for row in self.matrix) for j in range(self.ncols)]
+        return list(zip(*self.matrix))
 
 
 @dataclass(frozen=True)
@@ -78,14 +87,13 @@ class SemigroupCensus:
 def validate(matrix):
     """Certify a matrix as a standard graded toric presentation.
 
-    Solves lam . A = (1, ..., 1) over the rationals; raises
+    Solves lam . A = (1, ..., 1) by integer elimination; raises
     NotStandardGraded when the all-ones vector is outside the row space.
     """
     rows = [tuple(int(x) for x in row) for row in matrix]
     if not rows or not rows[0]:
         raise NotStandardGraded("presentation matrix must be nonempty")
-    at = linalg.transpose(rows)
-    lam = linalg.solve_right(at, [1] * len(rows[0]))
+    lam = linalg.solve_right(list(zip(*rows)), [1] * len(rows[0]))
     if lam is None:
         raise NotStandardGraded(
             f"no rational grading gives every column of {rows} degree 1")
@@ -94,10 +102,9 @@ def validate(matrix):
 
 def tensor(p, q):
     """Block diagonal presentation of the tensor product."""
-    n, m = p.ncols, q.ncols
-    top = [tuple(row) + (0,) * m for row in p.matrix]
-    bottom = [(0,) * n + tuple(row) for row in q.matrix]
-    return ToricPresentation(tuple(top + bottom), p.grading + q.grading)
+    top = tuple(tuple(row) + (0,) * q.ncols for row in p.matrix)
+    bottom = tuple((0,) * p.ncols + tuple(row) for row in q.matrix)
+    return ToricPresentation(top + bottom, p.grading + q.grading)
 
 
 def segre(p, q):
@@ -108,9 +115,7 @@ def segre(p, q):
     generator in degree 1.
     """
     cols = [ai + bj for ai in p.columns() for bj in q.columns()]
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(p.nrows + q.nrows))
-    grading = p.grading + tuple(Fraction(0) for _ in range(q.nrows))
-    return ToricPresentation(matrix, grading)
+    return ToricPresentation(tuple(zip(*cols)), p.grading + (Fraction(0),) * q.nrows)
 
 
 def kernel_lattice(p):
@@ -143,11 +148,17 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
       enumeration apply.
 
     Both factors recurse, and a column set that no split applies to is
-    enumerated by the packed layer step of _packing.  Every factor yields
-    its layer sizes one degree at a time, and ResourceCap is raised as
-    soon as the running total of the layer sizes of p, the number of
-    points an enumeration of p would build, exceeds cap.  So the work
-    done before a cap stop is bounded by the layers already counted.
+    enumerated: layer k + 1 is layer k plus each code of _packing, stepped
+    as a bitset when the box has at most _BITSET_BOX bits and at most
+    _BITS_PER_MULTISET per multiset of n_max codes, a bound on the points
+    of layer n_max, and as a set of ints when not.  A bitset step costs
+    the box and a set step the points, a point about as much as a
+    thousand bits, so the set step wins only on sparse boxes, from
+    entries far apart such as 10**9.  Every factor yields its layer sizes one degree at a time, and
+    ResourceCap is raised as soon as the running total of the layer sizes
+    of p, the number of points an enumeration of p would build, exceeds
+    cap.  So the work done before a cap stop is bounded by the layers
+    already counted.
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
@@ -184,7 +195,10 @@ def _layer_sizes(cols, graded, n_max):
             # case of an empty block, so both blocks are nonempty
             return _convolve(_layer_sizes({c[:s] for c in cols if any(c[:s])}, True, n_max),
                              _layer_sizes({c[s:] for c in cols if any(c[s:])}, True, n_max))
-    return map(len, _packed_layers(_packing(cols, n_max), n_max))
+    codes, box = _packing(cols, n_max)
+    dense = box <= _BITSET_BOX and box <= _BITS_PER_MULTISET * comb(
+        n_max + len(codes) - 1, n_max)
+    return (_bit_layers if dense else _set_layers)(codes, n_max)
 
 
 def _convolve(left, right):
@@ -197,32 +211,51 @@ def _convolve(left, right):
 
 
 def _packing(cols, n_max):
-    """The columns packed into ints for the packed layer step.
+    """The columns coded as ints, and the size of the box of the codes.
 
-    Each point is one int.  Every column is shifted by low, the
-    coordinatewise minimum over the columns, so its entries are >= 0,
-    and packed into fixed-width fields of
-    max(1, (n_max * max shifted entry).bit_length()) bits.  A layer step
-    is then {x + c for x in layer for c in packed}.  This counts exactly:
-
-    * a degree-k int encodes its point minus k * low, one bias for the
-      whole layer, so two points of one layer never collide;
-    * no coordinate sum exceeds n_max * max shifted entry, so no field
-      carries into the next.
+    Only the coordinates at the pivots of the row Hermite form of the
+    differences c - c0 are kept.  Two points of one layer differ by a
+    vector in their span, which is zero only if zero at every pivot, so
+    the kept coordinates tell the points of a layer apart.  Each becomes
+    one mixed-radix digit: shifted by low, its minimum over the columns,
+    with radix n_max * (max - low) + 1.  A degree-k code then encodes its
+    point minus k * low, one bias for the whole layer, and no digit of a
+    sum of at most n_max columns exceeds n_max * (max - low), so no digit
+    carries and layers 0..n_max code into range(box), the radices' product.
     """
-    low = [min(entries) for entries in zip(*cols)]
-    shifted = [[x - b for x, b in zip(col, low)] for col in cols]
-    width = max(1, (n_max * max(map(max, shifted))).bit_length())
-    return {sum(x << width * i for i, x in enumerate(col)) for col in shifted}
+    c0 = next(iter(cols))
+    keep = [next(j for j, x in enumerate(row) if x) for row in linalg.hermite_rows(
+        [[x - y for x, y in zip(c, c0)] for c in cols]) if any(row)]
+    low = [min(c[j] for c in cols) for j in keep]
+    radices = [n_max * (max(c[j] for c in cols) - b) + 1 for j, b in zip(keep, low)]
+    codes = set()
+    for c in cols:
+        code = 0
+        for j, b, radix in zip(keep, low, radices):
+            code = code * radix + c[j] - b
+        codes.add(code)
+    return codes, prod(radices)
 
 
-def _packed_layers(packed, n_max):
-    """Yield the packed layers 0..n_max; layer k+1 is layer k plus each column."""
-    layer = {0}
-    yield layer
+def _bit_layers(codes, n_max):
+    """Yield the layer sizes 0..n_max, a layer one int with a bit per code."""
+    layer = 1
+    yield 1
     for _ in range(n_max):
-        layer = {x + c for x in layer for c in packed}
-        yield layer
+        step = 0
+        for c in codes:
+            step |= layer << c
+        layer = step
+        yield layer.bit_count()
+
+
+def _set_layers(codes, n_max):
+    """Yield the layer sizes 0..n_max, a layer a set of codes."""
+    layer = {0}
+    yield 1
+    for _ in range(n_max):
+        layer = {x + c for x in layer for c in codes}
+        yield len(layer)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
-local Gaussian elimination, Smith elementary divisors by unimodular row
+local Gaussian elimination, linear solves by reduced row echelon form
+over the rationals, Smith elementary divisors by unimodular row
 and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
@@ -38,6 +39,49 @@ def gauss_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def frac_rref(rows):
+    """Reduced row echelon form over the rationals.
+
+    Returns (rref_rows, pivot_columns); the input is not modified.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def solve_by_rref(a_rows, b):
+    """One rational solution x of A x = b with every free coordinate zero,
+    read off the reduced row echelon form of [A | b]; None if inconsistent."""
+    if not a_rows:
+        return None
+    n = len(a_rows[0])
+    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
+    rref, pivots = frac_rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][n]
+    return x
 
 
 def expand_series(pairs, denom_power, lo, hi):

@@ -1,13 +1,15 @@
-"""linalg.hermite_rows against sympy's Smith form, a test-only oracle."""
+"""linalg.hermite_rows against sympy's Smith form, a test-only oracle, and
+linalg.solve_right against a reduced row echelon solve over Fractions."""
+
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrecm.linalg import hermite_rows
+from segrecm.linalg import hermite_rows, solve_right
 
-sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
+from oracles import solve_by_rref
 
 
 def in_row_lattice(rows, vec):
@@ -18,6 +20,8 @@ def in_row_lattice(rows, vec):
     entry of vec V is divisible by its diagonal entry of D, and zero
     where that entry is zero or missing.
     """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
     d, _, v = smith_normal_decomp(sympy.Matrix(rows))
     w = sympy.Matrix([vec]) * v
     diag = [d[j, j] for j in range(min(d.shape))]
@@ -60,3 +64,37 @@ def test_lattice_oracle_rejects_a_non_member():
     assert in_row_lattice([[2, 0], [0, 3]], [4, -3])
     assert not in_row_lattice([[2, 0], [0, 3]], [1, 0])
     assert not in_row_lattice([[0, 0]], [0, 1])
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b) with entries in -6..6; half of them gain a row that combines
+    two others, which makes A rank-deficient and the system consistent
+    exactly when the same combination of b is kept."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entries, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        f = draw(st.integers(-3, 3))
+        a.append([x + f * y for x, y in zip(a[i], a[j])])
+        b.append(b[i] + f * b[j] + draw(st.sampled_from((0, 0, 1, -2))))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_systems())
+@example(([[2, 4], [1, 2]], [2, 2]))  # rank-deficient and inconsistent
+@example(([[2, 4], [1, 2]], [-4, -2]))  # rank-deficient and consistent
+@example(([[0, 3, -6]], [4]))  # a leading free coordinate, a fractional answer
+@example(([[1], [2], [-3]], [1, 2, -3]))  # overdetermined and consistent
+@example(([[0, 0]], [0]))  # zero matrix
+@example(([[0, 0]], [1]))
+def test_solve_right_matches_rref(system):
+    a, b = system
+    x = solve_right(a, b)
+    assert x == solve_by_rref(a, b)
+    if x is not None:
+        assert all(isinstance(v, Fraction) for v in x)
+        assert all(sum(r * v for r, v in zip(row, x)) == bv for row, bv in zip(a, b))

@@ -7,9 +7,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segrecm import toric
 from segrecm.errors import NotStandardGraded, ResourceCap
 from segrecm.oracle import _levels, toric_factor
-from segrecm.toric import (ToricPresentation, census, kernel_lattice,
+from segrecm.toric import (ToricPresentation, _bit_layers, _packing,
+                           _set_layers, census, kernel_lattice,
                            format_matrix, parse_matrix, segre, tensor,
                            validate)
 
@@ -19,6 +21,7 @@ from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
 I2 = validate([[1, 0], [0, 1]])
 CUBIC = validate([[1, 1, 1], [0, 1, 2]])
 CORNER = [(0, 0), (1, 0), (0, 1)]
+CUBES = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
 @st.composite
@@ -83,8 +86,17 @@ class TestValidate:
             validate([[1, 2]])
 
     def test_certificate_rechecked_on_construction(self):
-        with pytest.raises(NotStandardGraded):
-            ToricPresentation(((1, 2),), (Fraction(1),))
+        # the first column off degree 1 is named with its exact degree
+        for matrix, grading, message in (
+                (((1, 2),), (Fraction(1),),
+                 "column 1 = (2,) has certificate degree 2, not 1"),
+                (((2, 2, 2), (0, 0, 1)), (Fraction(1, 2), Fraction(1, 4)),
+                 "column 2 = (2, 1) has certificate degree 5/4, not 1"),
+                (((3, 0), (0, 1)), (Fraction(1, 3), Fraction(-1, 6)),
+                 "column 1 = (0, 1) has certificate degree -1/6, not 1")):
+            with pytest.raises(NotStandardGraded) as exc:
+                ToricPresentation(matrix, grading)
+            assert str(exc.value) == message
 
 
 class TestTensor:
@@ -266,6 +278,46 @@ class TestCensus:
         p = as_presentation(cols)
         counts = census(p, n).counts
         assert counts == tuple(census_by_multisets(cols, k) for k in range(n + 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=5)),
+        st.integers(0, 4), st.randoms(use_true_random=False))
+    # degree-3 monomials in 3 variables: one coordinate is dropped
+    @example(CUBES, 4, random.Random(0))
+    # the ungraded Segre factor [0 1], and a single column
+    @example([(0,), (1,)], 4, random.Random(0))
+    @example([(2, -1)], 4, random.Random(0))
+    def test_layer_steps_agree(self, cols, n, rng):
+        # both layer steps count the same codes; duplicated columns share one
+        cols = cols + rng.sample(cols, min(2, len(cols)))
+        codes, box = _packing(cols, n)
+        # at n = 0 every radix is 1 and only layer 0 lies in the box
+        assert all(0 <= c < box for c in codes) or n == 0
+        want = [census_by_multisets(cols, k) for k in range(n + 1)]
+        assert list(_bit_layers(codes, n)) == list(_set_layers(codes, n)) == want
+
+    def test_packing_drops_dependent_coordinates(self):
+        # the three exponents of a degree-3 monomial sum to 3, so two
+        # digits of radix 3 * 4 + 1 code them
+        assert _packing(CUBES, 4)[1] == 13 ** 2
+        assert _packing([(5, 7)], 4) == ({0}, 1)
+
+    def test_sparse_box_takes_set_step(self, monkeypatch):
+        # the bottom row's Segre factor {0, 1, 10**9} has a box of
+        # 20 * 10**9 + 1 bits, over 2**24, and {0, 3000} one of 300,001
+        # bits, over 2**10 per multiset of 100 codes; the set step counts
+        # their 231 and 101 points instead
+        for matrix, n, last, codes in (([[1, 1, 1], [0, 1, 10**9]], 20, 231, [0, 1, 10**9]),
+                                       ([[1, 1], [0, 3000]], 100, 101, [0, 3000])):
+            seen = []
+            monkeypatch.setattr(toric, "_set_layers", lambda codes, n_max: (
+                seen.append(sorted(codes)) or _set_layers(codes, n_max)))
+            start = time.perf_counter()
+            counts = census(validate(matrix), n).counts
+            assert time.perf_counter() - start < 1.0
+            assert counts[-1] == last
+            assert seen == [codes]
 
     def test_points_kept(self):
         basis = _levels(toric_factor(I2), 2, None)
