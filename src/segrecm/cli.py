@@ -147,29 +147,26 @@ def _do_classify_depth(ns):
 def _do_classify_cm_twist(ns):
     rhos = _int_list(ns.rho, "--rho")
     inputs = {"rho": rhos, "a": ns.a}
-    is_cm = cohomo.cm_uniform_twist(rhos, ns.a)
-    raw = cohomo.cm_uniform_twist_raw(rhos, ns.a)
-    chain = None if ns.a in (0, 1) else cohomo.cm_chain(rhos, ns.a)
-    results = {"is_cm": is_cm, "is_cm_raw": raw, "chain": chain}
+    results = {"is_cm": cohomo.cm_uniform_twist(rhos, ns.a),
+               "is_cm_raw": cohomo.cm_uniform_twist_raw(rhos, ns.a),
+               "chain": None if ns.a in (0, 1) else cohomo.cm_chain(rhos, ns.a)}
     return inputs, results, TWIST_NOTES
 
 
 def _do_classify_interval(ns):
     rhos = _int_list(ns.rho, "--rho")
-    inputs = {"rho": rhos}
     interval = cohomo.cm_twist_interval(rhos)
     results = {"kind": interval.kind,
                "lo": interval.lo, "hi": interval.hi,
                "integer_points": interval.integer_points()}
-    return inputs, results, TWIST_NOTES
+    return {"rho": rhos}, results, TWIST_NOTES
 
 
 def _do_classify_anticanonical(ns):
     rhos = _int_list(ns.rho, "--rho")
-    inputs = {"rho": rhos}
     is_cm = cohomo.cm_uniform_twist(rhos, -1)
     m2 = cohomo.anticanonical_cm_m2(-rhos[0], -rhos[1]) if len(rhos) == 2 else None
-    return inputs, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
+    return {"rho": rhos}, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
 
 
 def _do_classify_power(ns):
@@ -218,15 +215,14 @@ REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 CENSUS = {"type": int, "default": None,
           "help": "also count semigroup elements up to this degree"}
+PRODUCT = {"--left": REQUIRED, "--right": REQUIRED, "--census": CENSUS}
 
 # command -> (help, {subcommand: (handler, {flag: add_argument keywords})})
 COMMANDS = {
     "toric": ("toric presentation constructions", {
         "validate": (_do_toric_validate, {"--matrix": REQUIRED}),
-        "tensor": (_do_toric_product, {"--left": REQUIRED, "--right": REQUIRED,
-                                       "--census": CENSUS}),
-        "segre": (_do_toric_product, {"--left": REQUIRED, "--right": REQUIRED,
-                                      "--census": CENSUS}),
+        "tensor": (_do_toric_product, PRODUCT),
+        "segre": (_do_toric_product, PRODUCT),
         "kernel": (_do_toric_kernel, {"--matrix": REQUIRED}),
         "census": (_do_toric_census, {"--matrix": REQUIRED, "--upto": REQUIRED_INT}),
     }),

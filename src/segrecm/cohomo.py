@@ -99,9 +99,7 @@ class TwistInterval:
         """Integers strictly inside a bounded interval; None when all."""
         if self.kind == "all_integers":
             return None
-        first = math.floor(self.lo) + 1
-        last = math.ceil(self.hi) - 1
-        return list(range(first, last + 1))
+        return list(range(math.floor(self.lo) + 1, math.ceil(self.hi)))
 
 
 def _support_scan(s, h):
@@ -250,9 +248,7 @@ def cm_twist_interval(rhos):
     for i, x in enumerate(rhos):
         if x <= 0:
             raise NotPositive(f"rho entry {x} at position {i} is not positive")
-    if len(rhos) == 1:
-        return TwistInterval("all_integers")
-    ratio = max(Fraction(rhos[i], rhos[i + 1]) for i in range(len(rhos) - 1))
+    ratio = max((Fraction(rhos[i], rhos[i + 1]) for i in range(len(rhos) - 1)), default=1)
     if ratio == 1:
         return TwistInterval("all_integers")
     return TwistInterval("open_interval",

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
-Everything works on plain lists of Python ints, by integer elimination to
-the row Hermite normal form; only the answer of solve_right is rational.
-Matrices at desk scale (a few hundred rows) are the target, so clarity
-and exactness win over asymptotics throughout.
+One echelon step on sparse rows, {column: entry} dicts of Python ints,
+serves every routine, so a gcd step costs only the nonzeros of its pivot
+row.  integer_kernel takes the Hermite form of the kernel tails only, and
+solve_right back-substitutes in integers: only its answer is rational.
 """
 
 from __future__ import annotations
@@ -11,26 +11,75 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _subtract(row, q, pivot):
+    """row -= q * pivot in place, for q != 0, keeping only nonzero entries."""
+    for j, v in pivot.items():
+        x = row.get(j, 0) - q * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _echelon(rows, columns):
+    """(pivots, rest) for sparse rows echeloned on the increasing columns:
+    pivots lists (c, row) by increasing c, row[c] > 0 and row zero on the
+    columns before c, and the rest rows are zero on every column.  The
+    steps are unimodular, so pivots and rest span the lattice of the rows.
+    """
+    pivots = []
+    for c in columns:
+        live = [row for row in rows if c in row]
+        rows = [row for row in rows if c not in row]
+        # gcd out column c: reduce by the smallest entry until one is left
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[c]))
+            left = [p]
+            for row in live:
+                if row is not p:
+                    _subtract(row, row[c] // p[c], p)
+                    (left if c in row else rows).append(row)
+            live = left
+        for p in live:  # the one row left, if any
+            pivots.append((c, p if p[c] > 0 else {j: -v for j, v in p.items()}))
+    return pivots, rows
+
+
+def _hermite(rows, ncols):
+    """Row Hermite normal form of sparse rows on columns 0..ncols-1, dense."""
+    pivots, rest = _echelon(rows, range(ncols))
+    for k, (c, p) in enumerate(pivots):
+        for _, row in pivots[:k]:
+            q = row.get(c, 0) // p[c]
+            if q:
+                _subtract(row, q, p)
+    return ([[row.get(j, 0) for j in range(ncols)] for _, row in pivots]
+            + [[0] * ncols for _ in rest])
+
+
 def solve_right(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 
-    The row Hermite form of [A | b] has the row space, hence the pivots,
-    of the reduced echelon form: b is a pivot exactly when inconsistent.
-    Free coordinates are set to zero, which makes the answer deterministic,
-    and back-substitution from the last pivot row gives the rest.
+    An echelon form of [A | b] has the pivots of the reduced one: b is a
+    pivot exactly when inconsistent.  Free coordinates are set to zero,
+    which makes the answer deterministic, and back-substitution from the
+    last pivot row gives the rest as integers over the pivots' product.
     """
     if not a_rows:
         return None
     n = len(a_rows[0])
-    x = [Fraction(0)] * n
-    for row in reversed(hermite_rows([list(row) + [bv] for row, bv in zip(a_rows, b)])):
-        pc = next((j for j, v in enumerate(row) if v), None)
-        if pc == n:
-            return None
-        if pc is not None:
-            rest = sum(v * xj for v, xj in zip(row[pc + 1:n], x[pc + 1:]))
-            x[pc] = Fraction(row[n] - rest, row[pc])
-    return x
+    pivots, rest = _echelon([{j: v for j, v in enumerate(map(int, [*row, bv])) if v}
+                             for row, bv in zip(a_rows, b)], range(n))
+    if any(rest):
+        return None
+    y, d = {}, 1
+    for c, row in reversed(pivots):
+        # with x_j = y_j / d: d row[c] x_c = d b - the sum of v y_j = t
+        t = row.get(n, 0) * d - sum(v * y[j] for j, v in row.items() if j in y)
+        y = {j: v * row[c] for j, v in y.items()}
+        d *= row[c]
+        y[c] = t
+    return [Fraction(y.get(j, 0), d) for j in range(n)]
 
 
 def hermite_rows(rows):
@@ -40,51 +89,21 @@ def hermite_rows(rows):
     sink to the bottom.  The rows of the result span the same lattice as
     the input rows, and the form is unique for that lattice.
     """
-    h = [list(map(int, row)) for row in rows]
-    nrows = len(h)
-    ncols = len(h[0]) if h else 0
-    r = 0
-    for c in range(ncols):
-        # gcd out column c below row r
-        while True:
-            live = [i for i in range(r, nrows) if h[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(h[i][c]))
-            h[r], h[i0] = h[i0], h[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-a for a in h[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-            r += 1
-            if r == nrows:
-                break
-    return h
+    return _hermite([{j: v for j, v in enumerate(map(int, row)) if v} for row in rows],
+                    len(rows[0]) if rows else 0)
 
 
 def integer_kernel(a_rows):
     """Basis of ker(A) cap Z^n for an integer matrix A, in row Hermite form.
 
-    The row Hermite form of [A^T | I] spans {(u A^T, u) : u in Z^n}; its
-    rows with zero A^T part span exactly the pairs with u A^T = 0 and
-    are themselves in Hermite form, so their identity-part tails are the
-    unique Hermite basis of the kernel.  That lattice is saturated: Z^n
-    modulo it is torsion free.
+    Row i of [A^T | I] is column i of A, kept on columns n.., and the tail
+    e_i.  The rows an echelon form of the A^T part leaves zero there span
+    the (0, u) with u A^T = 0, so the Hermite form of their tails alone is
+    the unique Hermite basis of the kernel, a saturated lattice: Z^n
+    modulo it is torsion free.  The pivot rows are dropped unreduced.
     """
-    m = len(a_rows)
-    n = len(a_rows[0])
-    aug = [list(col) + [int(i == j) for j in range(n)]
-           for i, col in enumerate(zip(*a_rows))]
-    return [row[m:] for row in hermite_rows(aug) if not any(row[:m])]
+    m, n = len(a_rows), len(a_rows[0])
+    # last rows first: ties pivot on late columns, mostly free in the answer
+    rows = [{i: 1} | {n + j: v for j, v in enumerate(map(int, col)) if v}
+            for i, col in reversed(list(enumerate(zip(*a_rows))))]
+    return _hermite(_echelon(rows, range(n, n + m))[1], n)

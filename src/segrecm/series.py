@@ -48,17 +48,11 @@ def _normalize_pairs(pairs):
 
 def _divide_by_one_minus_t(pairs):
     # prefix sums compute p / (1 - t); only valid when p(1) = 0
-    lo = pairs[0][0]
-    hi = pairs[-1][0]
-    dense = [0] * (hi - lo + 1)
-    for e, c in pairs:
-        dense[e - lo] = c
-    run = 0
-    quot = []
-    for off, c in enumerate(dense):
-        run += c
-        if run != 0:
-            quot.append((lo + off, run))
+    coeffs, run, quot = dict(pairs), 0, []
+    for e in range(pairs[0][0], pairs[-1][0] + 1):
+        run += coeffs.get(e, 0)
+        if run:
+            quot.append((e, run))
     return tuple(quot)
 
 
@@ -179,11 +173,9 @@ def format_series(h):
 
 def parse_series(text):
     try:
-        num_part, den_part = text.split(";")
+        num_part, den_part = (part.strip() for part in text.split(";"))
     except ValueError:
         raise ValueError(f"series text needs one ';': {text!r}") from None
-    num_part = num_part.strip()
-    den_part = den_part.strip()
     if not num_part.startswith("num:") or not den_part.startswith("den:"):
         raise ValueError(f"series text needs 'num:' and 'den:' markers: {text!r}")
     tokens = num_part[len("num:"):].split()

@@ -122,7 +122,7 @@ def kernel_lattice(p):
     """Saturated integer basis of {c : A c = 0} in canonical row form."""
     vectors = linalg.integer_kernel([list(row) for row in p.matrix])
     for v in vectors:
-        if not all(sum(a * c for a, c in zip(row, v)) == 0 for row in p.matrix):
+        if any(sum(map(mul, row, v)) for row in p.matrix):
             raise RuntimeError(f"kernel vector {v} does not annihilate {p.matrix}")
     return LatticeBasis(tuple(tuple(v) for v in vectors))
 
@@ -266,11 +266,8 @@ def parse_matrix(text):
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"matrix header must be 'r n', got {lines[0]!r}")
     try:
-        r, n = int(head[0]), int(head[1])
+        r, n = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"matrix header must be 'r n', got {lines[0]!r}") from None
     if len(lines) != r + 1:

@@ -3,7 +3,8 @@
 Deliberately separate implementations from the package: series expansion
 by truncated multiplication, census by multiset enumeration, rank by a
 local Gaussian elimination, linear solves by reduced row echelon form
-over the rationals, Smith elementary divisors by unimodular row
+over the rationals, Hermite forms and integer kernels by dense
+elimination on whole rows, Smith elementary divisors by unimodular row
 and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
@@ -82,6 +83,54 @@ def solve_by_rref(a_rows, b):
     for r, pc in enumerate(pivots):
         x[pc] = rref[r][n]
     return x
+
+
+def dense_hermite_rows(rows):
+    """Row Hermite normal form by dense integer elimination: for each
+    column, gcd out the entries below the pivot row by repeated division
+    with the smallest, then reduce the entries above into [0, pivot)."""
+    h = [list(map(int, row)) for row in rows]
+    nrows = len(h)
+    ncols = len(h[0]) if h else 0
+    r = 0
+    for c in range(ncols):
+        # gcd out column c below row r
+        while True:
+            live = [i for i in range(r, nrows) if h[i][c] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(h[i][c]))
+            h[r], h[i0] = h[i0], h[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nrows and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-a for a in h[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+            r += 1
+            if r == nrows:
+                break
+    return h
+
+
+def dense_integer_kernel(a_rows):
+    """Hermite basis of ker(A) cap Z^n: the identity-part tails of the rows
+    of dense_hermite_rows([A^T | I]) whose A^T part is zero."""
+    m = len(a_rows)
+    n = len(a_rows[0])
+    aug = [list(col) + [int(i == j) for j in range(n)]
+           for i, col in enumerate(zip(*a_rows))]
+    return [row[m:] for row in dense_hermite_rows(aug) if not any(row[:m])]
 
 
 def expand_series(pairs, denom_power, lo, hi):

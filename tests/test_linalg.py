@@ -1,15 +1,18 @@
-"""linalg.hermite_rows against sympy's Smith form, a test-only oracle, and
-linalg.solve_right against a reduced row echelon solve over Fractions."""
+"""linalg.hermite_rows against sympy's Smith form, a test-only oracle,
+linalg.solve_right against a reduced row echelon solve over Fractions, and
+all three sparse routines against the dense references in oracles.py."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrecm.linalg import hermite_rows, solve_right
+from segrecm.linalg import hermite_rows, integer_kernel, solve_right
 
-from oracles import solve_by_rref
+from oracles import dense_hermite_rows, dense_integer_kernel, solve_by_rref
 
 
 def in_row_lattice(rows, vec):
@@ -91,10 +94,60 @@ def linear_systems(draw):
 @example(([[1], [2], [-3]], [1, 2, -3]))  # overdetermined and consistent
 @example(([[0, 0]], [0]))  # zero matrix
 @example(([[0, 0]], [1]))
+# pivots 2, 3, 5, 7: the first coordinate is -43/210
+@example(([[2, 1, 1, 1], [0, 3, 1, 1], [0, 0, 5, 1], [0, 0, 0, 7]], [0, 1, 0, 1]))
+# the common denominator 2 of the second coordinate cancels in the first, 0
+@example(([[1, 2], [0, 2]], [1, 1]))
+@example(([[2, 0], [0, 2]], [2, 4]))  # the common denominator 4 cancels in all
 def test_solve_right_matches_rref(system):
     a, b = system
     x = solve_right(a, b)
     assert x == solve_by_rref(a, b)
     if x is not None:
         assert all(isinstance(v, Fraction) for v in x)
+        assert all(gcd(v.numerator, v.denominator) == 1 for v in x)
         assert all(sum(r * v for r, v in zip(row, x)) == bv for row, bv in zip(a, b))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to 7 x 12 with entries in -9..9, each entry zero
+    when a draw in 0..99 falls below a zero share drawn from 0 to 100."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 100))
+    entries = st.tuples(st.integers(0, 99), st.integers(-9, 9)).map(
+        lambda t: 0 if t[0] < zeros else t[1])
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+def monomial_exponents(nvars, degree):
+    return [tuple(c.count(i) for i in range(nvars))
+            for c in combinations_with_replacement(range(nvars), degree)]
+
+
+# the degree-2 Veronese of K[x,y,z] # x^3, y^3, z^3, x^2 y, y z^2: 6 x 30
+VERONESE_CUBICS = [list(row) for row in zip(*(
+    a + b for a in monomial_exponents(3, 2)
+    for b in [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 1, 2)]))]
+
+
+def test_veronese_cubics_kernel_has_pivot_2():
+    kernel = integer_kernel(VERONESE_CUBICS)
+    assert len(VERONESE_CUBICS[0]) == 30 and len(kernel) == 25
+    assert {next(x for x in row if x) for row in kernel} == {1, 2}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sparse_matrices())
+@example([[1, 1, 0], [0, 2, 1]])  # the 1 above pivot 2 has quotient 0
+@example([[-3, 1], [0, -2]])  # negative pivots
+@example([[1, 2, 0], [0, 0, 0], [0, 3, 1]])  # a zero row between nonzero rows
+@example([[0, 0, 0], [0, 0, 0]])  # the zero matrix
+@example([[4], [-6], [0]])  # a single column
+@example(VERONESE_CUBICS)
+def test_sparse_routines_match_dense_references(a):
+    assert hermite_rows(a) == dense_hermite_rows(a)
+    assert integer_kernel(a) == dense_integer_kernel(a)
+    # the last column as right-hand side; with one column A has none
+    system = [row[:-1] for row in a], [row[-1] for row in a]
+    assert solve_right(*system) == solve_by_rref(*system)

@@ -207,6 +207,16 @@ class TestKernelLattice:
                 assert v[col] > 0
                 assert all(0 <= vectors[above][col] < v[col] for above in range(r))
 
+    def test_annihilation_check_rejects_a_non_kernel_vector(self, monkeypatch):
+        # the second vector (1, -1, 0) maps to (0, -1): only the second
+        # row of the matrix shows that it is no kernel vector
+        monkeypatch.setattr(toric.linalg, "integer_kernel",
+                            lambda rows: [[1, -2, 1], [1, -1, 0]])
+        with pytest.raises(RuntimeError) as err:
+            kernel_lattice(CUBIC)
+        assert str(err.value) == (
+            "kernel vector [1, -1, 0] does not annihilate ((1, 1, 1), (0, 1, 2))")
+
 
 class TestCensus:
     def test_two_variables(self):
