@@ -44,12 +44,6 @@ from .errors import (DEFAULT_POINT_CAP, BadTwist, DimensionTooSmall,
                      NotApplicable, NotPositive, NotSorted, check_cap)
 
 
-class TwistedFactor(NamedTuple):
-    dim: int
-    a_inv: int
-    shift: int
-
-
 class Witness(NamedTuple):
     """A nonvanishing cohomology summand: degree q, contributing subset,
     and the (possibly half-infinite) interval of internal degrees where
@@ -65,39 +59,41 @@ class Witness(NamedTuple):
 class DepthReport:
     dim: int
     depth: int
-    is_cm: bool
     witnesses: tuple[Witness, ...]
 
     def __post_init__(self):
         if self.depth > self.dim:
             raise ValueError("depth cannot exceed dimension")
-        if self.is_cm != (self.depth == self.dim):
-            raise ValueError("is_cm must mirror depth == dim")
+
+    @property
+    def is_cm(self):
+        return self.depth == self.dim
 
 
 @dataclass(frozen=True)
 class TwistInterval:
-    """Set of uniform twists giving a Cohen-Macaulay module: either all
-    integers or a bounded open interval with rational endpoints."""
+    """Uniform twists giving a Cohen-Macaulay module: the open interval
+    (lo, hi) with rational ends, or all integers when both are None."""
 
-    kind: str  # "all_integers" | "open_interval"
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.kind not in ("all_integers", "open_interval"):
-            raise ValueError(f"unknown interval kind {self.kind!r}")
-        if self.kind == "open_interval" and not self.lo < self.hi:
+        if (self.lo is None) != (self.hi is None):
+            raise ValueError("an interval needs both ends or neither")
+        if self.lo is not None and not self.lo < self.hi:
             raise ValueError("open interval needs lo < hi")
 
+    @property
+    def kind(self):
+        return "all_integers" if self.lo is None else "open_interval"
+
     def contains(self, a):
-        if self.kind == "all_integers":
-            return True
-        return self.lo < a < self.hi
+        return self.lo is None or self.lo < a < self.hi
 
     def integer_points(self):
         """Integers strictly inside a bounded interval; None when all."""
-        if self.kind == "all_integers":
+        if self.lo is None:
             return None
         return list(range(math.floor(self.lo) + 1, math.ceil(self.hi)))
 
@@ -128,18 +124,18 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     two factors.  Raises ResourceCap when there are more than cap
     witnesses.
     """
-    fs = [TwistedFactor(*f) for f in factors]
+    # unpacking each factor rejects one that is not a triple
+    fs = [(dim, -shift, a_inv - shift) for dim, a_inv, shift in factors]
     if not fs:
         raise ValueError("factor list must be nonempty")
+    dims, s, h = zip(*fs)
     m = len(fs)
     least = 1 if m == 2 else 2
-    for idx, f in enumerate(fs, start=1):
-        if f.dim < least:
+    for idx, dim in enumerate(dims, start=1):
+        if dim < least:
             raise DimensionTooSmall(
-                f"factor {idx} has dimension {f.dim}; the support analysis "
+                f"factor {idx} has dimension {dim}; the support analysis "
                 f"requires every dimension >= 2 (>= 1 with exactly two factors)")
-    s = [-f.shift for f in fs]
-    h = [f.a_inv - f.shift for f in fs]
     rank, tops = _support_scan(s, h)
     tops = list(tops)
     # 2^free clipped to 2^bits > cap keeps the count a lower bound that
@@ -150,7 +146,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
               cap, "depth witnesses")
 
     def witness(subset, lo):
-        q = sum(fs[i].dim for i in subset) - (len(subset) - 1)
+        q = sum(dims[i] for i in subset) - (len(subset) - 1)
         return Witness(q, tuple(i + 1 for i in subset), lo, min(h[i] for i in subset))
 
     witnesses = [witness(range(m), None)]
@@ -161,9 +157,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
             chosen = [i for b, i in enumerate(free) if mask >> b & 1]
             witnesses.append(witness(sorted(forced + chosen), t))
     witnesses.sort(key=lambda w: (w.q, w.subset))
-    dim = sum(f.dim for f in fs) - (m - 1)
-    depth = witnesses[0].q
-    return DepthReport(dim, depth, depth == dim, tuple(witnesses))
+    return DepthReport(sum(dims) - (m - 1), witnesses[0].q, tuple(witnesses))
 
 
 def _check_sorted(rhos):
@@ -232,9 +226,9 @@ def cm_chain(rhos, a):
     return all(values[j + 1] > values[j] for j in range(len(values) - 1))
 
 
-def anticanonical_cm_m2(rho, sigma):
-    """Two-factor anticanonical criterion on a-invariants rho, sigma."""
-    return sigma > 2 * rho and rho > 2 * sigma
+def anticanonical_cm_m2(a1, a2):
+    """Two-factor anticanonical criterion on the factors' a-invariants a1, a2."""
+    return a2 > 2 * a1 and a1 > 2 * a2
 
 
 def cm_twist_interval(rhos):
@@ -250,10 +244,8 @@ def cm_twist_interval(rhos):
             raise NotPositive(f"rho entry {x} at position {i} is not positive")
     ratio = max((Fraction(rhos[i], rhos[i + 1]) for i in range(len(rhos) - 1)), default=1)
     if ratio == 1:
-        return TwistInterval("all_integers")
-    return TwistInterval("open_interval",
-                         lo=Fraction(1) / (1 - ratio),
-                         hi=ratio / (ratio - 1))
+        return TwistInterval()
+    return TwistInterval(Fraction(1) / (1 - ratio), ratio / (ratio - 1))
 
 
 def canonical_power_cm(rhos, a):
@@ -264,7 +256,7 @@ def canonical_power_cm(rhos, a):
     cm_twist_interval directly.
     """
     interval = cm_twist_interval(rhos)
-    if interval.kind == "all_integers":
+    if interval.lo is None:
         raise NotApplicable(
             "all rho entries are equal (ratio 1); every power is "
             "Cohen-Macaulay and the power criterion does not apply")

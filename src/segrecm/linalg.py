@@ -93,6 +93,13 @@ def hermite_rows(rows):
                     len(rows[0]) if rows else 0)
 
 
+def pivot_columns(rows):
+    """Pivot columns of the row Hermite form, which an echelon form shares."""
+    pivots, _ = _echelon([{j: v for j, v in enumerate(map(int, row)) if v} for row in rows],
+                         range(len(rows[0]) if rows else 0))
+    return [c for c, _ in pivots]
+
+
 def integer_kernel(a_rows):
     """Basis of ker(A) cap Z^n for an integer matrix A, in row Hermite form.
 

@@ -310,8 +310,6 @@ class FriendlinessReport:
     left_dims: tuple[int, ...]
     right_dims: tuple[int, ...]
 
-    exact = True
-
     @property
     def compared(self):
         return tuple(range(self.i_lo, self.i_lo + len(self.left_dims)))

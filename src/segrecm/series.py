@@ -24,21 +24,6 @@ from .errors import DEFAULT_POINT_CAP, ReconstructionFailed, check_cap
 DEFAULT_GUARD = 5
 
 
-@dataclass(frozen=True)
-class CoefficientWindow:
-    """Integer coefficients of a series on the degree range [lo, hi]."""
-
-    lo: int
-    hi: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"window lo {self.lo} exceeds hi {self.hi}")
-        if len(self.values) != self.hi - self.lo + 1:
-            raise ValueError("window length does not match its bounds")
-
-
 def _normalize_pairs(pairs):
     acc = {}
     for e, c in pairs:
@@ -119,8 +104,10 @@ class HilbertSeries:
 
     def window(self, lo, hi, cap=DEFAULT_POINT_CAP):
         """Coefficients on [lo, hi]; ResourceCap when there are more than cap."""
+        if lo > hi:
+            raise ValueError(f"window lo {lo} exceeds hi {hi}")
         check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
-        return CoefficientWindow(lo, hi, tuple(self.coeff(n) for n in range(lo, hi + 1)))
+        return tuple(self.coeff(n) for n in range(lo, hi + 1))
 
     def hadamard(self, other, guard=DEFAULT_GUARD, cap=DEFAULT_POINT_CAP):
         """Coefficientwise product, reconstructed over (1-t)^(d1+d2-1).

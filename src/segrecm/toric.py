@@ -67,17 +67,6 @@ class ToricPresentation:
 
 
 @dataclass(frozen=True)
-class LatticeBasis:
-    """Basis rows of the relation lattice {c : A c = 0}, in canonical form."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self):
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
 class SemigroupCensus:
     """Counts of distinct semigroup elements per degree, 0..N."""
 
@@ -119,12 +108,12 @@ def segre(p, q):
 
 
 def kernel_lattice(p):
-    """Saturated integer basis of {c : A c = 0} in canonical row form."""
+    """Basis rows of {c : A c = 0}, saturated, in canonical row form."""
     vectors = linalg.integer_kernel([list(row) for row in p.matrix])
     for v in vectors:
         if any(sum(map(mul, row, v)) for row in p.matrix):
             raise RuntimeError(f"kernel vector {v} does not annihilate {p.matrix}")
-    return LatticeBasis(tuple(tuple(v) for v in vectors))
+    return tuple(tuple(v) for v in vectors)
 
 
 def census(p, n_max, cap=DEFAULT_POINT_CAP):
@@ -224,8 +213,7 @@ def _packing(cols, n_max):
     carries and layers 0..n_max code into range(box), the radices' product.
     """
     c0 = next(iter(cols))
-    keep = [next(j for j, x in enumerate(row) if x) for row in linalg.hermite_rows(
-        [[x - y for x, y in zip(c, c0)] for c in cols]) if any(row)]
+    keep = linalg.pivot_columns([[x - y for x, y in zip(c, c0)] for c in cols])
     low = [min(c[j] for c in cols) for j in keep]
     radices = [n_max * (max(c[j] for c in cols) - b) + 1 for j, b in zip(keep, low)]
     codes = set()

@@ -619,4 +619,4 @@ def prop_depth_m2(r, s, rho, sigma, a, b):
             depth = r
         else:
             depth = dim
-    return DepthReport(dim, depth, depth == dim, tuple(witnesses))
+    return DepthReport(dim, depth, tuple(witnesses))

@@ -271,6 +271,12 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: WindowTooSmall: ")
 
+    def test_hilbert_window_reversed_bounds(self, capsys):
+        assert run(["hilbert", "window", "--series", "num: 1 0 ; den: 1",
+                    "--lo", "5", "--hi", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: window lo 5 exceeds hi 3\n"
+
     def test_hilbert_window_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "window", "--series",
                     "num: 1 0 ; den: 1", "--lo", "0", "--hi", "300000"]) == 4

@@ -58,6 +58,10 @@ class TestCohomologySupport:
             with pytest.raises(DimensionTooSmall):
                 cohomology_support(factors)
 
+    def test_rejects_factor_that_is_not_a_triple(self):
+        with pytest.raises(ValueError):
+            cohomology_support([(2, -2, 0), (3, -3, 0, 9)])
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(-4, 1),
            st.integers(-4, 1), st.integers(-3, 3), st.integers(-3, 3))
@@ -298,7 +302,11 @@ class TestTwistInterval:
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
-            TwistInterval("open_interval", lo=Fraction(2), hi=Fraction(1))
+            TwistInterval(Fraction(2), Fraction(1))
+        # one end alone is neither all integers nor a bounded interval
+        for ends in ((Fraction(1), None), (None, Fraction(1))):
+            with pytest.raises(ValueError):
+                TwistInterval(*ends)
 
 
 class TestCanonicalPowers:

@@ -1,6 +1,6 @@
 """linalg.hermite_rows against sympy's Smith form, a test-only oracle,
 linalg.solve_right against a reduced row echelon solve over Fractions, and
-all three sparse routines against the dense references in oracles.py."""
+the sparse routines against the dense references in oracles.py."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrecm.linalg import hermite_rows, integer_kernel, solve_right
+from segrecm.linalg import hermite_rows, integer_kernel, pivot_columns, solve_right
 
 from oracles import dense_hermite_rows, dense_integer_kernel, solve_by_rref
 
@@ -146,7 +146,10 @@ def test_veronese_cubics_kernel_has_pivot_2():
 @example([[4], [-6], [0]])  # a single column
 @example(VERONESE_CUBICS)
 def test_sparse_routines_match_dense_references(a):
-    assert hermite_rows(a) == dense_hermite_rows(a)
+    h = dense_hermite_rows(a)
+    assert hermite_rows(a) == h
+    assert pivot_columns(a) == [next(j for j, x in enumerate(row) if x)
+                                for row in h if any(row)]
     assert integer_kernel(a) == dense_integer_kernel(a)
     # the last column as right-hand side; with one column A has none
     system = [row[:-1] for row in a], [row[-1] for row in a]

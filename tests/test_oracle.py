@@ -138,7 +138,6 @@ class TestHomWindow:
 
     def test_golden_dual_components(self):
         rep = friendliness(X3, Y2, 2, 1, -6, 6)
-        assert rep.exact
         assert rep.left_nonzero() == {1: 1, 2: 1}
 
     def test_hom_of_ring_is_hilbert_function(self):
@@ -146,7 +145,6 @@ class TestHomWindow:
                 algebra_from_monomial_quotient(["x", "y"], [(2, 0), (0, 2)], 6),
                 monomial_factor(["x", "y"], [(2, 0), (0, 2)]))):
             rep = friendliness(factor, Z, 0, 0, -3, 6)
-            assert rep.exact
             for off, i in enumerate(range(-3, 7)):
                 assert rep.left_dims[off] == alg.dim(i)
 
@@ -214,7 +212,6 @@ class TestFriendliness:
     def test_golden_counterexample(self):
         rep = friendliness(X3, Y2, 2, 1)
         assert rep.verdict == "not_friendly_certified"
-        assert rep.exact
         assert rep.left_nonzero() == {1: 1, 2: 1}
         assert rep.right_nonzero() == {2: 1}
 
@@ -229,7 +226,6 @@ class TestFriendliness:
         rep = friendliness(toric_factor(I2), monomial_factor(["x", "y"], []), 1, 0,
                            i_lo=-4, i_hi=4)
         assert rep.verdict == "consistent"
-        assert rep.exact
         assert rep.mismatches == ()
 
 
@@ -242,13 +238,13 @@ Q = toric_factor(QUARTIC)
 class TestToricFriendliness:
     def test_plane_square_is_exact(self):
         rep = friendliness(P2, P2, 1, 0, -4, 4)
-        assert rep.exact and rep.verdict == "consistent"
+        assert rep.verdict == "consistent"
         assert rep.compared == tuple(range(-4, 5))
         assert rep.left_dims == rep.right_dims == (0, 0, 0, 0, 0, 2, 6, 12, 20)
 
     def test_quartic_is_certified_not_friendly(self):
         rep = friendliness(Q, P2, 1, 0, -3, 3)
-        assert rep.exact and rep.verdict == "not_friendly_certified"
+        assert rep.verdict == "not_friendly_certified"
         assert rep.mismatches == (2,)
         assert (rep.left_dims[5], rep.right_dims[5]) == (15, 12)
         rep = friendliness(Q, Q, 2, 0, -3, 3)
@@ -407,7 +403,7 @@ class TestHomProperties:
         t = segre_module(ra, rb)
         hom = hom_window(m, t, -4, 4)
         rep = friendliness(*pair, a, b, -4, 4)
-        assert hom.exact and rep.exact
+        assert hom.exact
         for off, i in enumerate(range(-4, 5)):
             assert rep.left_dims[off] == hom.dim_at(i) == dense_hom_dim(m, t, i), (
                 ra.name, rb.name, a, b, i)
@@ -495,7 +491,7 @@ class TestToricFriendlinessProperties:
     def test_matches_truncated_engine(self, p, q, a, b, i_lo, width):
         i_hi = i_lo + width
         rep = friendliness(toric_factor(p), toric_factor(q), a, b, i_lo, i_hi)
-        assert rep.exact and rep.compared == tuple(range(i_lo, i_hi + 1))
+        assert rep.compared == tuple(range(i_lo, i_hi + 1))
         # the truncated engine: certified degrees are exact, clipped ones
         # upper bounds; the windows overlap since n_alg >= |a - b|
         n_alg = max(0, i_hi) + max(abs(a), abs(b)) + 2

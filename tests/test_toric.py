@@ -114,7 +114,7 @@ class TestTensor:
             p, q = random_gradable(rng), random_gradable(rng)
             corank_p = p.ncols - gauss_rank(p.matrix)
             corank_q = q.ncols - gauss_rank(q.matrix)
-            assert kernel_lattice(tensor(p, q)).rank == corank_p + corank_q
+            assert len(kernel_lattice(tensor(p, q))) == corank_p + corank_q
 
 
 class TestSegre:
@@ -122,14 +122,14 @@ class TestSegre:
         sg = segre(I2, I2)
         assert sg.columns() == [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
         basis = kernel_lattice(sg)
-        assert basis.rank == 1
-        assert basis.vectors[0] == (1, -1, -1, 1)
+        assert len(basis) == 1
+        assert basis[0] == (1, -1, -1, 1)
 
     def test_single_column_factor(self):
         single = validate([[1]])
         sg = segre(CUBIC, single)
         assert sg.columns() == [col + (1,) for col in CUBIC.columns()]
-        assert kernel_lattice(sg).rank == CUBIC.ncols - gauss_rank(CUBIC.matrix)
+        assert len(kernel_lattice(sg)) == CUBIC.ncols - gauss_rank(CUBIC.matrix)
 
     def test_census_is_pointwise_product(self):
         rng = random.Random(11)
@@ -154,21 +154,21 @@ class TestSegre:
             sg = segre(p, q)
             want = gauss_rank(p.matrix) + gauss_rank(q.matrix) - 1
             assert gauss_rank(sg.matrix) == want
-            assert kernel_lattice(sg).rank == sg.ncols - want
+            assert len(kernel_lattice(sg)) == sg.ncols - want
 
 
 class TestKernelLattice:
     def test_polynomial_ring(self):
-        assert kernel_lattice(I2).vectors == ()
+        assert kernel_lattice(I2) == ()
 
     def test_twisted_cubic(self):
-        assert kernel_lattice(CUBIC).vectors == ((1, -2, 1),)
+        assert kernel_lattice(CUBIC) == ((1, -2, 1),)
 
     def test_annihilates_matrix(self):
         rng = random.Random(19)
         for _ in range(10):
             p = random_gradable(rng)
-            for v in kernel_lattice(p).vectors:
+            for v in kernel_lattice(p):
                 assert all(sum(a * c for a, c in zip(row, v)) == 0
                            for row in p.matrix)
 
@@ -183,7 +183,7 @@ class TestKernelLattice:
             presentations.append(segre(random_gradable(rng),
                                        random_gradable(rng)))
         for p in presentations:
-            vectors = kernel_lattice(p).vectors
+            vectors = kernel_lattice(p)
             corank = p.ncols - gauss_rank(p.matrix)
             assert len(vectors) == corank
             for v in vectors:
@@ -200,7 +200,7 @@ class TestKernelLattice:
         presentations = [CUBIC, segre(I2, I2), segre(CUBIC, CUBIC)]
         presentations += [random_gradable(rng, max_cols=6) for _ in range(30)]
         for p in presentations:
-            vectors = kernel_lattice(p).vectors
+            vectors = kernel_lattice(p)
             pivots = [next(j for j, x in enumerate(v) if x) for v in vectors]
             assert pivots == sorted(set(pivots))
             for r, (v, col) in enumerate(zip(vectors, pivots)):
