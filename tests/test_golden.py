@@ -60,6 +60,13 @@ CORPUS = [
     "oracle friendly --ring1|x,y:1 1|--ring2 z:2 --shift1 0 --shift2 1 --window -3..3",
     "oracle friendly --ring1 x,y --ring2 z --shift1 1 --shift2 0 --window -2..2",
     "--format text oracle friendly --ring1 x:4 --ring2 y:3 --shift1 1 --shift2 2",
+    # parse forms: '=' values (negative too), a repeated flag or global
+    # option (the last value wins)
+    "classify cm-twist --rho=3,2 --a=-1",
+    "classify depth --dims 3,2 --ainv=-3,-2 --shifts 0,-3",
+    "--format=text classify interval --rho 4,2",
+    "classify interval --rho 4,2 --rho 6,3,2",
+    "--cap 5 --cap 100000 toric census --matrix {A} --upto 6",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",
