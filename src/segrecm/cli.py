@@ -1,52 +1,45 @@
 """Command line front end with deterministic JSON reports.
 
-Subcommand tree mirrors the library modules: toric, hilbert, classify,
-oracle.  Every successful run prints one report object with the fields
-command, inputs, results, assumptions, version; keys are sorted and
-rationals are rendered as lowest-terms "p/q" strings, so identical
-invocations produce identical bytes.
+Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ...
+with the commands toric, hilbert, classify, oracle of the library modules.
+The global flags go before the command.  Flags take '--flag value' or
+'--flag=value' (the last given wins), and -h or --help prints help
+generated from COMMANDS.  Every successful run prints one report object
+with the fields command, inputs, results, assumptions, version; keys are
+sorted and rationals are rendered as lowest-terms "p/q" strings, so
+identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap.
+Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap
+(also for a report integer longer than str() may convert).
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__, cohomo, oracle, series, toric
 from .errors import DomainError, ResourceCap
 
 
-def _int_list(text, flag):
+def _int_list(text):
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects comma separated integers, got {text!r}") from None
+        raise ValueError(f"expects comma separated integers, got {text!r}") from None
 
 
 def _cap(text):
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
+    cap = int(text)
     if cap < 0:
-        raise argparse.ArgumentTypeError(f"expects a nonnegative integer, got {text!r}")
+        raise ValueError(f"expects a nonnegative integer, got {text!r}")
     return cap
 
 
-def _parse_window(text):
-    lo_txt, sep, hi_txt = text.partition("..")
-    if not sep:
-        raise ValueError(f"--window expects 'lo..hi', got {text!r}")
-    try:
-        lo, hi = int(lo_txt), int(hi_txt)
-    except ValueError:
-        raise ValueError(f"--window expects integers, got {text!r}") from None
-    if lo > hi:
-        raise ValueError(f"--window bounds are reversed in {text!r}")
-    return lo, hi
+def _window(text):
+    lo, sep, hi = text.partition("..")
+    if not sep or int(lo) > int(hi):
+        raise ValueError(f"expects 'lo..hi' with lo <= hi, got {text!r}")
+    return int(lo), int(hi)
 
 
 GORENSTEIN_NOTE = "factor rings are Gorenstein standard graded with the stated data (not verified)"
@@ -100,36 +93,30 @@ def _do_toric_census(ns):
 
 
 def _do_hilbert_coeff(ns):
-    h = series.parse_series(ns.series)
-    inputs = {"series": series.format_series(h), "n": ns.n}
-    return inputs, {"coefficient": h.coeff(ns.n)}, []
+    inputs = {"series": series.format_series(ns.series), "n": ns.n}
+    return inputs, {"coefficient": ns.series.coeff(ns.n)}, []
 
 
 def _do_hilbert_shift(ns):
-    h = series.parse_series(ns.series)
-    inputs = {"series": series.format_series(h), "a": ns.a}
-    return inputs, {"series": series.format_series(h.shift(ns.a))}, []
+    inputs = {"series": series.format_series(ns.series), "a": ns.a}
+    return inputs, {"series": series.format_series(ns.series.shift(ns.a))}, []
 
 
 def _do_hilbert_window(ns):
-    h = series.parse_series(ns.series)
-    values = h.window(ns.lo, ns.hi, cap=ns.cap)
-    inputs = {"series": series.format_series(h), "lo": ns.lo, "hi": ns.hi}
+    values = ns.series.window(ns.lo, ns.hi, cap=ns.cap)
+    inputs = {"series": series.format_series(ns.series), "lo": ns.lo, "hi": ns.hi}
     return inputs, {"lo": ns.lo, "hi": ns.hi, "values": list(values)}, []
 
 
 def _do_hilbert_hadamard(ns):
-    left, right = series.parse_series(ns.left), series.parse_series(ns.right)
-    inputs = {"left": series.format_series(left),
-              "right": series.format_series(right), "guard": ns.guard}
-    out = left.hadamard(right, guard=ns.guard, cap=ns.cap)
+    inputs = {"left": series.format_series(ns.left),
+              "right": series.format_series(ns.right), "guard": ns.guard}
+    out = ns.left.hadamard(ns.right, guard=ns.guard, cap=ns.cap)
     return inputs, {"series": series.format_series(out)}, []
 
 
 def _do_classify_depth(ns):
-    dims = _int_list(ns.dims, "--dims")
-    ainv = _int_list(ns.ainv, "--ainv")
-    shifts = _int_list(ns.shifts, "--shifts")
+    dims, ainv, shifts = ns.dims, ns.ainv, ns.shifts
     if not (len(dims) == len(ainv) == len(shifts)) or not dims:
         raise ValueError("--dims, --ainv and --shifts must list the same "
                          "positive number of factors")
@@ -145,34 +132,30 @@ def _do_classify_depth(ns):
 
 
 def _do_classify_cm_twist(ns):
-    rhos = _int_list(ns.rho, "--rho")
-    inputs = {"rho": rhos, "a": ns.a}
-    results = {"is_cm": cohomo.cm_uniform_twist(rhos, ns.a),
-               "is_cm_raw": cohomo.cm_uniform_twist_raw(rhos, ns.a),
-               "chain": None if ns.a in (0, 1) else cohomo.cm_chain(rhos, ns.a)}
+    inputs = {"rho": ns.rho, "a": ns.a}
+    results = {"is_cm": cohomo.cm_uniform_twist(ns.rho, ns.a),
+               "is_cm_raw": cohomo.cm_uniform_twist_raw(ns.rho, ns.a),
+               "chain": None if ns.a in (0, 1) else cohomo.cm_chain(ns.rho, ns.a)}
     return inputs, results, TWIST_NOTES
 
 
 def _do_classify_interval(ns):
-    rhos = _int_list(ns.rho, "--rho")
-    interval = cohomo.cm_twist_interval(rhos)
+    interval = cohomo.cm_twist_interval(ns.rho)
     results = {"kind": interval.kind,
                "lo": interval.lo, "hi": interval.hi,
                "integer_points": interval.integer_points()}
-    return {"rho": rhos}, results, TWIST_NOTES
+    return {"rho": ns.rho}, results, TWIST_NOTES
 
 
 def _do_classify_anticanonical(ns):
-    rhos = _int_list(ns.rho, "--rho")
-    is_cm = cohomo.cm_uniform_twist(rhos, -1)
-    m2 = cohomo.anticanonical_cm_m2(-rhos[0], -rhos[1]) if len(rhos) == 2 else None
-    return {"rho": rhos}, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
+    is_cm = cohomo.cm_uniform_twist(ns.rho, -1)
+    m2 = cohomo.anticanonical_cm_m2(-ns.rho[0], -ns.rho[1]) if len(ns.rho) == 2 else None
+    return {"rho": ns.rho}, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
 
 
 def _do_classify_power(ns):
-    rhos = _int_list(ns.rho, "--rho")
-    inputs = {"rho": rhos, "a": ns.a}
-    return inputs, {"is_cm": cohomo.canonical_power_cm(rhos, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
+    inputs = {"rho": ns.rho, "a": ns.a}
+    return inputs, {"is_cm": cohomo.canonical_power_cm(ns.rho, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
 
 
 def _oracle_factor(ring_spec, toric_path, which):
@@ -185,15 +168,12 @@ def _oracle_factor(ring_spec, toric_path, which):
 
 
 def _do_oracle_friendly(ns):
-    i_lo, i_hi = _parse_window(ns.window)
-    shifts = (ns.shift1, ns.shift2)
     factors = [_oracle_factor(ns.ring1, ns.toric1, 1), _oracle_factor(ns.ring2, ns.toric2, 2)]
-    report = oracle.friendliness(*factors, *shifts, i_lo, i_hi, cap=ns.cap)
+    report = oracle.friendliness(*factors, ns.shift1, ns.shift2, *ns.window, cap=ns.cap)
     inputs = {"ring1": factors[0].name, "ring2": factors[1].name,
-              "shift1": shifts[0], "shift2": shifts[1],
-              "window": [i_lo, i_hi]}
+              "shift1": ns.shift1, "shift2": ns.shift2, "window": list(ns.window)}
     results = {
-        "window": [i_lo, i_hi],
+        "window": list(ns.window),
         "left_dims": list(report.left_dims),
         "right_dims": list(report.right_dims),
         "left_nonzero": {str(k): v for k, v in sorted(report.left_nonzero().items())},
@@ -208,16 +188,20 @@ def _do_oracle_friendly(ns):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one pass over argv, driven by GLOBALS and COMMANDS
 
 
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
-CENSUS = {"type": int, "default": None,
-          "help": "also count semigroup elements up to this degree"}
-PRODUCT = {"--left": REQUIRED, "--right": REQUIRED, "--census": CENSUS}
+INTS = {"type": _int_list, "required": True}
+SERIES = {"type": series.parse_series, "required": True}
+PRODUCT = {"--left": REQUIRED, "--right": REQUIRED, "--census": {"type": int}}
+GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
+           "--cap": {"type": _cap, "default": toric.DEFAULT_POINT_CAP}}
+HELP = ("-h", "--help")
 
-# command -> (help, {subcommand: (handler, {flag: add_argument keywords})})
+# command -> (help, {subcommand: (handler, {flag: spec})}); a spec may give
+# the flag's type, choices and default (else None), or make it required
 COMMANDS = {
     "toric": ("toric presentation constructions", {
         "validate": (_do_toric_validate, {"--matrix": REQUIRED}),
@@ -227,93 +211,114 @@ COMMANDS = {
         "census": (_do_toric_census, {"--matrix": REQUIRED, "--upto": REQUIRED_INT}),
     }),
     "hilbert": ("exact Hilbert series arithmetic", {
-        "coeff": (_do_hilbert_coeff, {"--series": REQUIRED, "--n": REQUIRED_INT}),
-        "shift": (_do_hilbert_shift, {"--series": REQUIRED, "--a": REQUIRED_INT}),
-        "window": (_do_hilbert_window, {"--series": REQUIRED, "--lo": REQUIRED_INT,
+        "coeff": (_do_hilbert_coeff, {"--series": SERIES, "--n": REQUIRED_INT}),
+        "shift": (_do_hilbert_shift, {"--series": SERIES, "--a": REQUIRED_INT}),
+        "window": (_do_hilbert_window, {"--series": SERIES, "--lo": REQUIRED_INT,
                                         "--hi": REQUIRED_INT}),
         "hadamard": (_do_hilbert_hadamard, {
-            "--left": REQUIRED, "--right": REQUIRED,
+            "--left": SERIES, "--right": SERIES,
             "--guard": {"type": int, "default": series.DEFAULT_GUARD}}),
     }),
     "classify": ("depth and Cohen-Macaulay criteria", {
-        "depth": (_do_classify_depth, {"--dims": REQUIRED, "--ainv": REQUIRED,
-                                       "--shifts": REQUIRED}),
-        "cm-twist": (_do_classify_cm_twist, {"--rho": REQUIRED, "--a": REQUIRED_INT}),
-        "interval": (_do_classify_interval, {"--rho": REQUIRED}),
-        "anticanonical": (_do_classify_anticanonical, {"--rho": REQUIRED}),
-        "power": (_do_classify_power, {"--rho": REQUIRED, "--a": REQUIRED_INT}),
+        "depth": (_do_classify_depth, {"--dims": INTS, "--ainv": INTS, "--shifts": INTS}),
+        "cm-twist": (_do_classify_cm_twist, {"--rho": INTS, "--a": REQUIRED_INT}),
+        "interval": (_do_classify_interval, {"--rho": INTS}),
+        "anticanonical": (_do_classify_anticanonical, {"--rho": INTS}),
+        "power": (_do_classify_power, {"--rho": INTS, "--a": REQUIRED_INT}),
     }),
     "oracle": ("exact graded Hom checks", {
         "friendly": (_do_oracle_friendly, {
-            "--ring1": {"help": 'monomial quotient, e.g. "x:3"'}, "--ring2": {},
-            "--toric1": {"help": "toric matrix file"}, "--toric2": {},
+            "--ring1": {}, "--ring2": {}, "--toric1": {}, "--toric2": {},
             "--shift1": REQUIRED_INT, "--shift2": REQUIRED_INT,
-            "--window": {"default": "-6..6"}}),
+            "--window": {"type": _window, "default": (-6, 6)}}),
     }),
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="segrecm",
-        description="Exact calculator for degreewise products of standard "
-                    "graded algebras: Hilbert series, toric presentations, "
-                    "depth classification, exact graded Hom checks.")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--cap", type=_cap, default=toric.DEFAULT_POINT_CAP,
-                        help="resource bound for point enumerations")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, subcommands) in COMMANDS.items():
-        command_sub = sub.add_parser(command, help=help_text).add_subparsers(
-            dest="subcommand", required=True)
-        for name, (handler, flags) in subcommands.items():
-            p = command_sub.add_parser(name)
-            for flag, keywords in flags.items():
-                p.add_argument(flag, **keywords)
-            p.set_defaults(handler=handler)
-    return parser
+class _Help(Exception):
+    """-h or --help stood where a flag, command or subcommand belongs."""
 
 
-PARSER = build_parser()
+def _usage():
+    """Help text generated from GLOBALS and COMMANDS."""
+    def synopsis(spec):
+        for flag, keys in spec.items():
+            text = f"{flag} {'|'.join(keys.get('choices', ())) or flag[2:].upper()}"
+            yield text if keys.get("required") else f"[{text}]"
 
-
-def _render_text(report):
-    lines = []
-
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}.{key}" if prefix else str(key), value[key])
-        else:
-            lines.append(f"{prefix}: {json.dumps(value, default=str)}")
-
-    walk("", report)
+    lines = [f"usage: segrecm {' '.join(synopsis(GLOBALS))} COMMAND SUBCOMMAND [FLAGS]",
+             "Global flags go before the command. Flags take '--flag value' or '--flag=value'."]
+    for command, (help_text, subs) in COMMANDS.items():
+        lines += [f"\n{command}: {help_text}"] + [
+            f"  {command} {name} {' '.join(synopsis(spec))}" for name, (_, spec) in subs.items()]
     return "\n".join(lines)
 
 
-def _merge_dash_values(argv):
-    """Join '--flag -3,-2' into '--flag=-3,-2' so negative values parse."""
-    out = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"{prev}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _flags(tokens, spec):
+    """Pop '--flag value' or '--flag=value' pairs off the reversed argv while
+    a flag comes next; returns {name: typed value or default} for spec."""
+    values = {flag[2:]: keys.get("default") for flag, keys in spec.items()}
+    while tokens and tokens[-1].startswith("-"):
+        flag, eq, text = tokens.pop().partition("=")
+        if flag in HELP:
+            raise _Help
+        if flag not in spec or not (eq or tokens):
+            raise ValueError(f"{flag} expects a value" if flag in spec else f"unknown flag {flag}")
+        keys, text = spec[flag], text if eq else tokens.pop()
+        if text not in keys.get("choices", (text,)):
+            raise ValueError(f"{flag} expects one of {', '.join(keys['choices'])}, got {text!r}")
+        try:
+            values[flag[2:]] = keys.get("type", str)(text)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    for flag, keys in spec.items():
+        if keys.get("required") and values[flag[2:]] is None:
+            raise ValueError(f"{flag} is required")
+    return values
+
+
+def _parse(argv):
+    """Options of argv: global flags, then the command, subcommand and its flags."""
+    tokens, table = list(argv)[::-1], COMMANDS
+    options = _flags(tokens, GLOBALS)
+    for what in ("command", "subcommand"):
+        word = tokens.pop() if tokens else None
+        if word in HELP:
+            raise _Help
+        if word not in table:
+            raise ValueError(f"{what} {word!r} is not one of {', '.join(table)}")
+        options[what] = word
+        handler, table = table[word]  # (help, subcommands), then (handler, flags)
+    options.update(_flags(tokens, table))
+    if tokens:
+        raise ValueError(f"unexpected argument {tokens[-1]!r}")
+    return SimpleNamespace(handler=handler, **options)
+
+
+def _text_lines(prefix, value):
+    """Dotted 'key: value' lines of a report, keys sorted."""
+    if not isinstance(value, dict):
+        return [f"{prefix}: {json.dumps(value, default=str)}"]
+    return [line for key in sorted(value)
+            for line in _text_lines(f"{prefix}.{key}" if prefix else str(key), value[key])]
 
 
 def run(argv=None):
     """Parse argv, run one subcommand, print the report, return exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_dash_values(list(argv))
     try:
-        ns = PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        ns = _parse(sys.argv[1:] if argv is None else argv)
         inputs, results, assumptions = ns.handler(ns)
+        report = {"command": f"{ns.command} {ns.subcommand}", "inputs": inputs,
+                  "results": results, "assumptions": assumptions, "version": __version__}
+        try:
+            text = (json.dumps(report, sort_keys=True, separators=(",", ": "), default=str)
+                    if ns.format == "json" else "\n".join(_text_lines("", report)))
+        except ValueError:  # an int longer than str() may convert
+            raise ResourceCap("report integer: more digits than sys.get_int_max_str_digits() "
+                              f"= {sys.get_int_max_str_digits()}") from None
+    except _Help:
+        print(_usage())
+        return 0
     except ResourceCap as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 4
@@ -323,13 +328,7 @@ def run(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    command = ns.command + (f" {ns.subcommand}" if getattr(ns, "subcommand", None) else "")
-    report = {"command": command, "inputs": inputs, "results": results,
-              "assumptions": assumptions, "version": __version__}
-    if ns.format == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ": "), default=str))
-    else:
-        print(_render_text(report))
+    print(text)
     return 0
 
 

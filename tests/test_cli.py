@@ -7,7 +7,7 @@ import time
 import pytest
 
 import segrecm
-from segrecm.cli import run
+from segrecm.cli import COMMANDS, run
 from segrecm.toric import format_matrix
 
 from oracles import support_witnesses
@@ -337,6 +337,68 @@ class TestExitCodes:
 
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_report_integer_over_digit_limit(self, capsys):
+        # C(100000 + 2999, 2999) has more digits than str() converts at the
+        # interpreter's default limit; the report cannot be printed
+        series_text = "num: 1 0 ; den: 3000"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for argv in (["hilbert", "coeff", "--series", series_text, "--n", "100000"],
+                         ["--format", "text", "hilbert", "coeff", "--series", series_text,
+                          "--n", "100000"],
+                         ["hilbert", "window", "--series", series_text,
+                          "--lo", "99999", "--hi", "100000"]):
+                assert run(argv) == 4, argv
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("error: resource cap: report integer") and "4300" in err
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestParse:
+    # stdout only: stderr wording is not part of the contract
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["toric", "--help"],
+                                      ["toric", "census", "--help"],
+                                      ["--cap", "5", "classify", "interval", "-h"]])
+    def test_help_names_every_flag(self, capsys, argv):
+        code, out = invoke(capsys, argv)
+        assert code == 0
+        for command, (_, subcommands) in COMMANDS.items():
+            for name, (_, flags) in subcommands.items():
+                assert f"{command} {name}" in out
+                assert all(flag in out for flag in flags), (command, name)
+        assert "--format" in out and "--cap" in out
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--format", "text"],
+        ["nonsense", "interval", "--rho", "4,2"],
+        ["classify", "nonsense", "--rho", "4,2"],
+        ["classify", "interval", "--rho", "4,2", "--bogus", "1"],
+        ["classify", "interval", "--rh", "4,2"],
+        ["classify", "cm-twist", "--rho", "3,2"],
+        ["classify", "interval", "--rho"],
+        ["classify", "interval", "--rho", "4,2", "extra"],
+        ["--format", "xml", "classify", "interval", "--rho", "4,2"],
+        ["classify", "interval", "--rho", "4,2", "--format", "text"],
+        ["classify", "--cap", "5", "interval", "--rho", "4,2"],
+        ["classify", "cm-twist", "--rho", "3,2", "--a", "x"],
+        ["--cap", "x", "classify", "interval", "--rho", "4,2"],
+    ])
+    def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
+        assert invoke(capsys, argv) == (2, "")
+
+    def test_flag_forms_agree(self, capsys):
+        # '--flag value' and '--flag=value' read the same, negative values too
+        spaced = invoke(capsys, ["--format", "text", "classify", "depth", "--dims", "3,2",
+                                 "--ainv", "-3,-2", "--shifts", "0,-3"])
+        joined = invoke(capsys, ["--format=text", "classify", "depth", "--dims=3,2",
+                                 "--ainv=-3,-2", "--shifts=0,-3"])
+        assert spaced == joined and spaced[0] == 0
 
 
 class TestModuleEntry:
