@@ -367,11 +367,13 @@ class TestParse:
     def test_help_names_every_flag(self, capsys, argv):
         code, out = invoke(capsys, argv)
         assert code == 0
+        # each line's first two words -> its words, brackets stripped
+        words = {tuple(line.split()[:2]): {word.strip("[]") for word in line.split()}
+                 for line in out.splitlines() if line.strip()}
+        assert {"--format", "--cap"} <= words["usage:", "segrecm"]
         for command, (_, subcommands) in COMMANDS.items():
             for name, (_, flags) in subcommands.items():
-                assert f"{command} {name}" in out
-                assert all(flag in out for flag in flags), (command, name)
-        assert "--format" in out and "--cap" in out
+                assert set(flags) <= words[command, name], (command, name)
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -391,14 +393,6 @@ class TestParse:
     ])
     def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
         assert invoke(capsys, argv) == (2, "")
-
-    def test_flag_forms_agree(self, capsys):
-        # '--flag value' and '--flag=value' read the same, negative values too
-        spaced = invoke(capsys, ["--format", "text", "classify", "depth", "--dims", "3,2",
-                                 "--ainv", "-3,-2", "--shifts", "0,-3"])
-        joined = invoke(capsys, ["--format=text", "classify", "depth", "--dims=3,2",
-                                 "--ainv=-3,-2", "--shifts=0,-3"])
-        assert spaced == joined and spaced[0] == 0
 
 
 class TestModuleEntry:
