@@ -1,22 +1,33 @@
 """Exact calculator for degreewise (Segre) products of standard graded
 algebras: Hilbert series arithmetic, toric presentations, depth and
 Cohen-Macaulay classification of twisted products, and exact graded Hom
-counts that test whether duals commute with the product."""
+counts that test whether duals commute with the product.  A public name, or
+module name, imports its module on first access: importing one loads no other."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .cohomo import (DepthReport, TwistInterval, Witness, anticanonical_cm_m2,
-                     canonical_power_cm, cm_chain, cm_twist_interval,
-                     cm_uniform_twist, cm_uniform_twist_raw,
-                     cohomology_support, dual_shift)
-from .errors import (BadTwist, DimensionTooSmall, DomainError, NotApplicable,
-                     NotPositive, NotSorted, NotStandardGraded,
-                     ReconstructionFailed, ResourceCap, SegreError,
-                     WindowTooSmall)
-from .oracle import (Factor, FriendlinessReport, friendliness, monomial_factor,
-                     toric_factor)
-from .series import HilbertSeries, format_series, parse_series
-from .toric import (SemigroupCensus, ToricPresentation, census, kernel_lattice,
-                    segre, tensor, validate)
+_MODULE_OF = {name: module for module, names in (
+    ("cohomo", "DepthReport TwistInterval Witness anticanonical_cm_m2 canonical_power_cm cm_chain"
+               " cm_twist_interval cm_uniform_twist cm_uniform_twist_raw cohomology_support"),
+    ("errors", "BadTwist DimensionTooSmall DomainError NotApplicable NotPositive NotSorted"
+               " NotStandardGraded ReconstructionFailed ResourceCap SegreError WindowTooSmall"),
+    ("linalg", ""),
+    ("oracle", "Factor FriendlinessReport friendliness monomial_factor toric_factor"),
+    ("series", "HilbertSeries format_series parse_series"),
+    ("toric", "SemigroupCensus ToricPresentation census kernel_lattice segre tensor validate"),
+) for name in [module, *names.split()]}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    """A public name not bound here, from its module (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_MODULE_OF[name]}", __name__)  # binds the module name here
+    return module if name == _MODULE_OF[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

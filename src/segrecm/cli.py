@@ -1,24 +1,37 @@
 """Command line front end with deterministic JSON reports.
 
 Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ...
-with the commands toric, hilbert, classify, oracle of the library modules.
-The global flags go before the command.  Flags take '--flag value' or
-'--flag=value' (the last given wins), and -h or --help prints help
-generated from COMMANDS.  Every successful run prints one report object
-with the fields command, inputs, results, assumptions, version; keys are
-sorted and rationals are rendered as lowest-terms "p/q" strings, so
-identical invocations produce identical bytes.
+with the commands toric, hilbert, classify and oracle, each of which imports
+only the library modules it runs, on first use.  The global flags go before
+the command.  Flags take '--flag value' or '--flag=value' (the last given
+wins), and -h or --help prints help generated from COMMANDS.  Every
+successful run prints one report object with the fields command, inputs,
+results, assumptions, version; keys are sorted and rationals are rendered as
+lowest-terms "p/q" strings, so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap
-(also for a report integer longer than str() may convert).
+Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap (also
+for a report integer longer than str() may convert), and 141 (128 + SIGPIPE,
+as shells report a filter stopped by a closed pipe) when stdout closes early.
 """
 
 import json
+import os
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
-from . import __version__, cohomo, oracle, series, toric
-from .errors import DomainError, ResourceCap
+from . import __version__
+from .errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
+
+
+class _Module(ModuleType):
+    """Stand-in for a library module: the first attribute lookup imports and binds it here."""
+
+    def __getattr__(self, attr):
+        module = globals()[self.__name__] = getattr(sys.modules[__package__], self.__name__)
+        return getattr(module, attr)
+
+
+cohomo, oracle, series, toric = map(_Module, ("cohomo", "oracle", "series", "toric"))
 
 
 def _int_list(text):
@@ -74,8 +87,7 @@ def _do_toric_product(ns):
     """toric tensor and toric segre: the subcommand names the product."""
     left, right = _load(ns.left), _load(ns.right)
     pres = getattr(toric, ns.subcommand)(left, right)
-    results = {"matrix": pres.matrix, "grading": pres.grading,
-               "kernel": _kernel(pres)}
+    results = {"matrix": pres.matrix, "grading": pres.grading, "kernel": _kernel(pres)}
     if ns.census is not None:
         results["census"] = toric.census(pres, ns.census, cap=ns.cap).counts
     return {"left": left.matrix, "right": right.matrix}, results, []
@@ -109,17 +121,17 @@ def _do_hilbert_window(ns):
 
 
 def _do_hilbert_hadamard(ns):
+    guard = series.DEFAULT_GUARD if ns.guard is None else ns.guard
     inputs = {"left": series.format_series(ns.left),
-              "right": series.format_series(ns.right), "guard": ns.guard}
-    out = ns.left.hadamard(ns.right, guard=ns.guard, cap=ns.cap)
+              "right": series.format_series(ns.right), "guard": guard}
+    out = ns.left.hadamard(ns.right, guard=guard, cap=ns.cap)
     return inputs, {"series": series.format_series(out)}, []
 
 
 def _do_classify_depth(ns):
     dims, ainv, shifts = ns.dims, ns.ainv, ns.shifts
     if not (len(dims) == len(ainv) == len(shifts)) or not dims:
-        raise ValueError("--dims, --ainv and --shifts must list the same "
-                         "positive number of factors")
+        raise ValueError("--dims, --ainv and --shifts must list the same positive number of factors")
     inputs = {"dims": dims, "a_invariants": ainv, "shifts": shifts}
     assumptions = [GORENSTEIN_NOTE, FRIENDLY_NOTE]
     if len(dims) == 2 and min(dims) < 2:
@@ -141,8 +153,7 @@ def _do_classify_cm_twist(ns):
 
 def _do_classify_interval(ns):
     interval = cohomo.cm_twist_interval(ns.rho)
-    results = {"kind": interval.kind,
-               "lo": interval.lo, "hi": interval.hi,
+    results = {"kind": interval.kind, "lo": interval.lo, "hi": interval.hi,
                "integer_points": interval.integer_points()}
     return {"rho": ns.rho}, results, TWIST_NOTES
 
@@ -173,15 +184,12 @@ def _do_oracle_friendly(ns):
     inputs = {"ring1": factors[0].name, "ring2": factors[1].name,
               "shift1": ns.shift1, "shift2": ns.shift2, "window": list(ns.window)}
     results = {
-        "window": list(ns.window),
-        "left_dims": list(report.left_dims),
-        "right_dims": list(report.right_dims),
+        "window": list(ns.window), "exact": True, "verdict": report.verdict,
+        "left_dims": list(report.left_dims), "right_dims": list(report.right_dims),
         "left_nonzero": {str(k): v for k, v in sorted(report.left_nonzero().items())},
         "right_nonzero": {str(k): v for k, v in sorted(report.right_nonzero().items())},
-        "exact": True,
         "compared_degrees": list(report.compared),
         "mismatch_degrees": list(report.mismatches),
-        "verdict": report.verdict,
     }
     toric_given = ns.toric1 is not None or ns.toric2 is not None
     return inputs, results, [TORIC_DEPTH_NOTE] if toric_given else []
@@ -194,10 +202,10 @@ def _do_oracle_friendly(ns):
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 INTS = {"type": _int_list, "required": True}
-SERIES = {"type": series.parse_series, "required": True}
+SERIES = {"type": lambda text: series.parse_series(text), "required": True}
 PRODUCT = {"--left": REQUIRED, "--right": REQUIRED, "--census": {"type": int}}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
-           "--cap": {"type": _cap, "default": toric.DEFAULT_POINT_CAP}}
+           "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}
 HELP = ("-h", "--help")
 
 # command -> (help, {subcommand: (handler, {flag: spec})}); a spec may give
@@ -217,7 +225,7 @@ COMMANDS = {
                                         "--hi": REQUIRED_INT}),
         "hadamard": (_do_hilbert_hadamard, {
             "--left": SERIES, "--right": SERIES,
-            "--guard": {"type": int, "default": series.DEFAULT_GUARD}}),
+            "--guard": {"type": int}}),
     }),
     "classify": ("depth and Cohen-Macaulay criteria", {
         "depth": (_do_classify_depth, {"--dims": INTS, "--ainv": INTS, "--shifts": INTS}),
@@ -317,8 +325,7 @@ def run(argv=None):
             raise ResourceCap("report integer: more digits than sys.get_int_max_str_digits() "
                               f"= {sys.get_int_max_str_digits()}") from None
     except _Help:
-        print(_usage())
-        return 0
+        text = _usage()
     except ResourceCap as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 4
@@ -328,7 +335,11 @@ def run(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # Python's recipe: stdout to devnull, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

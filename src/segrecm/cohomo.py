@@ -261,8 +261,3 @@ def canonical_power_cm(rhos, a):
             "all rho entries are equal (ratio 1); every power is "
             "Cohen-Macaulay and the power criterion does not apply")
     return interval.contains(a)
-
-
-def dual_shift(shifts):
-    """Shift vector of the dual of a twisted product: negate every entry."""
-    return [-int(x) for x in shifts]

@@ -82,17 +82,6 @@ def solve_right(a_rows, b):
     return [Fraction(y.get(j, 0), d) for j in range(n)]
 
 
-def hermite_rows(rows):
-    """Row Hermite normal form of an integer matrix.
-
-    Pivots are positive, entries above a pivot lie in [0, pivot), zero rows
-    sink to the bottom.  The rows of the result span the same lattice as
-    the input rows, and the form is unique for that lattice.
-    """
-    return _hermite([{j: v for j, v in enumerate(map(int, row)) if v} for row in rows],
-                    len(rows[0]) if rows else 0)
-
-
 def pivot_columns(rows):
     """Pivot columns of the row Hermite form, which an echelon form shares."""
     pivots, _ = _echelon([{j: v for j, v in enumerate(map(int, row)) if v} for row in rows],

@@ -272,12 +272,6 @@ def parse_matrix(text):
     return tuple(rows)
 
 
-def format_matrix(rows):
-    out = [f"{len(rows)} {len(rows[0])}"]
-    out.extend(" ".join(str(x) for x in row) for row in rows)
-    return "\n".join(out) + "\n"
-
-
 def load_matrix(path):
     with open(path, "r", encoding="ascii") as fh:
         return parse_matrix(fh.read())

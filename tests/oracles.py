@@ -8,7 +8,8 @@ elimination on whole rows, Smith elementary divisors by unimodular row
 and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
-with the package but not algorithms.
+with the package but not algorithms.  format_matrix writes the matrix files
+that segrecm.toric.load_matrix reads.
 """
 
 from collections import Counter
@@ -20,6 +21,11 @@ from typing import Optional
 
 from segrecm.cohomo import DepthReport, Witness
 from segrecm.oracle import _Components, monomial_str
+
+
+def format_matrix(rows):
+    """Matrix file text: a line "r n", then r rows of n integers."""
+    return "".join(f"{' '.join(map(str, row))}\n" for row in [(len(rows), len(rows[0])), *rows])
 
 
 def gauss_rank(rows):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,9 +9,7 @@ import pytest
 
 import segrecm
 from segrecm.cli import COMMANDS, run
-from segrecm.toric import format_matrix
-
-from oracles import support_witnesses
+from oracles import format_matrix, support_witnesses
 
 
 @pytest.fixture
@@ -397,10 +396,68 @@ class TestParse:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
-        src = os.path.dirname(os.path.dirname(segrecm.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "segrecm.cli", "classify", "interval", "--rho", "4,2"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = python_child(["-m", "segrecm.cli", "classify", "interval", "--rho", "4,2"])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["integer_points"] == [0, 1]
+
+    def test_closed_stdout_ends_quietly(self, i2_path):
+        # the read end is closed before the child starts, so the first
+        # write fails whatever the timing
+        for argv in (["--help"], ["toric", "census", "--matrix", i2_path, "--upto", "3"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = python_child(["-m", "segrecm.cli", *argv], stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (141, ""), (argv, proc.stderr)
+
+    # the library modules each command group loads, beyond cli and errors
+    LOADS = [([], set()),
+             (["classify", "interval", "--rho", "4,2"], {"cohomo"}),
+             (["hilbert", "coeff", "--series", "num: 1 0 ; den: 2", "--n", "5"], {"series"}),
+             (["toric", "census", "--matrix", "{I2}", "--upto", "3"], {"toric", "linalg"}),
+             (["oracle", "friendly", "--ring1", "x:3", "--ring2", "y:2",
+               "--shift1", "2", "--shift2", "1"], {"oracle"}),
+             (["oracle", "friendly", "--toric1", "{I2}", "--ring2", "y:2",
+               "--shift1", "1", "--shift2", "0"], {"oracle", "toric", "linalg"})]
+
+    @pytest.mark.parametrize("argv, modules", LOADS, ids=[
+        "import", "classify", "hilbert", "toric", "oracle-ring", "oracle-toric"])
+    def test_command_imports_only_its_modules(self, argv, modules, i2_path):
+        # import segrecm.cli, run argv unless it is empty, list segrecm's modules
+        script = ("import contextlib, io, sys\n"
+                  "from segrecm.cli import run\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = run(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                  "print(code, *sorted(m for m in sys.modules if m.startswith('segrecm.')))\n")
+        proc = python_child(["-c", script, *(tok.format(I2=i2_path) for tok in argv)])
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert loaded == sorted(f"segrecm.{name}" for name in {"cli", "errors", *modules})
+
+    def test_package_names_are_their_module_attributes(self):
+        # dir() lists every export before its first access; cli is imported here
+        public = [name for name in dir(segrecm) if not name.startswith("_") and name != "cli"]
+        assert public == segrecm.__all__
+        for name in segrecm.__all__:
+            value = getattr(segrecm, name)
+            if isinstance(value, type(segrecm)):
+                assert value is importlib.import_module(f"segrecm.{name}"), name
+            else:
+                assert value.__module__.startswith("segrecm."), name
+                assert value is getattr(sys.modules[value.__module__], name), name
+        from segrecm import toric
+        assert toric is sys.modules["segrecm.toric"]
+        for name in ("no_such_name", "dual_shift", "hermite_rows", "format_matrix"):
+            with pytest.raises(AttributeError):
+                getattr(segrecm, name)
+
+
+def python_child(args, **kwargs):
+    """A fresh interpreter on args, with src on its path; stderr captured."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segrecm.__file__)))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60, **kwargs)

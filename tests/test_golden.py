@@ -18,7 +18,8 @@ import sys
 import pytest
 
 from segrecm.cli import run
-from segrecm.toric import format_matrix
+
+from oracles import format_matrix
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 

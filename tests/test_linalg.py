@@ -1,4 +1,4 @@
-"""linalg.hermite_rows against sympy's Smith form, a test-only oracle,
+"""linalg's Hermite form against sympy's Smith form, a test-only oracle,
 linalg.solve_right against a reduced row echelon solve over Fractions, and
 the sparse routines against the dense references in oracles.py."""
 
@@ -10,9 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrecm.linalg import hermite_rows, integer_kernel, pivot_columns, solve_right
+from segrecm.linalg import _hermite, integer_kernel, pivot_columns, solve_right
 
 from oracles import dense_hermite_rows, dense_integer_kernel, solve_by_rref
+
+
+def hermite_rows(rows):
+    """linalg's row Hermite form of a nonempty dense integer matrix."""
+    return _hermite([{j: v for j, v in enumerate(row) if v} for row in rows], len(rows[0]))
 
 
 def in_row_lattice(rows, vec):

@@ -12,11 +12,10 @@ from segrecm.errors import NotStandardGraded, ResourceCap
 from segrecm.oracle import _levels, toric_factor
 from segrecm.toric import (ToricPresentation, _bit_layers, _packing,
                            _set_layers, census, kernel_lattice,
-                           format_matrix, parse_matrix, segre, tensor,
-                           validate)
+                           parse_matrix, segre, tensor, validate)
 
-from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
-                     smith_diagonal)
+from oracles import (census_by_multisets, format_matrix, gauss_rank,
+                     points_by_multisets, smith_diagonal)
 
 I2 = validate([[1, 0], [0, 1]])
 CUBIC = validate([[1, 1, 1], [0, 1, 2]])
