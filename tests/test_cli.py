@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -444,7 +443,7 @@ class TestModuleEntry:
         for name in segrecm.__all__:
             value = getattr(segrecm, name)
             if isinstance(value, type(segrecm)):
-                assert value is importlib.import_module(f"segrecm.{name}"), name
+                assert value is sys.modules[f"segrecm.{name}"], name
             else:
                 assert value.__module__.startswith("segrecm."), name
                 assert value is getattr(sys.modules[value.__module__], name), name
