@@ -106,7 +106,7 @@ def _do_toric_census(ns):
 
 def _do_hilbert_coeff(ns):
     inputs = {"series": series.format_series(ns.series), "n": ns.n}
-    return inputs, {"coefficient": ns.series.coeff(ns.n)}, []
+    return inputs, {"coefficient": ns.series.coeff(ns.n, ns.cap)}, []
 
 
 def _do_hilbert_shift(ns):
@@ -121,10 +121,8 @@ def _do_hilbert_window(ns):
 
 
 def _do_hilbert_hadamard(ns):
-    guard = series.DEFAULT_GUARD if ns.guard is None else ns.guard
-    inputs = {"left": series.format_series(ns.left),
-              "right": series.format_series(ns.right), "guard": guard}
-    out = ns.left.hadamard(ns.right, guard=guard, cap=ns.cap)
+    inputs = {"left": series.format_series(ns.left), "right": series.format_series(ns.right)}
+    out = ns.left.hadamard(ns.right, cap=ns.cap)
     return inputs, {"series": series.format_series(out)}, []
 
 
@@ -223,9 +221,7 @@ COMMANDS = {
         "shift": (_do_hilbert_shift, {"--series": SERIES, "--a": REQUIRED_INT}),
         "window": (_do_hilbert_window, {"--series": SERIES, "--lo": REQUIRED_INT,
                                         "--hi": REQUIRED_INT}),
-        "hadamard": (_do_hilbert_hadamard, {
-            "--left": SERIES, "--right": SERIES,
-            "--guard": {"type": int}}),
+        "hadamard": (_do_hilbert_hadamard, {"--left": SERIES, "--right": SERIES}),
     }),
     "classify": ("depth and Cohen-Macaulay criteria", {
         "depth": (_do_classify_depth, {"--dims": INTS, "--ainv": INTS, "--shifts": INTS}),

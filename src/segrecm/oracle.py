@@ -197,47 +197,26 @@ class _Side:
         return signatures
 
 
-class _Components:
-    """Union-find over the generators plus one class for the forced zeros.
-
-    Every merge of two classes removes one live component: either two
-    live ones become one, or a live one joins the zeros.
-    """
-
-    def __init__(self, seeds):
-        self.parent = list(range(seeds + 1))
-        self.zero = seeds
-        self.live = seeds
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-            self.live -= 1
-
-
 def _live(signature, height):
     """The Hom count of one multidegree: the live classes of the
     candidates that no witness of degree at most height kills, under the
-    links of degree at most height."""
+    links of degree at most height.  A union-find on the candidate
+    indices, with the class None for the forced zeros, counts merges."""
     cands, links = signature
-    nodes = {}
-    for j, kappa in cands:
-        if kappa > height:
-            nodes[j] = len(nodes)
-    zero = len(nodes)
-    comps = _Components(zero)
+    parent = {j: j for j, kappa in cands if kappa > height}
+    live = len(parent)
+    parent[None] = None
     for j, h, low in links:
         if low <= height:
-            comps.union(nodes.get(j, zero), nodes.get(h, zero))
-    return comps.live
+            x, y = (k if k in parent else None for k in (j, h))
+            while x != parent[x]:
+                x = parent[x]
+            while y != parent[y]:
+                y = parent[y]
+            if x != y:
+                parent[y] = x
+                live -= 1
+    return live
 
 
 def _linked_counts(unit, side, degrees, k0, cap):

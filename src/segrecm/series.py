@@ -8,10 +8,9 @@ every degree.
 
 The one nontrivial operation is the coefficientwise (Hadamard) product,
 which is what the degreewise tensor construction does to Hilbert series:
-it is computed by expanding both factors far enough, multiplying the
-coefficient streams, and reconstructing the unique numerator over
-(1 - t)^(d1 + d2 - 1).  A guard band of extra coefficients is checked to
-confirm the reconstruction closed.
+it multiplies the two coefficient streams up to the last degree the
+product's numerator over (1 - t)^(d1 + d2 - 1) can reach and takes running
+differences; `HilbertSeries.hadamard` proves that degree.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DEFAULT_POINT_CAP, ReconstructionFailed, check_cap
-
-DEFAULT_GUARD = 5
+from .errors import DEFAULT_POINT_CAP, ReconstructionFailed, ResourceCap, check_cap
 
 
 def _normalize_pairs(pairs):
@@ -84,11 +81,19 @@ class HilbertSeries:
     def highest_exponent(self):
         return self.numerator[-1][0] if self.numerator else None
 
-    def coeff(self, n):
-        """Coefficient of t^n in the power series expansion."""
+    def coeff(self, n, cap=DEFAULT_POINT_CAP):
+        """Coefficient of t^n in the power series expansion.  Raises
+        ResourceCap, before any binomial is built, when the largest one,
+        C(m + d - 1, d - 1) with m = n - e at the lowest exponent e, may
+        exceed cap bits: it has at most min(d - 1, m) * bit_length(m + d - 1)."""
         d = self.denom_power
         if d == 0:
             return dict(self.numerator).get(n, 0)
+        m = n - self.numerator[0][0]
+        bits = min(d - 1, m) * (m + d - 1).bit_length()
+        if cap is not None and bits > cap:
+            raise ResourceCap(f"series coefficient t^{n}: a binomial of up to {bits} bits, "
+                              f"over the cap of {cap}")
         total = 0
         for e, c in self.numerator:
             if n - e >= 0:
@@ -107,46 +112,38 @@ class HilbertSeries:
         if lo > hi:
             raise ValueError(f"window lo {lo} exceeds hi {hi}")
         check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
-        return tuple(self.coeff(n) for n in range(lo, hi + 1))
+        return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
 
-    def hadamard(self, other, guard=DEFAULT_GUARD, cap=DEFAULT_POINT_CAP):
-        """Coefficientwise product, reconstructed over (1-t)^(d1+d2-1).
+    def hadamard(self, other, cap=DEFAULT_POINT_CAP):
+        """Coefficientwise product, reduced over (1-t)^D with D = d1 + d2 - 1.
 
-        Both factors must have denominator power at least 1 (their
-        coefficient streams are eventually polynomial).  The stream is
-        expanded to the reconstruction bound plus guard extra terms; the
-        guard coefficients of the recovered numerator must vanish.
-        Raises ResourceCap when the stream would exceed cap terms, or
-        when multiplying it out would take more than cap products.
+        Both factors need denominator power at least 1.  Raises ResourceCap
+        when the stream would exceed cap terms, or when multiplying it out
+        would take more than cap products.
+
+        The stream on [lo, top] determines the numerator, lo the larger
+        lowest exponent and top = max(e1 - d1, e2 - d2) + D, e1 and e2 the
+        highest exponents.  C(n - e + d - 1, d - 1) is a polynomial of degree
+        d - 1 in n that vanishes at n - e = 1 - d..-1, so from n = top - D + 1
+        on the product stream is a polynomial of degree at most D - 1.  Its
+        D-th difference, the coefficient of t^n in the stream times
+        (1 - t)^D, therefore vanishes for n > top; below lo the stream is 0.
         """
-        if guard < 0:
-            raise ValueError(f"negative guard {guard}")
         d1, d2 = self.denom_power, other.denom_power
         if d1 < 1 or d2 < 1:
             raise ReconstructionFailed(
                 f"hadamard needs denominator powers >= 1, got {d1} and {d2}")
         dd = d1 + d2 - 1
         lo = max(self.lowest_exponent(), other.lowest_exponent())
-        hi_support = max(self.highest_exponent() - d1,
-                         other.highest_exponent() - d2) + dd
-        top = hi_support + guard
+        top = max(self.highest_exponent() - d1, other.highest_exponent() - d2) + dd
         terms = top - lo + 1
         check_cap(terms, cap, "Hadamard coefficient stream")
         check_cap(terms * (dd + 1), cap, "Hadamard numerator")
-        stream = [self.coeff(n) * other.coeff(n) for n in range(lo, top + 1)]
-        # multiply the truncated stream by (1 - t)^dd; degrees <= top are exact
-        signs = [(-1) ** j * comb(dd, j) for j in range(dd + 1)]
-        num = []
-        for off in range(len(stream)):
-            c = sum(signs[j] * stream[off - j] for j in range(min(dd, off) + 1))
-            if c:
-                num.append((lo + off, c))
-        for e, c in num:
-            if e > hi_support:
-                raise ReconstructionFailed(
-                    f"guard coefficient {c} at degree {e} is nonzero; "
-                    f"inputs are not eventually polynomial of the expected degree")
-        return HilbertSeries.from_pairs(num, dd)
+        num = [self.coeff(n, cap) * other.coeff(n, cap) for n in range(lo, top + 1)]
+        # multiply by (1 - t)^dd; the differences at degrees <= top are exact
+        for _ in range(dd):
+            num = [c - prev for prev, c in zip([0, *num], num)]
+        return HilbertSeries.from_pairs(zip(range(lo, top + 1), num), dd)
 
 
 # ---------------------------------------------------------------------------

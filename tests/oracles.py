@@ -20,7 +20,7 @@ from operator import add, ge, sub
 from typing import Optional
 
 from segrecm.cohomo import DepthReport, Witness
-from segrecm.oracle import _Components, monomial_str
+from segrecm.oracle import monomial_str
 
 
 def format_matrix(rows):
@@ -461,6 +461,32 @@ def _successors(levels, gens):
         out.append([tuple(index.get(tuple(map(add, label, g))) for g in gens)
                     for label in level])
     return out
+
+
+class _Components:
+    """Union-find over the generators plus one class for the forced zeros.
+
+    Every merge of two classes removes one live component: either two
+    live ones become one, or a live one joins the zeros.
+    """
+
+    def __init__(self, seeds):
+        self.parent = list(range(seeds + 1))
+        self.zero = seeds
+        self.live = seeds
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+            self.live -= 1
 
 
 def _live_components(mod, ring, i, k, m_succ, t_succ, in_degree):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import segrecm
-from segrecm.cli import COMMANDS, run
+from segrecm.cli import COMMANDS, GLOBALS, SERIES, _cap, _int_list, _window, run
 from oracles import format_matrix, support_witnesses
 
 
@@ -311,13 +315,32 @@ class TestExitCodes:
         assert out == "" and "Hadamard coefficient stream" in err and "cap of 10" in err
 
     def test_hilbert_hadamard_work_cap(self, capsys):
-        # the stream of 2,005 terms is under the cap, but multiplying it
-        # by (1 - t)^3999 takes 2,005 x 4,000 products
+        # the stream of 2,000 terms is under the cap, but multiplying it
+        # by (1 - t)^3999 takes 2,000 x 4,000 products
         assert run(["--cap", "10000", "hilbert", "hadamard",
                     "--left", "num: 1 0 ; den: 2000",
                     "--right", "num: 1 0 ; den: 2000"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "Hadamard numerator" in err and "cap of 10000" in err
+
+    @pytest.mark.parametrize("den, n", [("100000", "10000000"), ("300000", "100000000")])
+    def test_hilbert_coeff_binomial_cap(self, capsys, den, n):
+        # C(n + den - 1, den - 1) would take seconds to build; its size
+        # bound stops the run first
+        start = time.perf_counter()
+        code = run(["hilbert", "coeff", "--series", f"num: 1 0 ; den: {den}", "--n", n])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "") and elapsed < 0.1
+        assert f"series coefficient t^{n}" in err and "cap of 1000000" in err
+
+    def test_hilbert_coeff_binomial_cap_boundary(self, capsys):
+        # C(12, 2) = 66 has at most min(2, 10) * bit_length(12) = 8 bits
+        argv = ["hilbert", "coeff", "--series", "num: 1 0 ; den: 3", "--n", "10"]
+        assert invoke_json(capsys, ["--cap", "8", *argv])["results"]["coefficient"] == 66
+        assert run(["--cap", "7", *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "up to 8 bits, over the cap of 7" in err
 
     def test_depth_witness_cap(self, capsys):
         # all 63 nonempty subsets of six equal factors are witnesses
@@ -356,6 +379,78 @@ class TestExitCodes:
             sys.set_int_max_str_digits(limit)
 
 
+# flag values by the type in the flag's spec (str for files and ring specs),
+# well formed and malformed; {name} is a matrix file the test writes, or none
+VALUES = {
+    int: ("0", "1", "-2", "5", "40", "10000000", "100000000", "x"),
+    _cap: ("0", "10", "100000", "1000000", "-1"),
+    _int_list: ("4,2", "3,2,1", "-3,-2", "2,2,2", "0,-3", "1,,x"),
+    _window: ("-6..6", "0..3", "-2..2", "3..0"),
+    SERIES["type"]: ("num: 1 0 ; den: 2", "num: 1 -1 2 3 ; den: 3", "num: 1 0 ; den: 0",
+                     "num: 1 0 ; den: 100000", "num: 1 0 ; den: 300000", "num: 1 0"),
+    str: ("x:3", "y:2", "x,y:2 0,0 2", "x,x:2 0", "{I2}", "{Q}", "{bad}", "{missing}"),
+}
+ANY_VALUE = st.sampled_from(sorted({value for pool in VALUES.values() for value in pool}))
+MATRIX_FILES = {"I2": format_matrix([[1, 0], [0, 1]]),
+                "Q": format_matrix([[4, 3, 1, 0], [0, 1, 3, 4]]),
+                "bad": "2 2\n1 0\n"}
+
+
+def _draw_flags(draw, spec, noisy):
+    """Flags of spec, optional ones half the time, each with a value of its
+    type; when noisy, two times in seven any value or none instead."""
+    argv = []
+    for flag, keys in spec.items():
+        if not keys.get("required") and draw(st.booleans()):
+            continue
+        typed = st.sampled_from(keys.get("choices") or VALUES[keys.get("type", str)])
+        value = draw(st.one_of(typed, typed, typed, typed, typed, ANY_VALUE, st.none())
+                     if noisy else typed)
+        if value is not None:
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@st.composite
+def argvs(draw):
+    """A command line from GLOBALS and COMMANDS, now and then with --guard."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    subcommand = draw(st.sampled_from(list(COMMANDS[command][1])))
+    noisy = draw(st.booleans())
+    argv = [*_draw_flags(draw, GLOBALS, noisy), command, subcommand,
+            *_draw_flags(draw, COMMANDS[command][1][subcommand][1], noisy)]
+    return argv + ["--guard", "5"] if draw(st.integers(0, 9)) == 5 else argv
+
+
+@pytest.fixture(scope="module")
+def matrix_paths(tmp_path_factory):
+    """{name: path} of MATRIX_FILES, written, and of "missing", not."""
+    folder = tmp_path_factory.mktemp("matrices")
+    for name, text in MATRIX_FILES.items():
+        (folder / f"{name}.mat").write_text(text)
+    return {name: str(folder / f"{name}.mat") for name in (*MATRIX_FILES, "missing")}
+
+
+class TestEndings:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=argvs())
+    @example(argv=["hilbert", "hadamard", "--left", "num: 1 0 ; den: 2",
+                   "--right", "num: 1 0 ; den: 2", "--guard", "5"])
+    @example(argv=["hilbert", "coeff", "--series", "num: 1 0 ; den: 100000", "--n", "10000000"])
+    @example(argv=["hilbert", "coeff", "--series", "num: 1 0 ; den: 300000", "--n", "100000000"])
+    @example(argv=["oracle", "friendly", "--ring1", "x,y:2 0,0 2", "--toric2", "{Q}",
+                   "--shift1", "100000000", "--shift2", "0"])
+    def test_every_run_ends_in_a_documented_exit(self, matrix_paths, argv):
+        argv = [tok.format(**matrix_paths) for tok in argv]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code in (0, 2, 3, 4), argv
+        assert code == 0 or out.getvalue() == "", argv
+
+
 class TestParse:
     # stdout only: stderr wording is not part of the contract
 
@@ -388,6 +483,8 @@ class TestParse:
         ["classify", "--cap", "5", "interval", "--rho", "4,2"],
         ["classify", "cm-twist", "--rho", "3,2", "--a", "x"],
         ["--cap", "x", "classify", "interval", "--rho", "4,2"],
+        ["hilbert", "hadamard", "--left", "num: 1 0 ; den: 2", "--right", "num: 1 0 ; den: 2",
+         "--guard", "5"],
     ])
     def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
         assert invoke(capsys, argv) == (2, "")

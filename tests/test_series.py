@@ -22,6 +22,10 @@ any_series = st.builds(
     st.integers(0, 3))
 # the Hadamard product needs eventually polynomial coefficient streams
 streams = any_series.filter(lambda h: h.denom_power >= 1)
+# wider numerators and denominator powers up to 6, as the proven top needs
+wide_streams = st.builds(
+    H, st.lists(st.tuples(st.integers(-8, 11), st.integers(-3, 3)), min_size=1, max_size=4),
+    st.integers(1, 6)).filter(lambda h: h.denom_power >= 1)
 LO, HI = -6, 14
 
 
@@ -108,6 +112,10 @@ class TestHadamard:
         left = a.hadamard(b).hadamard(c)
         right = a.hadamard(b.hadamard(c))
         assert left.window(-5, 15) == right.window(-5, 15)
+
+    def test_takes_no_guard(self):
+        with pytest.raises(TypeError):
+            POLY_2VARS.hadamard(POLY_2VARS, guard=5)
 
     def test_reduced_after_reconstruction(self):
         # coefficient streams that cancel force denominator reduction
@@ -201,3 +209,14 @@ class TestSeriesLaws:
         assert list(prod.window(LO, HI)) == want
         if h.lowest_exponent() >= 0:
             assert prod == h
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(wide_streams, wide_streams)
+    def test_hadamard_pointwise_past_top(self, h1, h2):
+        # the numerator is read off up to top; the product must still hold
+        # 2 (d1 + d2) degrees beyond it
+        d1, d2 = h1.denom_power, h2.denom_power
+        top = max(h1.highest_exponent() - d1, h2.highest_exponent() - d2) + d1 + d2 - 1
+        lo, hi = min(h1.lowest_exponent(), h2.lowest_exponent()), top + 2 * (d1 + d2)
+        want = [x * y for x, y in zip(expand(h1, lo, hi), expand(h2, lo, hi))]
+        assert expand(h1.hadamard(h2), lo, hi) == want
