@@ -12,7 +12,7 @@ _MODULE_OF = {name: module for module, names in (
     ("cohomo", "DepthReport TwistInterval Witness anticanonical_cm_m2 canonical_power_cm cm_chain"
                " cm_twist_interval cm_uniform_twist cm_uniform_twist_raw cohomology_support"),
     ("errors", "BadTwist DimensionTooSmall DomainError NotApplicable NotPositive NotSorted"
-               " NotStandardGraded ReconstructionFailed ResourceCap SegreError WindowTooSmall"),
+               " NotStandardGraded ResourceCap SegreError WindowTooSmall"),
     ("linalg", ""),
     ("oracle", "Factor FriendlinessReport friendliness monomial_factor toric_factor"),
     ("series", "HilbertSeries format_series parse_series"),

@@ -3,8 +3,8 @@
 Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ...
 with the commands toric, hilbert, classify and oracle, each of which imports
 only the library modules it runs, on first use.  The global flags go before
-the command.  Flags take '--flag value' or '--flag=value' (the last given
-wins), and -h or --help prints help generated from COMMANDS.  Every
+the command.  Flags take '--flag value' or '--flag=value', each typed when
+read (the last given wins); -h or --help prints help from COMMANDS.  Every
 successful run prints one report object with the fields command, inputs,
 results, assumptions, version; keys are sorted and rationals are rendered as
 lowest-terms "p/q" strings, so identical invocations produce identical bytes.
@@ -68,40 +68,33 @@ DIM_ONE_NOTE = "subset support analysis with a dimension-1 factor (not independe
 # handlers: each returns (inputs, results, assumptions)
 
 
-def _load(path):
-    return toric.validate(toric.load_matrix(path))
-
-
 def _kernel(pres):
     vectors = toric.kernel_lattice(pres)
     return {"rank": len(vectors), "vectors": vectors}
 
 
 def _do_toric_validate(ns):
-    pres = _load(ns.matrix)
+    pres = ns.matrix
     return {"matrix": pres.matrix}, {"rows": pres.nrows, "cols": pres.ncols,
                                      "grading": pres.grading}, []
 
 
 def _do_toric_product(ns):
     """toric tensor and toric segre: the subcommand names the product."""
-    left, right = _load(ns.left), _load(ns.right)
-    pres = getattr(toric, ns.subcommand)(left, right)
+    pres = getattr(toric, ns.subcommand)(ns.left, ns.right)
     results = {"matrix": pres.matrix, "grading": pres.grading, "kernel": _kernel(pres)}
     if ns.census is not None:
         results["census"] = toric.census(pres, ns.census, cap=ns.cap).counts
-    return {"left": left.matrix, "right": right.matrix}, results, []
+    return {"left": ns.left.matrix, "right": ns.right.matrix}, results, []
 
 
 def _do_toric_kernel(ns):
-    pres = _load(ns.matrix)
-    return {"matrix": pres.matrix}, _kernel(pres), []
+    return {"matrix": ns.matrix.matrix}, _kernel(ns.matrix), []
 
 
 def _do_toric_census(ns):
-    pres = _load(ns.matrix)
-    counts = toric.census(pres, ns.upto, cap=ns.cap).counts
-    return {"matrix": pres.matrix, "upto": ns.upto}, {"counts": counts}, []
+    counts = toric.census(ns.matrix, ns.upto, cap=ns.cap).counts
+    return {"matrix": ns.matrix.matrix, "upto": ns.upto}, {"counts": counts}, []
 
 
 def _do_hilbert_coeff(ns):
@@ -167,13 +160,11 @@ def _do_classify_power(ns):
     return inputs, {"is_cm": cohomo.canonical_power_cm(ns.rho, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
 
 
-def _oracle_factor(ring_spec, toric_path, which):
-    """The factor named by --ring or --toric: a monomial quotient or a semigroup ring."""
-    if (ring_spec is None) == (toric_path is None):
+def _oracle_factor(ring, toric_ring, which):
+    """The factor given by --ring or --toric: a monomial quotient or a semigroup ring."""
+    if (ring is None) == (toric_ring is None):
         raise ValueError(f"give exactly one of --ring{which} or --toric{which}")
-    if ring_spec is not None:
-        return oracle.monomial_factor(*oracle.parse_ring_spec(ring_spec))
-    return oracle.toric_factor(_load(toric_path))
+    return toric_ring if ring is None else ring
 
 
 def _do_oracle_friendly(ns):
@@ -197,11 +188,13 @@ def _do_oracle_friendly(ns):
 # parser: one pass over argv, driven by GLOBALS and COMMANDS
 
 
-REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 INTS = {"type": _int_list, "required": True}
 SERIES = {"type": lambda text: series.parse_series(text), "required": True}
-PRODUCT = {"--left": REQUIRED, "--right": REQUIRED, "--census": {"type": int}}
+MATRIX = {"type": lambda path: toric.validate(toric.load_matrix(path)), "required": True}
+RING = {"type": lambda spec: oracle.monomial_factor(*oracle.parse_ring_spec(spec))}
+TORIC = {"type": lambda path: oracle.toric_factor(MATRIX["type"](path))}
+PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": {"type": int}}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
            "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}
 HELP = ("-h", "--help")
@@ -210,11 +203,11 @@ HELP = ("-h", "--help")
 # the flag's type, choices and default (else None), or make it required
 COMMANDS = {
     "toric": ("toric presentation constructions", {
-        "validate": (_do_toric_validate, {"--matrix": REQUIRED}),
+        "validate": (_do_toric_validate, {"--matrix": MATRIX}),
         "tensor": (_do_toric_product, PRODUCT),
         "segre": (_do_toric_product, PRODUCT),
-        "kernel": (_do_toric_kernel, {"--matrix": REQUIRED}),
-        "census": (_do_toric_census, {"--matrix": REQUIRED, "--upto": REQUIRED_INT}),
+        "kernel": (_do_toric_kernel, {"--matrix": MATRIX}),
+        "census": (_do_toric_census, {"--matrix": MATRIX, "--upto": REQUIRED_INT}),
     }),
     "hilbert": ("exact Hilbert series arithmetic", {
         "coeff": (_do_hilbert_coeff, {"--series": SERIES, "--n": REQUIRED_INT}),
@@ -232,7 +225,7 @@ COMMANDS = {
     }),
     "oracle": ("exact graded Hom checks", {
         "friendly": (_do_oracle_friendly, {
-            "--ring1": {}, "--ring2": {}, "--toric1": {}, "--toric2": {},
+            "--ring1": RING, "--ring2": RING, "--toric1": TORIC, "--toric2": TORIC,
             "--shift1": REQUIRED_INT, "--shift2": REQUIRED_INT,
             "--window": {"type": _window, "default": (-6, 6)}}),
     }),

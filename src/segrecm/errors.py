@@ -56,9 +56,5 @@ class NotApplicable(DomainError):
     """The hypothesis of the requested criterion excludes this input."""
 
 
-class ReconstructionFailed(DomainError):
-    """Rational reconstruction of a coefficient stream did not terminate."""
-
-
 class WindowTooSmall(DomainError):
     """A twisted module to work with is zero in every degree."""

@@ -78,15 +78,18 @@ def monomial_str(names, exps):
 
 
 def monomial_factor(names, relations):
-    """The quotient of a polynomial ring by monomial relations."""
+    """The quotient of a polynomial ring in one or more distinct names by
+    monomial relations, each a nonzero exponent vector of natural numbers."""
     names = list(names)
     if not names:
         raise ValueError("need at least one variable")
+    if len(set(names)) < len(names):
+        raise ValueError(f"{','.join(names)} repeats a variable name")
     nvars = len(names)
     rels = tuple(tuple(int(x) for x in rel) for rel in relations)
     for rel in rels:
         if len(rel) != nvars or any(x < 0 for x in rel) or sum(rel) == 0:
-            raise ValueError(f"bad relation exponent vector {rel}")
+            raise ValueError(f"bad relation exponent vector {rel} for {','.join(names)}")
     rel_names = ", ".join(monomial_str(names, r) for r in rels)
     name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
     units = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
@@ -309,8 +312,7 @@ class FriendlinessReport:
         return {i: d for i, d in zip(self.compared, self.right_dims) if d}
 
 
-def friendliness(factor1, factor2, shift1, shift2, i_lo=-6, i_hi=6,
-                 cap=DEFAULT_POINT_CAP):
+def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT_CAP):
     """Compare dim Hom_T(R(a) # S(b), T)_i with dim (R(-a) # S(-b))_i.
 
     cap bounds both factor label enumerations (built first, to the
@@ -343,7 +345,7 @@ def friendliness(factor1, factor2, shift1, shift2, i_lo=-6, i_hi=6,
 
 
 def parse_ring_spec(spec):
-    """(names, relations) from a compact text form.
+    """(names, relations) from a compact text form, for monomial_factor.
 
     Variables before the colon, comma separated; relations after it,
     comma separated, each a whitespace separated exponent vector.  A
@@ -351,23 +353,9 @@ def parse_ring_spec(spec):
     """
     var_part, _, rel_part = spec.partition(":")
     names = [v.strip() for v in var_part.split(",") if v.strip()]
-    if not names:
-        raise ValueError(f"ring spec {spec!r} names no variables")
-    if len(set(names)) < len(names):
-        raise ValueError(f"ring spec {spec!r} repeats a variable name")
-    relations = []
-    for chunk in rel_part.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            exps = tuple(int(tok) for tok in chunk.split())
-        except ValueError:
-            raise ValueError(f"bad relation {chunk!r} in ring spec {spec!r}") from None
-        relations.append(exps)
-    for rel in relations:
-        if len(rel) != len(names):
-            raise ValueError(
-                f"relation {rel} does not match the {len(names)} variables "
-                f"in ring spec {spec!r}")
+    try:
+        relations = [tuple(map(int, chunk.split())) for chunk in rel_part.split(",")
+                     if chunk.strip()]
+    except ValueError:
+        raise ValueError(f"bad relation in ring spec {spec!r}") from None
     return names, relations

@@ -9,8 +9,8 @@ every degree.
 The one nontrivial operation is the coefficientwise (Hadamard) product,
 which is what the degreewise tensor construction does to Hilbert series:
 it multiplies the two coefficient streams up to the last degree the
-product's numerator over (1 - t)^(d1 + d2 - 1) can reach and takes running
-differences; `HilbertSeries.hadamard` proves that degree.
+product's numerator over (1 - t)^max(d1 + d2 - 1, 0) can reach and takes
+running differences; `HilbertSeries.hadamard` proves that degree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DEFAULT_POINT_CAP, ReconstructionFailed, ResourceCap, check_cap
+from .errors import DEFAULT_POINT_CAP, ResourceCap, check_cap
 
 
 def _normalize_pairs(pairs):
@@ -81,16 +81,20 @@ class HilbertSeries:
     def highest_exponent(self):
         return self.numerator[-1][0] if self.numerator else None
 
+    def _bits(self, n):
+        """A bound on the bits of the largest binomial of coeff(n), growing
+        with n: C(m + d - 1, d - 1), m = n - e at the lowest exponent e, has
+        at most min(d - 1, m) * bit_length(m + d - 1); none when d = 0."""
+        d, m = self.denom_power, n - (self.lowest_exponent() or 0)
+        return min(d - 1, m) * (m + d - 1).bit_length() if d else 0
+
     def coeff(self, n, cap=DEFAULT_POINT_CAP):
         """Coefficient of t^n in the power series expansion.  Raises
-        ResourceCap, before any binomial is built, when the largest one,
-        C(m + d - 1, d - 1) with m = n - e at the lowest exponent e, may
-        exceed cap bits: it has at most min(d - 1, m) * bit_length(m + d - 1)."""
+        ResourceCap, before any binomial is built, when _bits(n) exceeds cap."""
         d = self.denom_power
         if d == 0:
             return dict(self.numerator).get(n, 0)
-        m = n - self.numerator[0][0]
-        bits = min(d - 1, m) * (m + d - 1).bit_length()
+        bits = self._bits(n)
         if cap is not None and bits > cap:
             raise ResourceCap(f"series coefficient t^{n}: a binomial of up to {bits} bits, "
                               f"over the cap of {cap}")
@@ -108,32 +112,37 @@ class HilbertSeries:
                              self.denom_power)
 
     def window(self, lo, hi, cap=DEFAULT_POINT_CAP):
-        """Coefficients on [lo, hi]; ResourceCap when there are more than cap."""
+        """Coefficients on [lo, hi].  Raises ResourceCap when there are more
+        than cap, or, before any binomial is built, when they may have more
+        than cap bits: their number times _bits(hi), which bounds each."""
         if lo > hi:
             raise ValueError(f"window lo {lo} exceeds hi {hi}")
         check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
+        bits = (hi - lo + 1) * self._bits(hi)
+        if cap is not None and bits > cap:
+            raise ResourceCap(f"series window [{lo}, {hi}]: coefficients of up to {bits} bits "
+                              f"in all, over the cap of {cap}")
         return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
 
     def hadamard(self, other, cap=DEFAULT_POINT_CAP):
-        """Coefficientwise product, reduced over (1-t)^D with D = d1 + d2 - 1.
-
-        Both factors need denominator power at least 1.  Raises ResourceCap
-        when the stream would exceed cap terms, or when multiplying it out
-        would take more than cap products.
+        """Coefficientwise product, reduced over (1-t)^D with
+        D = max(d1 + d2 - 1, 0).  Raises ResourceCap when the stream would
+        exceed cap terms, or when multiplying it out would take more than
+        cap products.
 
         The stream on [lo, top] determines the numerator, lo the larger
         lowest exponent and top = max(e1 - d1, e2 - d2) + D, e1 and e2 the
         highest exponents.  C(n - e + d - 1, d - 1) is a polynomial of degree
-        d - 1 in n that vanishes at n - e = 1 - d..-1, so from n = top - D + 1
-        on the product stream is a polynomial of degree at most D - 1.  Its
-        D-th difference, the coefficient of t^n in the stream times
+        d - 1 in n that vanishes at n - e = 1 - d..-1, and a series with
+        d = 0 vanishes above e, so from n = top - D + 1 on the product
+        stream is a polynomial of degree at most D - 1 (zero if a d is 0).
+        Its D-th difference, the coefficient of t^n in the stream times
         (1 - t)^D, therefore vanishes for n > top; below lo the stream is 0.
         """
+        if not (self.numerator and other.numerator):
+            return HilbertSeries((), 0)
         d1, d2 = self.denom_power, other.denom_power
-        if d1 < 1 or d2 < 1:
-            raise ReconstructionFailed(
-                f"hadamard needs denominator powers >= 1, got {d1} and {d2}")
-        dd = d1 + d2 - 1
+        dd = max(d1 + d2 - 1, 0)
         lo = max(self.lowest_exponent(), other.lowest_exponent())
         top = max(self.highest_exponent() - d1, other.highest_exponent() - d2) + dd
         terms = top - lo + 1

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segrecm
-from segrecm.cli import COMMANDS, GLOBALS, SERIES, _cap, _int_list, _window, run
+from segrecm.cli import (COMMANDS, GLOBALS, MATRIX, RING, SERIES, TORIC, _cap, _int_list,
+                         _window, run)
 from oracles import format_matrix, support_witnesses
 
 
@@ -113,6 +114,11 @@ class TestReports:
         report = invoke_json(capsys, ["hilbert", "shift",
                                       "--series", "num: 1 0 ; den: 1", "--a", "2"])
         assert report["results"]["series"] == "num: 1 -2 ; den: 1"
+        # an Artinian factor: (1 + t + t^2) times the stream n + 1
+        report = invoke_json(capsys, ["hilbert", "hadamard",
+                                      "--left", "num: 1 0 1 1 1 2 ; den: 0",
+                                      "--right", "num: 1 0 ; den: 2"])
+        assert report["results"]["series"] == "num: 1 0 2 1 3 2 ; den: 0"
 
     def test_oracle_friendly(self, capsys):
         report = invoke_json(capsys, ["oracle", "friendly", "--ring1", "x:3",
@@ -209,9 +215,11 @@ class TestExitCodes:
 
     def test_domain_error(self, capsys, tmp_path):
         assert run(["classify", "cm-twist", "--rho", "2,3", "--a", "1"]) == 3
-        bad = tmp_path / "bad.mat"
+        bad, empty = tmp_path / "bad.mat", tmp_path / "empty.mat"
         bad.write_text(format_matrix([[1, 2]]))
+        empty.write_text("0 0\n")
         assert run(["toric", "kernel", "--matrix", str(bad)]) == 3
+        assert run(["toric", "validate", "--matrix", str(empty)]) == 3
         assert run(["classify", "power", "--rho", "3,3", "--a", "2"]) == 3
         # three factors with a dimension 1 entry have no supported formula,
         # and no number of factors allows dimension 0
@@ -278,6 +286,15 @@ class TestExitCodes:
                     "--lo", "5", "--hi", "3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: window lo 5 exceeds hi 3\n"
+
+    def test_hilbert_window_bits_cap_boundary(self, capsys):
+        # each of C(10, 2), C(11, 2), C(12, 2) has at most
+        # min(2, 10) * bit_length(12) = 8 bits, 24 in all
+        argv = ["hilbert", "window", "--series", "num: 1 0 ; den: 3", "--lo", "8", "--hi", "10"]
+        assert invoke_json(capsys, ["--cap", "24", *argv])["results"]["values"] == [45, 55, 66]
+        assert run(["--cap", "23", *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "series window [8, 10]" in err and "24 bits" in err
 
     def test_hilbert_window_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "window", "--series",
@@ -379,8 +396,10 @@ class TestExitCodes:
             sys.set_int_max_str_digits(limit)
 
 
-# flag values by the type in the flag's spec (str for files and ring specs),
-# well formed and malformed; {name} is a matrix file the test writes, or none
+# flag values by the type in the flag's spec, well formed and malformed;
+# {name} is a matrix file the test writes, or none; files and ring specs
+# draw from one pool, so each flag also meets the other's values
+FILES_AND_RINGS = ("x:3", "y:2", "x,y:2 0,0 2", "x,x:2 0", "{I2}", "{Q}", "{bad}", "{missing}")
 VALUES = {
     int: ("0", "1", "-2", "5", "40", "10000000", "100000000", "x"),
     _cap: ("0", "10", "100000", "1000000", "-1"),
@@ -388,7 +407,9 @@ VALUES = {
     _window: ("-6..6", "0..3", "-2..2", "3..0"),
     SERIES["type"]: ("num: 1 0 ; den: 2", "num: 1 -1 2 3 ; den: 3", "num: 1 0 ; den: 0",
                      "num: 1 0 ; den: 100000", "num: 1 0 ; den: 300000", "num: 1 0"),
-    str: ("x:3", "y:2", "x,y:2 0,0 2", "x,x:2 0", "{I2}", "{Q}", "{bad}", "{missing}"),
+    MATRIX["type"]: FILES_AND_RINGS,
+    RING["type"]: FILES_AND_RINGS,
+    TORIC["type"]: FILES_AND_RINGS,
 }
 ANY_VALUE = st.sampled_from(sorted({value for pool in VALUES.values() for value in pool}))
 MATRIX_FILES = {"I2": format_matrix([[1, 0], [0, 1]]),
@@ -403,7 +424,7 @@ def _draw_flags(draw, spec, noisy):
     for flag, keys in spec.items():
         if not keys.get("required") and draw(st.booleans()):
             continue
-        typed = st.sampled_from(keys.get("choices") or VALUES[keys.get("type", str)])
+        typed = st.sampled_from(keys.get("choices") or VALUES[keys["type"]])
         value = draw(st.one_of(typed, typed, typed, typed, typed, ANY_VALUE, st.none())
                      if noisy else typed)
         if value is not None:
@@ -438,6 +459,8 @@ class TestEndings:
                    "--right", "num: 1 0 ; den: 2", "--guard", "5"])
     @example(argv=["hilbert", "coeff", "--series", "num: 1 0 ; den: 100000", "--n", "10000000"])
     @example(argv=["hilbert", "coeff", "--series", "num: 1 0 ; den: 300000", "--n", "100000000"])
+    @example(argv=["hilbert", "window", "--series", "num: 1 0 ; den: 100000",
+                   "--lo", "0", "--hi", "100000"])
     @example(argv=["oracle", "friendly", "--ring1", "x,y:2 0,0 2", "--toric2", "{Q}",
                    "--shift1", "100000000", "--shift2", "0"])
     def test_every_run_ends_in_a_documented_exit(self, matrix_paths, argv):
@@ -485,6 +508,7 @@ class TestParse:
         ["--cap", "x", "classify", "interval", "--rho", "4,2"],
         ["hilbert", "hadamard", "--left", "num: 1 0 ; den: 2", "--right", "num: 1 0 ; den: 2",
          "--guard", "5"],
+        ["hilbert", "coeff", "--series", "num: 1 0 ; den: -1", "--n", "1"],
     ])
     def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
         assert invoke(capsys, argv) == (2, "")

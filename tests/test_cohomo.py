@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrecm.cohomo import (TwistInterval, anticanonical_cm_m2,
+from segrecm.cohomo import (DepthReport, TwistInterval, anticanonical_cm_m2,
                             canonical_power_cm, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
                             cohomology_support)
@@ -61,6 +61,11 @@ class TestCohomologySupport:
     def test_rejects_factor_that_is_not_a_triple(self):
         with pytest.raises(ValueError):
             cohomology_support([(2, -2, 0), (3, -3, 0, 9)])
+        # nor an empty factor list, nor a report deeper than its dimension
+        with pytest.raises(ValueError, match="nonempty"):
+            cohomology_support([])
+        with pytest.raises(ValueError, match="exceed"):
+            DepthReport(2, 3, ())
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(-4, 1),
@@ -195,6 +200,9 @@ class TestUniformTwist:
     def test_rejects_unsorted(self):
         with pytest.raises(NotSorted):
             cm_uniform_twist([2, 3], 1)
+        for criterion in (cm_uniform_twist, cm_uniform_twist_raw):
+            with pytest.raises(ValueError, match="nonempty"):
+                criterion([], 2)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rho_lists)

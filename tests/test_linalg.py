@@ -99,6 +99,7 @@ def linear_systems(draw):
 @example(([[1], [2], [-3]], [1, 2, -3]))  # overdetermined and consistent
 @example(([[0, 0]], [0]))  # zero matrix
 @example(([[0, 0]], [1]))
+@example(([], []))  # no equations: no columns to solve for
 # pivots 2, 3, 5, 7: the first coordinate is -43/210
 @example(([[2, 1, 1, 1], [0, 3, 1, 1], [0, 0, 5, 1], [0, 0, 0, 7]], [0, 1, 0, 1]))
 # the common denominator 2 of the second coordinate cancels in the first, 0

@@ -210,14 +210,14 @@ def _permuted_copy(mod, rng):
 
 class TestFriendliness:
     def test_golden_counterexample(self):
-        rep = friendliness(X3, Y2, 2, 1)
+        rep = friendliness(X3, Y2, 2, 1, -6, 6)
         assert rep.verdict == "not_friendly_certified"
         assert rep.left_nonzero() == {1: 1, 2: 1}
         assert rep.right_nonzero() == {2: 1}
 
     def test_zero_shifts_always_match(self):
         for f1, f2 in ((X3, Y2), (monomial_factor(["x"], [(4,)]), monomial_factor(["y"], [(4,)]))):
-            rep = friendliness(f1, f2, 0, 0)
+            rep = friendliness(f1, f2, 0, 0, -6, 6)
             assert rep.verdict == "consistent"
             assert rep.left_nonzero() == rep.right_nonzero()
 
@@ -275,9 +275,20 @@ class TestRingSpec:
         assert parse_ring_spec("x,y") == (["x", "y"], [])
 
     def test_errors(self):
-        for bad in ("", ":3", "x:1 2", "x:q", "x,x:2 0"):
-            with pytest.raises(ValueError):
-                parse_ring_spec(bad)
+        # only the text is checked here; monomial_factor checks the ring
+        with pytest.raises(ValueError, match="bad relation"):
+            parse_ring_spec("x:q")
+        assert parse_ring_spec("") == ([], [])
+        assert parse_ring_spec("x,x:2 0") == (["x", "x"], [(2, 0)])
+
+    @pytest.mark.parametrize("spec, match", [
+        ("", "at least one variable"), (":3", "at least one variable"),
+        ("x,x", "repeats a variable name"), ("x,x:2 0", "repeats a variable name"),
+        ("x:1 2", "bad relation exponent vector"), ("x,y:1 -1", "bad relation exponent vector"),
+        ("x,y:0 0", "bad relation exponent vector")])
+    def test_monomial_factor_rejects(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            monomial_factor(*parse_ring_spec(spec))
 
 
 class TestModuleInvariants:

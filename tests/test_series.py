@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrecm.errors import ReconstructionFailed
 from segrecm.series import HilbertSeries, format_series, parse_series
 
 from oracles import expand_series
@@ -20,12 +19,11 @@ def expand(h, lo, hi):
 any_series = st.builds(
     H, st.lists(st.tuples(st.integers(-3, 5), st.integers(-3, 3)), max_size=4),
     st.integers(0, 3))
-# the Hadamard product needs eventually polynomial coefficient streams
-streams = any_series.filter(lambda h: h.denom_power >= 1)
-# wider numerators and denominator powers up to 6, as the proven top needs
-wide_streams = st.builds(
+# wider numerators and denominator powers 0 to 6, as the proven top needs;
+# some reduce to polynomials or to the zero series
+wide_series = st.builds(
     H, st.lists(st.tuples(st.integers(-8, 11), st.integers(-3, 3)), min_size=1, max_size=4),
-    st.integers(1, 6)).filter(lambda h: h.denom_power >= 1)
+    st.integers(0, 6))
 LO, HI = -6, 14
 
 
@@ -91,11 +89,15 @@ class TestHadamard:
         line = H([(0, 1)], 1)
         assert line.hadamard(line) == line
 
-    def test_rejects_polynomial_inputs(self):
-        with pytest.raises(ReconstructionFailed):
-            NILP3.hadamard(POLY_2VARS)
-        with pytest.raises(ReconstructionFailed):
-            POLY_2VARS.hadamard(NILP3)
+    def test_polynomial_inputs(self):
+        # an Artinian factor makes the product a polynomial: (1 + t + t^2)
+        # times the stream n + 1 is 1 + 2t + 3t^2
+        want = H([(0, 1), (1, 2), (2, 3)], 0)
+        assert NILP3.hadamard(POLY_2VARS) == POLY_2VARS.hadamard(NILP3) == want
+        assert NILP3.hadamard(NILP3) == NILP3
+        assert NILP3.hadamard(H([], 0)) == H([], 0) == H([], 0).hadamard(POLY_2VARS)
+        # t^5 / (1 - t) and 1 share no degree
+        assert H([(5, 1)], 1).hadamard(H([(0, 1)], 0)) == H([], 0)
 
     def test_pointwise_law(self):
         samples = [POLY_2VARS, TWISTED, H([(0, 1)], 1), H([(-1, 2), (1, 1)], 2),
@@ -157,8 +159,13 @@ class TestReducedForm:
         assert h.coeff(3) == 0
 
     def test_direct_construction_rejects_unreduced(self):
-        with pytest.raises(ValueError):
-            HilbertSeries(((0, 1), (1, -1)), 1)
+        # (1 - t) / (1 - t), a negative power, unsorted or zero pairs
+        for numerator, d in ((((0, 1), (1, -1)), 1), (((0, 1),), -1),
+                             (((1, 1), (0, 1)), 0), (((0, 0),), 0)):
+            with pytest.raises(ValueError):
+                HilbertSeries(numerator, d)
+        with pytest.raises(ValueError, match="negative denominator power -1"):
+            H([(0, 1)], -1)
 
 
 class TestTextEncoding:
@@ -193,7 +200,7 @@ class TestSeriesLaws:
         assert list(h.shift(a).window(LO, HI)) == expand(h, LO + a, HI + a)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(streams, streams)
+    @given(any_series, any_series)
     def test_hadamard_commutes_pointwise(self, h1, h2):
         prod = h1.hadamard(h2)
         assert prod == h2.hadamard(h1)
@@ -201,22 +208,24 @@ class TestSeriesLaws:
         assert list(prod.window(LO, HI)) == want
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(streams)
+    @given(any_series)
     def test_hadamard_unit(self, h):
         # 1/(1-t) is 1 in every degree >= 0, so it keeps exactly those
         prod = h.hadamard(H([(0, 1)], 1))
         want = [c if n >= 0 else 0 for n, c in zip(range(LO, HI + 1), expand(h, LO, HI))]
         assert list(prod.window(LO, HI)) == want
-        if h.lowest_exponent() >= 0:
+        if all(e >= 0 for e, _ in h.numerator):
             assert prod == h
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(wide_streams, wide_streams)
+    @given(wide_series, wide_series)
     def test_hadamard_pointwise_past_top(self, h1, h2):
         # the numerator is read off up to top; the product must still hold
-        # 2 (d1 + d2) degrees beyond it
+        # 2 (d1 + d2) + 2 degrees beyond it
         d1, d2 = h1.denom_power, h2.denom_power
-        top = max(h1.highest_exponent() - d1, h2.highest_exponent() - d2) + d1 + d2 - 1
-        lo, hi = min(h1.lowest_exponent(), h2.lowest_exponent()), top + 2 * (d1 + d2)
+        ends = [(h.lowest_exponent(), h.highest_exponent() - h.denom_power)
+                for h in (h1, h2) if h.numerator] or [(0, 0)]
+        top = max(end for _, end in ends) + max(d1 + d2 - 1, 0)
+        lo, hi = min(low for low, _ in ends), top + 2 * (d1 + d2) + 2
         want = [x * y for x, y in zip(expand(h1, lo, hi), expand(h2, lo, hi))]
         assert expand(h1.hadamard(h2), lo, hi) == want

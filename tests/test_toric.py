@@ -81,8 +81,9 @@ class TestValidate:
         assert CUBIC.grading == (Fraction(1), Fraction(0))
 
     def test_not_gradable(self):
-        with pytest.raises(NotStandardGraded):
-            validate([[1, 2]])
+        for matrix in ([[1, 2]], [], [[]]):
+            with pytest.raises(NotStandardGraded):
+                validate(matrix)
 
     def test_certificate_rechecked_on_construction(self):
         # the first column off degree 1 is named with its exact degree
@@ -96,6 +97,12 @@ class TestValidate:
             with pytest.raises(NotStandardGraded) as exc:
                 ToricPresentation(matrix, grading)
             assert str(exc.value) == message
+        # empty, ragged, or a grading of the wrong length
+        for matrix, grading in (((), ()), (((),), (Fraction(1),)),
+                                (((1, 0), (1,)), (Fraction(1), Fraction(0))),
+                                (((1, 1),), (Fraction(1), Fraction(0)))):
+            with pytest.raises(NotStandardGraded):
+                ToricPresentation(matrix, grading)
 
 
 class TestTensor:
