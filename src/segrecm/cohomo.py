@@ -175,15 +175,14 @@ def _check_sorted(rhos):
 def cm_uniform_twist(rhos, a):
     """Cohen-Macaulayness of the uniform twist module # R_i(-a rho_i).
 
-    rhos are the negated a-invariants, sorted non-increasing.  The m - 1
-    consecutive comparisons below are equivalent to the full subset
-    criterion cm_uniform_twist_raw; the equivalence is exercised in the
-    test suite.
+    rhos are the negated a-invariants, sorted non-increasing.  The twists
+    a and 1 - a give dual modules, so with b = max(a, 1 - a) the m - 1
+    consecutive comparisons below are equivalent to the subset criterion
+    cm_uniform_twist_raw; the equivalence is exercised in the test suite.
     """
     rhos = _check_sorted(rhos)
-    if a <= 0:
-        return all((1 - a) * rhos[l + 1] > -a * rhos[l] for l in range(len(rhos) - 1))
-    return all(a * rhos[l + 1] > (a - 1) * rhos[l] for l in range(len(rhos) - 1))
+    b = max(a, 1 - a)
+    return all(b * rhos[l + 1] > (b - 1) * rhos[l] for l in range(len(rhos) - 1))
 
 
 def cm_uniform_twist_raw(rhos, a):
@@ -210,17 +209,18 @@ def cm_uniform_twist_raw(rhos, a):
 def cm_chain(rhos, a):
     """Chain form of the uniform twist criterion for a outside {0, 1}.
 
-    With C = a/(a-1) for positive a and (a-1)/a for negative a, the module
-    is Cohen-Macaulay exactly when
+    With C = b/(b-1) for b = max(a, 1 - a), the module is Cohen-Macaulay
+    exactly when
 
         C^(m-1) rho_m > C^(m-2) rho_(m-1) > ... > C rho_2 > rho_1,
 
     evaluated in exact rational arithmetic.
     """
-    if a in (0, 1):
+    b = max(a, 1 - a)
+    if b == 1:
         raise BadTwist(f"chain criterion undefined for twist a = {a}")
     rhos = _check_sorted(rhos)
-    c = Fraction(a, a - 1) if a > 0 else Fraction(a - 1, a)
+    c = Fraction(b, b - 1)
     values = [c ** j * rhos[j] for j in range(len(rhos))]
     # values[j] = C^j rho_(j+1); the chain says they strictly increase
     return all(values[j + 1] > values[j] for j in range(len(values) - 1))

@@ -16,34 +16,34 @@ Hom_T(M, T)_i splits into pieces of multidegree (t, u), |t| = i - a and
 |u| = i - b, nonzero only for t a label of R.  A map of that multidegree sends the generator
 g of G_S to c_g (t, g + u), so c_g is free only when g + u is a label of
 S (g is a candidate) and is 0 otherwise.  The relations of M among its
-generators are x g = 0 when g + x is no label of M, and x g = x' g' when
-g + x = g' + x' =: m is one, for labels x, x' of T.  Applying the map:
-a candidate g is killed (c_g = 0) when some x has g + x vanishing in M
-but (t, g + u) + x a label of T; two generators are linked (c_g = c_g',
-a zero if g' is no candidate) when some such m has m + (t, u) a label of
-T.  So the piece has dimension the number of classes of candidates
-under the links that hold no killed or non-candidate generator: a
-union-find with a zero class.
+generators are x g = x' g' when g + x = g' + x' =: m is a label of M,
+for labels x, x' of T, and x g = 0 when m = g + x is not, that is when
+its part in S is a multiple of a relation r: read r as one more
+generator g', of the zero class.  Applying the map: two generators are
+linked (c_g = c_g', a zero if g' is no candidate or a relation) when
+some such m has m + (t, u) a label of T.  So the piece has dimension
+the number of classes of candidates under the links that hold no
+non-candidate and no relation: a union-find with a zero class.
 
 Only minimal witnesses need testing, since vanishing is upward-closed
 and being a label is downward-closed on a quotient.  Write x = (y, z),
 deg y = deg z = d.  On the R side, y and t + y are labels for some y of
 degree d exactly when d <= h(t), the height of t: the largest degree of
-a label that is a multiple of t, less that of t (any d on a domain).  On the S side, g + z vanishes
-exactly when z >= p = max(r - g, 0) for a relation r, so g is killed
-when g + u + p is a label and deg p <= h(t).  A common multiple m of g
-and g' is at least mu = max(g, g'), and m + u is a label only if mu + u
-is; the degrees m - g then form an interval from deg mu - deg g, because
-they are those of the standard monomials of (I : x^mu) + (I : x^(mu+u))
-shifted by deg mu - deg g, and they must meet [0, h(t)] on the R side.
-So g and g' are linked when mu and mu + u are labels and deg mu - deg g
-<= h(t).  If S has no relations it is a domain: every sum of labels is a
-label, so it kills nothing and links g, g' from the least degree d with
-(g + S_d) meeting (g' + S_d).  When neither factor has relations every
-candidate links and nothing is killed, so a piece is 1 exactly when
-every generator is a candidate, which counts factor by factor: dim
-Hom_i = N_R(i) N_S(i), N_R(i) = #{p in R_{k0+i} : p - g0 + G_R lies in
-R_{k0+i}} for any g0 in G_R.
+a label that is a multiple of t, less that of t (any d on a domain).  A
+common multiple m of g and g' is at least mu = max(g, g'), and m + u is
+a label only if mu + u is; the degrees m - g then form an interval from
+deg mu - deg g, because they are those of the standard monomials of
+(I : x^mu) + (I : x^(mu+u)) shifted by deg mu - deg g, and they must
+meet [0, h(t)] on the R side.  So g and g' are linked when mu and mu + u
+are labels and deg mu - deg g <= h(t).  For a relation g' = r, mu is
+no label and g + z vanishes exactly when z >= mu - g, so g and r are
+linked when mu + u is a label and deg mu - deg g <= h(t).  If S has no
+relations it is a domain: every sum of labels is a label, so it links
+g, g' from the least degree d with (g + S_d) meeting (g' + S_d).  When
+neither factor has relations every candidate links and no class is
+zero, so a piece is 1 exactly when every generator is a candidate, which
+counts factor by factor: dim Hom_i = N_R(i) N_S(i), N_R(i) = #{p in
+R_{k0+i} : p - g0 + G_R lies in R_{k0+i}} for any g0 in G_R.
 
 Every dimension is therefore exact on every degree of the window.
 """
@@ -52,7 +52,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
 from operator import add, ge, sub
 
 from .errors import DEFAULT_POINT_CAP, WindowTooSmall, check_cap
@@ -63,13 +62,11 @@ class Factor:
     """A standard graded monomial ring, generated by the degree-1 labels
     gens, less the labels divisible by a relation.  Relations belong to
     quotients of a polynomial ring, whose gens are the unit vectors; a
-    factor without relations is a semigroup ring, hence a domain.  what
-    names its label enumeration in ResourceCap messages."""
+    factor without relations is a semigroup ring, hence a domain."""
 
     name: str
     gens: tuple[tuple[int, ...], ...]
     relations: tuple[tuple[int, ...], ...]
-    what: str
 
 
 def monomial_str(names, exps):
@@ -93,13 +90,12 @@ def monomial_factor(names, relations):
     rel_names = ", ".join(monomial_str(names, r) for r in rels)
     name = f"K[{','.join(names)}]" + (f"/({rel_names})" if rels else "")
     units = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
-    return Factor(name, units, rels, f"monomial quotient {name}")
+    return Factor(name, units, rels)
 
 
 def toric_factor(pres):
     """The semigroup ring of a toric presentation."""
-    return Factor(f"toric[{pres.nrows}x{pres.ncols}]", tuple(pres.columns()), (),
-                  "semigroup census")
+    return Factor(f"toric[{pres.nrows}x{pres.ncols}]", tuple(pres.columns()), ())
 
 
 def _levels(factor, n_max, cap):
@@ -111,14 +107,14 @@ def _levels(factor, n_max, cap):
     empty above, so the rest is padded with ().  ResourceCap counts the
     n_max + 1 levels, then the running total of the labels built.
     """
-    check_cap(n_max + 1, cap, factor.what)
+    check_cap(n_max + 1, cap, f"labels of {factor.name}")
     levels, total = [((0,) * len(factor.gens[0]),)], 1
     while len(levels) <= n_max and levels[-1]:
         sums = {tuple(map(add, label, g)) for label in levels[-1] for g in factor.gens}
         levels.append(tuple(sorted(s for s in sums if not any(
             all(map(ge, s, r)) for r in factor.relations))))
         total += len(levels[-1])
-        check_cap(total, cap, factor.what)
+        check_cap(total, cap, f"labels of {factor.name}")
     return tuple(levels) + ((),) * (n_max + 1 - len(levels))
 
 
@@ -152,34 +148,27 @@ class _Side:
     def pairs(self):
         """pairs[j]: (h, low, mu) for each other generator g_h that may link
         with g_j, low the least deg m - deg g_j over the common multiples m.
-        On a quotient mu = max(g_j, g_h), which must be a label; a domain
-        links any two from its least semigroup offset, and mu is None."""
+        On a quotient mu = max(g_j, g_h), a label unless g_h is a relation,
+        of the zero class h = None; a domain links any two from its least
+        semigroup offset, and mu is None."""
         if self.rels:
+            others = [*enumerate(self.gens), *((None, r) for r in self.rels)]
             return [[(h, sum(m) - self.deg, m) for h, m in
-                     enumerate(tuple(map(max, g, k)) for k in self.gens)
-                     if h != j and m in self.members]
+                     ((h, tuple(map(max, g, k))) for h, k in others)
+                     if h is None or h != j and m in self.members]
                     for j, g in enumerate(self.gens)]
-        sets = [set(level) for level in self.levels[:self.deg + 1]]
-        return [[(h, next(d for d, layer in enumerate(sets)
-                          if any(tuple(map(add, x, step)) in layer for x in layer)), None)
+        # a label plus a step of degree 0 keeps its degree
+        return [[(h, next(d for d, layer in enumerate(self.levels)
+                          if any(tuple(map(add, x, step)) in self.members for x in layer)), None)
                  for h, step in enumerate(tuple(map(sub, g, k)) for k in self.gens) if h != j]
                 for j, g in enumerate(self.gens)]
 
-    @cached_property
-    def kills(self):
-        """Per generator g, the least pads p = max(r - g, 0) = max(r, g) - g
-        of the relations r, by degree."""
-        return [sorted((sum(p), p) for p in
-                       (tuple(map(sub, map(max, r, g), g)) for r in self.rels))
-                for g in self.gens]
-
     def multidegrees(self, targets):
         """How many multidegrees u = t - g, t in targets, share each
-        signature (cands, links).  cands lists (j, kappa) per candidate
-        g_j, g_j + u a label, with kappa the least degree of its kill
-        witnesses; links lists (j, h, low) per candidate g_j and generator
-        g_h that link in degree low and up."""
-        members, kills, pairs = self.members, self.kills, self.pairs
+        signature (cands, links).  cands lists the j of each candidate g_j,
+        g_j + u a label; links lists (j, h, low) per candidate g_j and
+        generator or relation g_h that link in degree low and up."""
+        members, pairs = self.members, self.pairs
         # the candidates g_j + u = t of each u, listed by j: t orders as g_j
         shifted = {}
         for t in targets:
@@ -187,26 +176,21 @@ class _Side:
                 shifted.setdefault(tuple(map(sub, t, g)), {})[j] = t
         signatures = Counter()
         for u, cand in shifted.items():
-            # max(g, r) + u is a multiple of r unless u < 0 somewhere
-            killing = min(u) < 0
-            cands = tuple((j, next((d for d, p in kills[j]
-                                    if killing and tuple(map(add, v, p)) in members), inf))
-                          for j, v in cand.items())
             # one link per pair: mu + u = max(g_j + u, g_h + u) is a label
             links = tuple((j, h, low) for j in cand for h, low, mu in pairs[j]
-                          if (h > j or h not in cand)
+                          if (h not in cand or h > j)
                           and (mu is None or tuple(map(add, mu, u)) in members))
-            signatures[cands, links] += 1
+            signatures[tuple(cand), links] += 1
         return signatures
 
 
 def _live(signature, height):
     """The Hom count of one multidegree: the live classes of the
-    candidates that no witness of degree at most height kills, under the
-    links of degree at most height.  A union-find on the candidate
-    indices, with the class None for the forced zeros, counts merges."""
+    candidates under the links of degree at most height.  A union-find on
+    the candidate indices, with the class None for the forced zeros,
+    counts merges."""
     cands, links = signature
-    parent = {j: j for j, kappa in cands if kappa > height}
+    parent = {j: j for j in cands}
     live = len(parent)
     parent[None] = None
     for j, h, low in links:
@@ -228,9 +212,8 @@ def _linked_counts(unit, side, degrees, k0, cap):
     the live classes of its generators at the height of t."""
     work = len(side.gens) ** 2
     check_cap(work, cap, "monomial Hom candidates")
-    # heights matter only up to the largest kill degree and link degree
-    limit = max([low for row in side.pairs for _, low, _ in row] + [sum(r) for r in side.rels],
-                default=0)
+    # heights matter only up to the largest link degree
+    limit = max((low for row in side.pairs for _, low, _ in row), default=0)
     counts, left = {}, []
     for i in degrees:
         targets = (unit.levels[k0 + i], side.levels[k0 + i]) if k0 + i >= 0 else ((), ())
@@ -257,8 +240,8 @@ def _product_counts(sides, degrees, k0, cap):
             layer = side.levels[k0 + i] if k0 + i >= 0 else ()
             work += len(layer) * len(steps)
             check_cap(work, cap, "toric Hom candidates")
-            members = set(layer)
-            left[off] *= sum(all(tuple(map(add, p, s)) in members for s in steps)
+            # a point plus a step of degree 0 keeps its degree
+            left[off] *= sum(all(tuple(map(add, p, s)) in side.members for s in steps)
                              for p in layer)
     return left
 
@@ -268,8 +251,8 @@ def _sides(factors, shifts, i_hi, cap):
     a window ending at i_hi reads: G, the targets and the right side."""
     k0 = -min(shifts)
     n_max = max(i_hi + k0, max(shifts) + k0)
-    # a quotient also holds the heights, common multiples and kill
-    # witnesses of the Hom count, all within this many degrees more
+    # a quotient also holds, this many degrees up, the heights of the Hom
+    # count and the common multiples with generators and relations
     extra = max([max(shifts) + k0] + [sum(r) for f in factors for r in f.relations])
     return k0, [_Side(f, shift, k0, n_max + (extra if f.relations else 0), cap)
                 for f, shift in zip(factors, shifts)]

@@ -254,7 +254,7 @@ class TestExitCodes:
                     "--ring2", "e,f,g,h", "--shift1", "0", "--shift2", "0",
                     "--window", "0..6"]) == 4
         err = capsys.readouterr().err
-        assert "monomial quotient K[a,b,c,d]" in err and "cap of 10" in err
+        assert "labels of K[a,b,c,d]" in err and "cap of 10" in err
 
     def test_toric_oracle_resource_cap(self, capsys, i2_path):
         # the factor semigroup layers hold 15 points each, the Hom candidates 30 tests
@@ -317,7 +317,7 @@ class TestExitCodes:
                     "--shift1", "0", "--shift2", "0", "--window", "0..1200000"]) == 4
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
-        assert out == "" and "monomial quotient K[x]/(x^2)" in err
+        assert out == "" and "labels of K[x]/(x^2)" in err
 
     def test_repeated_variable_is_usage_error(self, capsys):
         assert run(["oracle", "friendly", "--ring1", "x,x:2 0", "--ring2", "y:2",
@@ -509,9 +509,13 @@ class TestParse:
         ["hilbert", "hadamard", "--left", "num: 1 0 ; den: 2", "--right", "num: 1 0 ; den: 2",
          "--guard", "5"],
         ["hilbert", "coeff", "--series", "num: 1 0 ; den: -1", "--n", "1"],
+        ["classify", "depth", "--dims", "2,3", "--ainv", "-2", "--shifts", "0,0"],
+        ["classify", "depth", "--dims", "", "--ainv", "", "--shifts", ""],
+        ["toric", "census", "--matrix", "{I2}", "--upto", "-1"],
+        ["toric", "segre", "--left", "{I2}", "--right", "{I2}", "--census", "-1"],
     ])
-    def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
-        assert invoke(capsys, argv) == (2, "")
+    def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv, i2_path):
+        assert invoke(capsys, [tok.format(I2=i2_path) for tok in argv]) == (2, "")
 
 
 class TestModuleEntry:

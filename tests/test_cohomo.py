@@ -211,6 +211,17 @@ class TestUniformTwist:
         for a in range(-6, 7):
             assert cm_uniform_twist_raw(rhos, a) == uniform_twist_by_subsets(rhos, a), a
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    def test_twists_a_and_one_minus_a_agree(self, rhos):
+        # M_a and M_(1-a) are dual, so each form answers alike at both
+        rhos = sorted(rhos, reverse=True)
+        for a in range(-8, 9):
+            assert uniform_twist_by_subsets(rhos, a) == uniform_twist_by_subsets(rhos, 1 - a), a
+            assert cm_uniform_twist(rhos, a) == cm_uniform_twist(rhos, 1 - a), a
+            if a not in (0, 1):
+                assert cm_chain(rhos, a) == cm_chain(rhos, 1 - a), a
+
     def test_raw_many_factors(self):
         # 300 factors; the consecutive ratio 27/26 allows twists -25..26
         rhos = sorted((30 - i % 5 for i in range(300)), reverse=True)
