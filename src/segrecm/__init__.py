@@ -4,8 +4,6 @@ Cohen-Macaulay classification of twisted products, and exact graded Hom
 counts that test whether duals commute with the product.  A public name, or
 module name, imports its module on first access: importing one loads no other."""
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
@@ -25,7 +23,8 @@ def __getattr__(name):
     """A public name not bound here, from its module (PEP 562)."""
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _import_module(f".{_MODULE_OF[name]}", __name__)  # binds the module name here
+    # __import__ binds the module name here, and python -X importtime shows it
+    module = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}"), _MODULE_OF[name])
     return module if name == _MODULE_OF[name] else getattr(module, name)
 
 

@@ -31,38 +31,28 @@ for Cohen-Macaulay rings; keeping one stored convention and converting at
 the call boundary avoids sign bugs.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .errors import (DEFAULT_POINT_CAP, BadTwist, DimensionTooSmall,
-                     NotApplicable, NotPositive, NotSorted, check_cap)
+                     NotApplicable, NotPositive, NotSorted, Record, check_cap)
+
+# A nonvanishing cohomology summand: degree q, contributing subset of 1-based
+# factor indices, and the degrees lo..hi where it is nonzero (None: unbounded).
+Witness = namedtuple("Witness", "q subset lo hi")
 
 
-class Witness(NamedTuple):
-    """A nonvanishing cohomology summand: degree q, contributing subset,
-    and the (possibly half-infinite) interval of internal degrees where
-    it is nonzero.  None stands for an infinite endpoint."""
+class DepthReport(Record):
+    """Dimension, depth and the tuple of Witnesses of a twisted product."""
 
-    q: int
-    subset: tuple[int, ...]
-    lo: Optional[int]
-    hi: Optional[int]
+    _fields = ("dim", "depth", "witnesses")
 
-
-@dataclass(frozen=True)
-class DepthReport:
-    dim: int
-    depth: int
-    witnesses: tuple[Witness, ...]
-
-    def __post_init__(self):
-        if self.depth > self.dim:
+    def __init__(self, dim, depth, witnesses):
+        super().__init__(dim, depth, witnesses)
+        if depth > dim:
             raise ValueError("depth cannot exceed dimension")
 
     @property
@@ -70,18 +60,17 @@ class DepthReport:
         return self.depth == self.dim
 
 
-@dataclass(frozen=True)
-class TwistInterval:
+class TwistInterval(Record):
     """Uniform twists giving a Cohen-Macaulay module: the open interval
     (lo, hi) with rational ends, or all integers when both are None."""
 
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
+    def __init__(self, lo=None, hi=None):
+        super().__init__(lo, hi)
+        if (lo is None) != (hi is None):
             raise ValueError("an interval needs both ends or neither")
-        if self.lo is not None and not self.lo < self.hi:
+        if lo is not None and not lo < hi:
             raise ValueError("open interval needs lo < hi")
 
     @property
@@ -207,23 +196,23 @@ def cm_uniform_twist_raw(rhos, a):
 
 
 def cm_chain(rhos, a):
-    """Chain form of the uniform twist criterion for a outside {0, 1}.
+    """Chain form of the uniform twist criterion for a twist a outside [0, 1].
 
     With C = b/(b-1) for b = max(a, 1 - a), the module is Cohen-Macaulay
     exactly when
 
         C^(m-1) rho_m > C^(m-2) rho_(m-1) > ... > C rho_2 > rho_1,
 
-    evaluated in exact rational arithmetic.
+    evaluated exactly in integers: scaled by (b-1)^(m-1) > 0 throughout.
     """
     b = max(a, 1 - a)
-    if b == 1:
+    if b <= 1:
         raise BadTwist(f"chain criterion undefined for twist a = {a}")
     rhos = _check_sorted(rhos)
-    c = Fraction(b, b - 1)
-    values = [c ** j * rhos[j] for j in range(len(rhos))]
-    # values[j] = C^j rho_(j+1); the chain says they strictly increase
-    return all(values[j + 1] > values[j] for j in range(len(values) - 1))
+    m = len(rhos)
+    values = [b ** j * (b - 1) ** (m - 1 - j) * rhos[j] for j in range(m)]
+    # values[j] = (b-1)^(m-1) C^j rho_(j+1); the chain says they strictly increase
+    return all(values[j + 1] > values[j] for j in range(m - 1))
 
 
 def anticanonical_cm_m2(a1, a2):

@@ -1,11 +1,46 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and record base shared by all modules.
 
 DomainError subclasses signal mathematically invalid input and map to CLI
 exit code 3; ResourceCap signals that a configured enumeration bound was
 exceeded and maps to exit code 4.  Every message names the offending input.
+
+Record is the base of the library's value types: immutable records
+compared and hashed by value, with no code generated when a module loads.
 """
 
 DEFAULT_POINT_CAP = 1_000_000
+
+
+class Record:
+    """An immutable value whose class names its fields, in order, in _fields.
+    Records of one class compare and hash by field values.  A subclass
+    checks its invariants in __init__, which copy and pickle call again."""
+
+    def __init__(self, *values):
+        # set one by one: filling self.__dict__ would make every read slower
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class SegreError(Exception):

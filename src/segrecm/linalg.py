@@ -6,8 +6,6 @@ row.  integer_kernel takes the Hermite form of the kernel tails only, and
 solve_right back-substitutes in integers: only its answer is rational.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

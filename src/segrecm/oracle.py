@@ -47,26 +47,21 @@ R_{k0+i} : p - g0 + G_R lies in R_{k0+i}} for any g0 in G_R.
 
 Every dimension is therefore exact on every degree of the window.
 """
-from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge, sub
 
-from .errors import DEFAULT_POINT_CAP, WindowTooSmall, check_cap
+from .errors import DEFAULT_POINT_CAP, Record, WindowTooSmall, check_cap
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """A standard graded monomial ring, generated by the degree-1 labels
-    gens, less the labels divisible by a relation.  Relations belong to
-    quotients of a polynomial ring, whose gens are the unit vectors; a
-    factor without relations is a semigroup ring, hence a domain."""
+    gens, less the labels divisible by a relation (both int tuples).
+    Relations belong to quotients of a polynomial ring, whose gens are the
+    unit vectors; without relations a factor is a domain, a semigroup ring."""
 
-    name: str
-    gens: tuple[tuple[int, ...], ...]
-    relations: tuple[tuple[int, ...], ...]
+    _fields = ("name", "gens", "relations")
 
 
 def monomial_str(names, exps):
@@ -258,8 +253,7 @@ def _sides(factors, shifts, i_hi, cap):
                 for f, shift in zip(factors, shifts)]
 
 
-@dataclass(frozen=True)
-class FriendlinessReport:
+class FriendlinessReport(Record):
     """Comparison of the dual of a product with the product of the duals.
 
     left_dims are the Hom dimensions of (R shifted by a) # (S shifted by
@@ -271,9 +265,7 @@ class FriendlinessReport:
     window is consistency evidence only.
     """
 
-    i_lo: int
-    left_dims: tuple[int, ...]
-    right_dims: tuple[int, ...]
+    _fields = ("i_lo", "left_dims", "right_dims")
 
     @property
     def compared(self):

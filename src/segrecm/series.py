@@ -13,12 +13,9 @@ product's numerator over (1 - t)^max(d1 + d2 - 1, 0) can reach and takes
 running differences; `HilbertSeries.hadamard` proves that degree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from math import comb
 
-from .errors import DEFAULT_POINT_CAP, ResourceCap, check_cap
+from .errors import DEFAULT_POINT_CAP, Record, ResourceCap, check_cap
 
 
 def _normalize_pairs(pairs):
@@ -38,8 +35,7 @@ def _divide_by_one_minus_t(pairs):
     return tuple(quot)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Record):
     """numerator / (1 - t)^denom_power, numerator a sorted tuple of
     (exponent, coefficient) pairs with nonzero integer coefficients.
 
@@ -47,16 +43,16 @@ class HilbertSeries:
     vanish at t = 1.  Use from_pairs to build one; it normalizes.
     """
 
-    numerator: tuple[tuple[int, int], ...]
-    denom_power: int
+    _fields = ("numerator", "denom_power")
 
-    def __post_init__(self):
-        if self.denom_power < 0:
-            raise ValueError(f"negative denominator power {self.denom_power}")
-        exps = [e for e, _ in self.numerator]
-        if exps != sorted(set(exps)) or any(c == 0 for _, c in self.numerator):
+    def __init__(self, numerator, denom_power):
+        super().__init__(numerator, denom_power)
+        if denom_power < 0:
+            raise ValueError(f"negative denominator power {denom_power}")
+        exps = [e for e, _ in numerator]
+        if exps != sorted(set(exps)) or any(c == 0 for _, c in numerator):
             raise ValueError("numerator pairs must be sorted, unique, nonzero")
-        if self.denom_power > 0 and sum(c for _, c in self.numerator) == 0:
+        if denom_power > 0 and sum(c for _, c in numerator) == 0:
             raise ValueError("numerator divisible by (1 - t): not reduced")
 
     @staticmethod
@@ -98,11 +94,7 @@ class HilbertSeries:
         if cap is not None and bits > cap:
             raise ResourceCap(f"series coefficient t^{n}: a binomial of up to {bits} bits, "
                               f"over the cap of {cap}")
-        total = 0
-        for e, c in self.numerator:
-            if n - e >= 0:
-                total += c * comb(n - e + d - 1, d - 1)
-        return total
+        return sum(c * comb(n - e + d - 1, d - 1) for e, c in self.numerator if n >= e)
 
     # -- operations -------------------------------------------------------
 

@@ -11,43 +11,39 @@ the column differences, and layers step as bitsets, or as sets of ints
 when the box of codes is sparse.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import mul
 
 from . import linalg
-from .errors import DEFAULT_POINT_CAP, NotStandardGraded, check_cap
+from .errors import DEFAULT_POINT_CAP, NotStandardGraded, Record, check_cap
 
 # census steps a box of codes as a bitset when it has at most 2**24 bits,
 # 2 MB a layer, and at most 2**10 bits per multiset of n_max codes
 _BITSET_BOX, _BITS_PER_MULTISET = 1 << 24, 1 << 10
 
 
-@dataclass(frozen=True)
-class ToricPresentation:
-    """Exponent matrix (rows of ints) plus a grading certificate.
+class ToricPresentation(Record):
+    """Exponent matrix (a tuple of int tuples) plus a grading certificate.
 
-    The certificate is a rational row vector lam with lam . column == 1
+    The certificate is a tuple of Fractions lam with lam . column == 1
     for every column; its existence is exactly the standard graded
     condition and is re-checked, in integers over the lcm of its
     denominators, on every construction.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    grading: tuple[Fraction, ...]
+    _fields = ("matrix", "grading")
 
-    def __post_init__(self):
-        if not self.matrix or not self.matrix[0]:
+    def __init__(self, matrix, grading):
+        super().__init__(matrix, grading)
+        if not matrix or not matrix[0]:
             raise NotStandardGraded("presentation matrix must be nonempty")
-        if any(len(row) != len(self.matrix[0]) for row in self.matrix):
+        if any(len(row) != len(matrix[0]) for row in matrix):
             raise NotStandardGraded("presentation matrix rows have unequal length")
-        if len(self.grading) != len(self.matrix):
+        if len(grading) != len(matrix):
             raise NotStandardGraded("grading length does not match row count")
-        denom = lcm(*(l.denominator for l in self.grading))
-        nums = [l.numerator * (denom // l.denominator) for l in self.grading]
+        denom = lcm(*(l.denominator for l in grading))
+        nums = [l.numerator * (denom // l.denominator) for l in grading]
         for j, col in enumerate(self.columns()):
             deg = sum(map(mul, nums, col))
             if deg != denom:
@@ -66,11 +62,10 @@ class ToricPresentation:
         return list(zip(*self.matrix))
 
 
-@dataclass(frozen=True)
-class SemigroupCensus:
-    """Counts of distinct semigroup elements per degree, 0..N."""
+class SemigroupCensus(Record):
+    """Counts of distinct semigroup elements per degree, 0..N, as a tuple."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
 
 def validate(matrix):

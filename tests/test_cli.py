@@ -561,6 +561,22 @@ class TestModuleEntry:
         assert code == "0", proc.stderr
         assert loaded == sorted(f"segrecm.{name}" for name in {"cli", "errors", *modules})
 
+    def test_commands_load_no_code_generating_modules(self, i2_path):
+        # compared with the modules loaded before segrecm, as the
+        # interpreter's site hooks may load typing themselves
+        script = ("import contextlib, io, sys\n"
+                  "before = set(sys.modules)\n"
+                  "from segrecm.cli import run\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    codes = [run(argv) for argv in %r]\n"
+                  "print(*codes, *sorted({'dataclasses', 'typing', 'inspect'}"
+                  " & (set(sys.modules) - before)))\n")
+        # one command each of classify, hilbert, toric and oracle
+        argvs = [[tok.format(I2=i2_path) for tok in argv] for argv, _ in self.LOADS[1:5]]
+        proc = python_child(["-c", script % (argvs,)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"] * 4, proc.stderr
+
     def test_package_names_are_their_module_attributes(self):
         # dir() lists every export before its first access; cli is imported here
         public = [name for name in dir(segrecm) if not name.startswith("_") and name != "cli"]

@@ -276,8 +276,20 @@ class TestChain:
             assert cm_chain(rhos, -1) == want
             assert cm_uniform_twist(rhos, -1) == want
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=20),
+           st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+           .filter(lambda a: not 0 <= a <= 1))
+    def test_matches_the_rational_chain(self, rhos, a):
+        # the chain as stated, C^j rho_(j+1) in Fractions, C = b/(b-1)
+        rhos = sorted(rhos, reverse=True)
+        b = max(a, 1 - a)
+        values = [Fraction(b, b - 1) ** j * rho for j, rho in enumerate(rhos)]
+        assert cm_chain(rhos, a) == all(map(Fraction.__lt__, values, values[1:]))
+
     def test_rejects_degenerate_twists(self):
-        for a in (0, 1):
+        # inside (0, 1) the constant C would be negative
+        for a in (0, 1, Fraction(1, 2), Fraction(1, 3)):
             with pytest.raises(BadTwist):
                 cm_chain([3, 2], a)
 
