@@ -84,7 +84,7 @@ def _do_toric_product(ns):
     pres = getattr(toric, ns.subcommand)(ns.left, ns.right)
     results = {"matrix": pres.matrix, "grading": pres.grading, "kernel": _kernel(pres)}
     if ns.census is not None:
-        results["census"] = toric.census(pres, ns.census, cap=ns.cap).counts
+        results["census"] = toric.census(pres, ns.census, cap=ns.cap)
     return {"left": ns.left.matrix, "right": ns.right.matrix}, results, []
 
 
@@ -93,7 +93,7 @@ def _do_toric_kernel(ns):
 
 
 def _do_toric_census(ns):
-    counts = toric.census(ns.matrix, ns.upto, cap=ns.cap).counts
+    counts = toric.census(ns.matrix, ns.upto, cap=ns.cap)
     return {"matrix": ns.matrix.matrix, "upto": ns.upto}, {"counts": counts}, []
 
 

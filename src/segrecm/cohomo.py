@@ -130,7 +130,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     # 2^free clipped to 2^bits > cap keeps the count a lower bound that
     # exceeds the cap exactly when the true count does; it stays exact
     # below 2^64 per top and short enough to print above
-    bits = math.inf if cap is None else max(cap.bit_length(), 64)
+    bits = max(cap.bit_length(), 64)
     check_cap(1 + sum((1 << min(free, bits)) - (r == m - 1) for r, free in tops),
               cap, "depth witnesses")
 
@@ -161,6 +161,11 @@ def _check_sorted(rhos):
     return rhos
 
 
+def _check_twist(a):
+    if a % 1:  # a twist of a graded module is an integer
+        raise BadTwist(f"twist a = {a} is not an integer")
+
+
 def cm_uniform_twist(rhos, a):
     """Cohen-Macaulayness of the uniform twist module # R_i(-a rho_i).
 
@@ -169,6 +174,7 @@ def cm_uniform_twist(rhos, a):
     consecutive comparisons below are equivalent to the subset criterion
     cm_uniform_twist_raw; the equivalence is exercised in the test suite.
     """
+    _check_twist(a)
     rhos = _check_sorted(rhos)
     b = max(a, 1 - a)
     return all(b * rhos[l + 1] > (b - 1) * rhos[l] for l in range(len(rhos) - 1))
@@ -187,6 +193,7 @@ def cm_uniform_twist_raw(rhos, a):
     top admits one, that is when it is not the last-ranked factor or has
     a free factor.  Any rho order; O(m log m).
     """
+    _check_twist(a)
     rhos = [int(x) for x in rhos]
     if not rhos:
         raise ValueError("rho list must be nonempty")
@@ -205,6 +212,7 @@ def cm_chain(rhos, a):
 
     evaluated exactly in integers: scaled by (b-1)^(m-1) > 0 throughout.
     """
+    _check_twist(a)
     b = max(a, 1 - a)
     if b <= 1:
         raise BadTwist(f"chain criterion undefined for twist a = {a}")
@@ -244,6 +252,7 @@ def canonical_power_cm(rhos, a):
     of itself in every direction); callers with ratio 1 should consult
     cm_twist_interval directly.
     """
+    _check_twist(a)
     interval = cm_twist_interval(rhos)
     if interval.lo is None:
         raise NotApplicable(

@@ -13,8 +13,8 @@ DEFAULT_POINT_CAP = 1_000_000
 
 class Record:
     """An immutable value whose class names its fields, in order, in _fields.
-    Records of one class compare and hash by field values.  A subclass
-    checks its invariants in __init__, which copy and pickle call again."""
+    Records of one class compare and hash by field values.  A subclass checks
+    or establishes its invariants in __init__, which copy and pickle re-run."""
 
     def __init__(self, *values):
         # set one by one: filling self.__dict__ would make every read slower
@@ -62,7 +62,7 @@ def check_cap(total, cap, what):
     closed-form count taken before anything is built; either way the
     enumeration needs at least that many entries.
     """
-    if cap is not None and total > cap:
+    if total > cap:
         raise ResourceCap(f"{what}: needs at least {total} entries, "
                           f"over the cap of {cap}")
 
@@ -80,7 +80,7 @@ class NotPositive(DomainError):
 
 
 class BadTwist(DomainError):
-    """A twist parameter outside the admissible set, e.g. a in {0, 1}."""
+    """A twist outside the admissible set: not an integer, or a in {0, 1}."""
 
 
 class DimensionTooSmall(DomainError):

@@ -18,13 +18,6 @@ from math import comb
 from .errors import DEFAULT_POINT_CAP, Record, ResourceCap, check_cap
 
 
-def _normalize_pairs(pairs):
-    acc = {}
-    for e, c in pairs:
-        acc[e] = acc.get(e, 0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-
 def _divide_by_one_minus_t(pairs):
     # prefix sums compute p / (1 - t); only valid when p(1) = 0
     coeffs, run, quot = dict(pairs), 0, []
@@ -39,35 +32,25 @@ class HilbertSeries(Record):
     """numerator / (1 - t)^denom_power, numerator a sorted tuple of
     (exponent, coefficient) pairs with nonzero integer coefficients.
 
-    Instances are reduced: when denom_power > 0 the numerator does not
-    vanish at t = 1.  Use from_pairs to build one; it normalizes.
+    The constructor normalizes any iterable of pairs: it sums equal
+    exponents, drops zero coefficients and cancels (1 - t) factors.  So
+    every instance is reduced: when denom_power > 0 the numerator does not
+    vanish at t = 1, and the zero series has denom_power 0.
     """
 
     _fields = ("numerator", "denom_power")
 
     def __init__(self, numerator, denom_power):
-        super().__init__(numerator, denom_power)
         if denom_power < 0:
             raise ValueError(f"negative denominator power {denom_power}")
-        exps = [e for e, _ in numerator]
-        if exps != sorted(set(exps)) or any(c == 0 for _, c in numerator):
-            raise ValueError("numerator pairs must be sorted, unique, nonzero")
-        if denom_power > 0 and sum(c for _, c in numerator) == 0:
-            raise ValueError("numerator divisible by (1 - t): not reduced")
-
-    @staticmethod
-    def from_pairs(pairs, denom_power):
-        """Build a reduced series, cancelling (1 - t) factors as needed."""
-        if denom_power < 0:
-            raise ValueError(f"negative denominator power {denom_power}")
-        num = _normalize_pairs(pairs)
-        d = denom_power
-        while num and d > 0 and sum(c for _, c in num) == 0:
+        acc = {}
+        for e, c in numerator:
+            acc[e] = acc.get(e, 0) + c
+        num = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        while num and denom_power > 0 and sum(c for _, c in num) == 0:
             num = _divide_by_one_minus_t(num)
-            d -= 1
-        if not num:
-            d = 0
-        return HilbertSeries(num, d)
+            denom_power -= 1
+        super().__init__(num, denom_power if num else 0)
 
     # -- basic queries ----------------------------------------------------
 
@@ -91,7 +74,7 @@ class HilbertSeries(Record):
         if d == 0:
             return dict(self.numerator).get(n, 0)
         bits = self._bits(n)
-        if cap is not None and bits > cap:
+        if bits > cap:
             raise ResourceCap(f"series coefficient t^{n}: a binomial of up to {bits} bits, "
                               f"over the cap of {cap}")
         return sum(c * comb(n - e + d - 1, d - 1) for e, c in self.numerator if n >= e)
@@ -100,8 +83,7 @@ class HilbertSeries(Record):
 
     def shift(self, a):
         """Twist by a: coeff(result, n) == coeff(self, n + a)."""
-        return HilbertSeries(tuple((e - a, c) for e, c in self.numerator),
-                             self.denom_power)
+        return HilbertSeries(((e - a, c) for e, c in self.numerator), self.denom_power)
 
     def window(self, lo, hi, cap=DEFAULT_POINT_CAP):
         """Coefficients on [lo, hi].  Raises ResourceCap when there are more
@@ -111,7 +93,7 @@ class HilbertSeries(Record):
             raise ValueError(f"window lo {lo} exceeds hi {hi}")
         check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
         bits = (hi - lo + 1) * self._bits(hi)
-        if cap is not None and bits > cap:
+        if bits > cap:
             raise ResourceCap(f"series window [{lo}, {hi}]: coefficients of up to {bits} bits "
                               f"in all, over the cap of {cap}")
         return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
@@ -144,7 +126,7 @@ class HilbertSeries(Record):
         # multiply by (1 - t)^dd; the differences at degrees <= top are exact
         for _ in range(dd):
             num = [c - prev for prev, c in zip([0, *num], num)]
-        return HilbertSeries.from_pairs(zip(range(lo, top + 1), num), dd)
+        return HilbertSeries(zip(range(lo, top + 1), num), dd)
 
 
 # ---------------------------------------------------------------------------
@@ -172,4 +154,4 @@ def parse_series(text):
     except ValueError as exc:
         raise ValueError(f"bad integer in series text {text!r}: {exc}") from None
     pairs = [(ints[k + 1], ints[k]) for k in range(0, len(ints), 2)]
-    return HilbertSeries.from_pairs(pairs, d)
+    return HilbertSeries(pairs, d)

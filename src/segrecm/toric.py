@@ -62,12 +62,6 @@ class ToricPresentation(Record):
         return list(zip(*self.matrix))
 
 
-class SemigroupCensus(Record):
-    """Counts of distinct semigroup elements per degree, 0..N, as a tuple."""
-
-    _fields = ("counts",)
-
-
 def validate(matrix):
     """Certify a matrix as a standard graded toric presentation.
 
@@ -112,7 +106,7 @@ def kernel_lattice(p):
 
 
 def census(p, n_max, cap=DEFAULT_POINT_CAP):
-    """Count distinct semigroup elements of each degree 0..n_max.
+    """The tuple of counts of distinct semigroup elements of each degree 0..n_max.
 
     Layer k is the set of sums of k columns.  The distinct columns are
     split into factors before anything is enumerated.  Each contiguous
@@ -146,8 +140,7 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
-    sizes = _capped(_layer_sizes(set(p.columns()), True, n_max), cap)
-    return SemigroupCensus(tuple(sizes))
+    return tuple(_capped(_layer_sizes(set(p.columns()), True, n_max), cap))
 
 
 def _capped(sizes, cap):

@@ -278,8 +278,7 @@ class TestChain:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=20),
-           st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
-           .filter(lambda a: not 0 <= a <= 1))
+           st.integers(-60, 60).filter(lambda a: a not in (0, 1)))
     def test_matches_the_rational_chain(self, rhos, a):
         # the chain as stated, C^j rho_(j+1) in Fractions, C = b/(b-1)
         rhos = sorted(rhos, reverse=True)
@@ -292,6 +291,12 @@ class TestChain:
         for a in (0, 1, Fraction(1, 2), Fraction(1, 3)):
             with pytest.raises(BadTwist):
                 cm_chain([3, 2], a)
+        # a twist is an integer, in all four twist criteria
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2)):
+            for criterion in (cm_uniform_twist, cm_uniform_twist_raw, cm_chain,
+                              canonical_power_cm):
+                with pytest.raises(BadTwist):
+                    criterion([3, 2], a)
 
 
 class TestAnticanonicalM2:

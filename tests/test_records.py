@@ -15,13 +15,11 @@ from segrecm.cohomo import DepthReport, TwistInterval, Witness
 from segrecm.errors import NotStandardGraded
 from segrecm.oracle import Factor, FriendlinessReport
 from segrecm.series import HilbertSeries
-from segrecm.toric import SemigroupCensus, ToricPresentation
+from segrecm.toric import ToricPresentation
 
 CASES = [
     (ToricPresentation, {"matrix": ((1, 1),), "grading": (Fraction(1),)}, ((1, 1, 1),),
      "ToricPresentation(matrix=((1, 1),), grading=(Fraction(1, 1),))"),
-    (SemigroupCensus, {"counts": (1, 3, 6)}, (1, 2),
-     "SemigroupCensus(counts=(1, 3, 6))"),
     (Factor, {"name": "K[x]/(x^3)", "gens": ((1,),), "relations": ((3,),)}, "K[x]",
      "Factor(name='K[x]/(x^3)', gens=((1,),), relations=((3,),))"),
     (FriendlinessReport, {"i_lo": -1, "left_dims": (0, 1), "right_dims": (0, 2)}, 0,
@@ -40,7 +38,7 @@ INVALID = {
     ToricPresentation: ({"matrix": ((2, 1),), "grading": (Fraction(1),)}, NotStandardGraded),
     DepthReport: ({"dim": 2, "depth": 3, "witnesses": ()}, ValueError),
     TwistInterval: ({"lo": Fraction(2), "hi": Fraction(1)}, ValueError),
-    HilbertSeries: ({"numerator": ((0, 1), (1, -1)), "denom_power": 1}, ValueError),
+    HilbertSeries: ({"numerator": ((0, 1),), "denom_power": -1}, ValueError),
 }
 
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,15 +9,14 @@ from segrecm.series import HilbertSeries, format_series, parse_series
 from oracles import expand_series
 
 
-def H(pairs, d):
-    return HilbertSeries.from_pairs(pairs, d)
+H = HilbertSeries
 
 
 def expand(h, lo, hi):
     return expand_series(list(h.numerator), h.denom_power, lo, hi)
 
 
-# numerators with shifts into negative degrees; from_pairs reduces them
+# numerators with shifts into negative degrees; the constructor reduces them
 any_series = st.builds(
     H, st.lists(st.tuples(st.integers(-3, 5), st.integers(-3, 3)), max_size=4),
     st.integers(0, 3))
@@ -159,13 +160,34 @@ class TestReducedForm:
         assert h.coeff(3) == 0
 
     def test_direct_construction_rejects_unreduced(self):
-        # (1 - t) / (1 - t), a negative power, unsorted or zero pairs
-        for numerator, d in ((((0, 1), (1, -1)), 1), (((0, 1),), -1),
-                             (((1, 1), (0, 1)), 0), (((0, 0),), 0)):
-            with pytest.raises(ValueError):
-                HilbertSeries(numerator, d)
+        # a negative power is rejected; (1 - t) / (1 - t), unsorted and zero
+        # pairs are normalized
         with pytest.raises(ValueError, match="negative denominator power -1"):
-            H([(0, 1)], -1)
+            HilbertSeries(((0, 1),), -1)
+        assert HilbertSeries(((0, 1), (1, -1)), 1) == HilbertSeries(((0, 1),), 0)
+        assert HilbertSeries(((1, 1), (0, 1)), 0).numerator == ((0, 1), (1, 1))
+        assert HilbertSeries(((0, 0),), 0).numerator == ()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-4, 5), st.integers(-3, 3)), max_size=6),
+           st.integers(0, 3), st.integers(0, 4))
+    def test_constructor_normalizes_raw_pairs(self, pairs, k, d):
+        # pairs times (1 - t)^k, expanded term by term: unsorted, repeated
+        # exponents and zero coefficients, divisible by (1 - t) when k > 0
+        raw = [(e + j, c * (-1) ** j * comb(k, j)) for e, c in pairs for j in range(k + 1)]
+        h = HilbertSeries(raw, d)
+        for n in range(-6, 14):
+            if d == 0:
+                want = sum(c for e, c in raw if e == n)
+            else:
+                want = sum(c * comb(n - e + d - 1, d - 1) for e, c in raw if n >= e)
+            assert h.coeff(n) == want
+        exps = [e for e, _ in h.numerator]
+        assert exps == sorted(set(exps)) and all(c != 0 for _, c in h.numerator)
+        assert h.denom_power <= d
+        assert h.denom_power == 0 or sum(c for _, c in h.numerator) != 0
+        assert h.numerator or h.denom_power == 0
+        assert HilbertSeries(h.numerator, h.denom_power) == h
 
 
 class TestTextEncoding:
