@@ -61,6 +61,10 @@ CORPUS = [
     "oracle friendly --ring1|x,y:1 1|--ring2 z:2 --shift1 0 --shift2 1 --window -3..3",
     "oracle friendly --ring1 x,y --ring2 z --shift1 1 --shift2 0 --window -2..2",
     "--format text oracle friendly --ring1 x:4 --ring2 y:3 --shift1 1 --shift2 2",
+    # edge reports: an interval with no ends (every integer twist is CM)
+    # and a window where neither side has a nonzero degree
+    "classify interval --rho 5,5,5",
+    "oracle friendly --ring1 x:2 --ring2 y:2 --shift1 0 --shift2 0 --window 5..5",
     # parse forms: '=' values (negative too), a repeated flag or global
     # option (the last value wins)
     "classify cm-twist --rho=3,2 --a=-1",
