@@ -128,7 +128,7 @@ def _do_classify_depth(ns):
     if len(dims) == 2 and min(dims) < 2:
         assumptions.append(DIM_ONE_NOTE)
     report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
-    results = {"dim": report.dim, "depth": report.depth, "is_cm": report.is_cm,
+    results = {"dim": report.dim, "depth": report.depth, "is_cm": report.depth == report.dim,
                "witnesses": [w._asdict() for w in report.witnesses],
                "method": "subset-support"}
     return inputs, results, assumptions
@@ -144,8 +144,8 @@ def _do_classify_cm_twist(ns):
 
 def _do_classify_interval(ns):
     interval = cohomo.cm_twist_interval(ns.rho)
-    results = {"kind": interval.kind, "lo": interval.lo, "hi": interval.hi,
-               "integer_points": interval.integer_points()}
+    results = {"kind": "all_integers" if interval.lo is None else "open_interval",
+               "lo": interval.lo, "hi": interval.hi, "integer_points": interval.integer_points()}
     return {"rho": ns.rho}, results, TWIST_NOTES
 
 
@@ -175,8 +175,8 @@ def _do_oracle_friendly(ns):
     results = {
         "window": list(ns.window), "exact": True, "verdict": report.verdict,
         "left_dims": list(report.left_dims), "right_dims": list(report.right_dims),
-        "left_nonzero": {str(k): v for k, v in sorted(report.left_nonzero().items())},
-        "right_nonzero": {str(k): v for k, v in sorted(report.right_nonzero().items())},
+        "left_nonzero": {str(i): d for i, d in zip(report.compared, report.left_dims) if d},
+        "right_nonzero": {str(i): d for i, d in zip(report.compared, report.right_dims) if d},
         "compared_degrees": list(report.compared),
         "mismatch_degrees": list(report.mismatches),
     }

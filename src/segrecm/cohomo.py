@@ -55,10 +55,6 @@ class DepthReport(Record):
         if depth > dim:
             raise ValueError("depth cannot exceed dimension")
 
-    @property
-    def is_cm(self):
-        return self.depth == self.dim
-
 
 class TwistInterval(Record):
     """Uniform twists giving a Cohen-Macaulay module: the open interval
@@ -72,13 +68,6 @@ class TwistInterval(Record):
             raise ValueError("an interval needs both ends or neither")
         if lo is not None and not lo < hi:
             raise ValueError("open interval needs lo < hi")
-
-    @property
-    def kind(self):
-        return "all_integers" if self.lo is None else "open_interval"
-
-    def contains(self, a):
-        return self.lo is None or self.lo < a < self.hi
 
     def integer_points(self):
         """Integers strictly inside a bounded interval; None when all."""
@@ -258,4 +247,4 @@ def canonical_power_cm(rhos, a):
         raise NotApplicable(
             "all rho entries are equal (ratio 1); every power is "
             "Cohen-Macaulay and the power criterion does not apply")
-    return interval.contains(a)
+    return interval.lo < a < interval.hi

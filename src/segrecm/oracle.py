@@ -280,12 +280,6 @@ class FriendlinessReport(Record):
     def verdict(self):
         return "not_friendly_certified" if self.mismatches else "consistent"
 
-    def left_nonzero(self):
-        return {i: d for i, d in zip(self.compared, self.left_dims) if d}
-
-    def right_nonzero(self):
-        return {i: d for i, d in zip(self.compared, self.right_dims) if d}
-
 
 def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT_CAP):
     """Compare dim Hom_T(R(a) # S(b), T)_i with dim (R(-a) # S(-b))_i.

@@ -54,18 +54,14 @@ class HilbertSeries(Record):
 
     # -- basic queries ----------------------------------------------------
 
-    def lowest_exponent(self):
-        return self.numerator[0][0] if self.numerator else None
-
-    def highest_exponent(self):
-        return self.numerator[-1][0] if self.numerator else None
-
     def _bits(self, n):
         """A bound on the bits of the largest binomial of coeff(n), growing
         with n: C(m + d - 1, d - 1), m = n - e at the lowest exponent e, has
         at most min(d - 1, m) * bit_length(m + d - 1); none when d = 0."""
-        d, m = self.denom_power, n - (self.lowest_exponent() or 0)
-        return min(d - 1, m) * (m + d - 1).bit_length() if d else 0
+        if not self.denom_power:
+            return 0
+        d, m = self.denom_power, n - self.numerator[0][0]
+        return min(d - 1, m) * (m + d - 1).bit_length()
 
     def coeff(self, n, cap=DEFAULT_POINT_CAP):
         """Coefficient of t^n in the power series expansion.  Raises
@@ -117,8 +113,8 @@ class HilbertSeries(Record):
             return HilbertSeries((), 0)
         d1, d2 = self.denom_power, other.denom_power
         dd = max(d1 + d2 - 1, 0)
-        lo = max(self.lowest_exponent(), other.lowest_exponent())
-        top = max(self.highest_exponent() - d1, other.highest_exponent() - d2) + dd
+        lo = max(self.numerator[0][0], other.numerator[0][0])
+        top = max(self.numerator[-1][0] - d1, other.numerator[-1][0] - d2) + dd
         terms = top - lo + 1
         check_cap(terms, cap, "Hadamard coefficient stream")
         check_cap(terms * (dd + 1), cap, "Hadamard numerator")

@@ -9,7 +9,8 @@ and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
 with the package but not algorithms.  format_matrix writes the matrix files
-that segrecm.toric.load_matrix reads.
+that segrecm.toric.load_matrix reads, and nonzero maps each degree of a
+friendliness report to its dimension where that is not zero.
 """
 
 from collections import Counter
@@ -26,6 +27,10 @@ from segrecm.oracle import monomial_str
 def format_matrix(rows):
     """Matrix file text: a line "r n", then r rows of n integers."""
     return "".join(f"{' '.join(map(str, row))}\n" for row in [(len(rows), len(rows[0])), *rows])
+
+
+def nonzero(degrees, dims):
+    return {i: d for i, d in zip(degrees, dims) if d}
 
 
 def gauss_rank(rows):

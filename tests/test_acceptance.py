@@ -16,7 +16,7 @@ from segrecm.oracle import friendliness, monomial_factor, toric_factor
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, segre, validate
 
-from oracles import prop_depth_m2, support_witnesses, uniform_twist_by_subsets
+from oracles import nonzero, prop_depth_m2, support_witnesses, uniform_twist_by_subsets
 
 I2 = validate([[1, 0], [0, 1]])
 
@@ -44,8 +44,8 @@ def test_criterion_1_golden_counterexample(capsys):
     ring_s = monomial_factor(["y"], [(2,)])
     rep = friendliness(ring_r, ring_s, 2, 1, i_lo=-6, i_hi=6)
     elapsed = time.perf_counter() - t0
-    assert rep.left_nonzero() == {1: 1, 2: 1}
-    assert rep.right_nonzero() == {2: 1}
+    assert nonzero(rep.compared, rep.left_dims) == {1: 1, 2: 1}
+    assert nonzero(rep.compared, rep.right_dims) == {2: 1}
     assert rep.verdict == "not_friendly_certified"
     assert elapsed < 1.0, f"golden counterexample took {elapsed:.2f}s"
     code = run(["oracle", "friendly", "--ring1", "x:3", "--ring2", "y:2",
@@ -91,7 +91,8 @@ def test_criterion_3_two_factor_conformance(capsys):
                             kunneth = cohomology_support(factors)
                             assert cases.depth == kunneth.depth, \
                                 (r, s, rho, sigma, a, b)
-                            assert cases.is_cm == kunneth.is_cm, \
+                            assert (cases.depth == cases.dim) == \
+                                (kunneth.depth == kunneth.dim), \
                                 (r, s, rho, sigma, a, b)
                             assert [tuple(w) for w in kunneth.witnesses] == \
                                 support_witnesses(factors), (r, s, rho, sigma, a, b)
@@ -114,12 +115,14 @@ def test_criterion_4_interval_law(capsys):
     for rhos in vectors:
         interval = cm_twist_interval(rhos)
         scan = [a for a in range(-50, 51) if cm_uniform_twist(rhos, a)]
-        from_interval = [a for a in range(-50, 51) if interval.contains(a)]
+        from_interval = [a for a in range(-50, 51)
+                         if interval.lo is None or interval.lo < a < interval.hi]
         assert scan == from_interval, rhos
-        if interval.kind == "open_interval":
+        if interval.lo is not None:
             pts = [a for a in interval.integer_points() if -50 <= a <= 50]
             assert pts == scan, rhos
-    assert cm_twist_interval([5, 5, 5]).kind == "all_integers"
+    all_integers = cm_twist_interval([5, 5, 5])
+    assert (all_integers.lo, all_integers.hi) == (None, None)
     assert cm_twist_interval([4, 2]).integer_points() == [0, 1]
     assert cm_twist_interval([9, 3, 1]).integer_points() == [0, 1]
     with capsys.disabled():

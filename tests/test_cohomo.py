@@ -31,23 +31,23 @@ def sorted_vectors(max_m, lo, hi):
 class TestCohomologySupport:
     def test_two_planes(self):
         rep = cohomology_support([(2, -2, 0), (2, -2, 0)])
-        assert (rep.dim, rep.depth, rep.is_cm) == (3, 3, True)
+        assert (rep.dim, rep.depth) == (3, 3)
         assert [w.subset for w in rep.witnesses] == [(1, 2)]
         assert rep.witnesses[0].lo is None
 
     def test_depth_two_witness(self):
         rep = cohomology_support([(3, -3, 0), (2, -2, -3)])
-        assert (rep.dim, rep.depth, rep.is_cm) == (4, 2, False)
+        assert (rep.dim, rep.depth) == (4, 2)
         assert rep.witnesses[0] == (2, (2,), 0, 1)
 
     def test_three_uniform_twists(self):
         rep = cohomology_support([(2, -1, 1)] * 3)
-        assert rep.is_cm
+        assert rep.depth == rep.dim
         assert [w.subset for w in rep.witnesses] == [(1, 2, 3)]
 
     def test_single_factor(self):
         rep = cohomology_support([(4, -2, 7)])
-        assert (rep.dim, rep.depth, rep.is_cm) == (4, 4, True)
+        assert (rep.dim, rep.depth) == (4, 4)
 
     def test_rejects_dimension_one(self):
         # dimension 1 is allowed only with exactly two factors, and
@@ -92,7 +92,7 @@ class TestCohomologySupport:
     def test_depth_invariant_under_global_shift(self, factors, c):
         base = cohomology_support(factors)
         moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
-        assert (moved.dim, moved.depth, moved.is_cm) == (base.dim, base.depth, base.is_cm)
+        assert (moved.dim, moved.depth) == (base.dim, base.depth)
         assert [w.subset for w in moved.witnesses] == [w.subset for w in base.witnesses]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -127,8 +127,7 @@ class TestCohomologySupport:
             base = cohomology_support(factors)
             c = rng.randint(-4, 4)
             moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
-            assert (base.dim, base.depth, base.is_cm) == \
-                (moved.dim, moved.depth, moved.is_cm)
+            assert (base.dim, base.depth) == (moved.dim, moved.depth)
 
 
 class TestPropDepthM2:
@@ -139,11 +138,11 @@ class TestPropDepthM2:
     def test_curve_pair_always_cm(self):
         for rho, sigma, a, b in [(-1, -1, 0, 0), (3, -2, 5, -5), (0, 0, 2, 1)]:
             rep = prop_depth_m2(1, 1, rho, sigma, a, b)
-            assert rep.is_cm and rep.dim == 1
+            assert rep.depth == rep.dim == 1
 
     def test_cm_case(self):
         rep = prop_depth_m2(3, 2, -3, -2, 0, 0)
-        assert rep.is_cm and rep.depth == 4
+        assert rep.depth == rep.dim == 4
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.integers(-3, 0), st.integers(-3, 0),
@@ -162,7 +161,7 @@ class TestPropDepthM2:
             r, s, rho, sigma, a, b = args
             one = prop_depth_m2(r, s, rho, sigma, a, b)
             two = prop_depth_m2(s, r, sigma, rho, b, a)
-            assert (one.dim, one.depth, one.is_cm) == (two.dim, two.depth, two.is_cm)
+            assert (one.dim, one.depth) == (two.dim, two.depth)
             mirrored = sorted(w._replace(subset=tuple(sorted(3 - i for i in w.subset)))
                               for w in two.witnesses)
             assert list(one.witnesses) == mirrored
@@ -182,7 +181,8 @@ class TestPropDepthM2:
                                 kunneth = cohomology_support(
                                     [(r, rho, a), (s, sigma, b)])
                                 assert cases.depth == kunneth.depth
-                                assert cases.is_cm == kunneth.is_cm
+                                assert (cases.depth == cases.dim) == \
+                                    (kunneth.depth == kunneth.dim)
 
 
 class TestUniformTwist:
@@ -257,7 +257,8 @@ class TestUniformTwist:
             a = rng.randint(-5, 5)
             dims = [rng.randint(2, 4) for _ in range(m)]
             factors = [(dims[i], -rhos[i], -a * rhos[i]) for i in range(m)]
-            assert cohomology_support(factors).is_cm == cm_uniform_twist(rhos, a)
+            rep = cohomology_support(factors)
+            assert (rep.depth == rep.dim) == cm_uniform_twist(rhos, a)
 
 
 class TestChain:
@@ -313,7 +314,6 @@ class TestAnticanonicalM2:
 class TestTwistInterval:
     def test_ratio_three_halves(self):
         interval = cm_twist_interval([3, 2])
-        assert interval.kind == "open_interval"
         assert (interval.lo, interval.hi) == (Fraction(-2), Fraction(3))
         assert interval.integer_points() == [-1, 0, 1, 2]
         scan = [a for a in range(-10, 11) if cm_uniform_twist([3, 2], a)]
@@ -326,9 +326,9 @@ class TestTwistInterval:
 
     def test_all_equal(self):
         interval = cm_twist_interval([5, 5, 5])
-        assert interval.kind == "all_integers"
+        assert (interval.lo, interval.hi) == (None, None)
         assert interval.integer_points() is None
-        assert interval.contains(-100)
+        assert cm_uniform_twist([5, 5, 5], -100)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NotPositive):

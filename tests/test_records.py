@@ -117,5 +117,5 @@ def test_validated_classes_take_keywords(cls):
 
 def test_twist_interval_defaults_to_all_integers():
     interval = TwistInterval()
-    assert (interval.lo, interval.hi, interval.kind) == (None, None, "all_integers")
+    assert (interval.lo, interval.hi) == (None, None)
     assert interval == TwistInterval(None, None) == TwistInterval(hi=None)

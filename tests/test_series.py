@@ -245,7 +245,7 @@ class TestSeriesLaws:
         # the numerator is read off up to top; the product must still hold
         # 2 (d1 + d2) + 2 degrees beyond it
         d1, d2 = h1.denom_power, h2.denom_power
-        ends = [(h.lowest_exponent(), h.highest_exponent() - h.denom_power)
+        ends = [(h.numerator[0][0], h.numerator[-1][0] - h.denom_power)
                 for h in (h1, h2) if h.numerator] or [(0, 0)]
         top = max(end for _, end in ends) + max(d1 + d2 - 1, 0)
         lo, hi = min(low for low, _ in ends), top + 2 * (d1 + d2) + 2
