@@ -17,21 +17,13 @@ as shells report a filter stopped by a closed pipe) when stdout closes early.
 import json
 import os
 import sys
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
 
-
-class _Module(ModuleType):
-    """Stand-in for a library module: the first attribute lookup imports and binds it here."""
-
-    def __getattr__(self, attr):
-        module = globals()[self.__name__] = getattr(sys.modules[__package__], self.__name__)
-        return getattr(module, attr)
-
-
-cohomo, oracle, series, toric = map(_Module, ("cohomo", "oracle", "series", "toric"))
+# lib.toric is a plain attribute once imported; lib.census would run __getattr__ each call
+lib = sys.modules[__package__]
 
 
 def _int_list(text):
@@ -69,7 +61,7 @@ DIM_ONE_NOTE = "subset support analysis with a dimension-1 factor (not independe
 
 
 def _kernel(pres):
-    vectors = toric.kernel_lattice(pres)
+    vectors = lib.toric.kernel_lattice(pres)
     return {"rank": len(vectors), "vectors": vectors}
 
 
@@ -81,10 +73,10 @@ def _do_toric_validate(ns):
 
 def _do_toric_product(ns):
     """toric tensor and toric segre: the subcommand names the product."""
-    pres = getattr(toric, ns.subcommand)(ns.left, ns.right)
+    pres = getattr(lib.toric, ns.subcommand)(ns.left, ns.right)
     results = {"matrix": pres.matrix, "grading": pres.grading, "kernel": _kernel(pres)}
     if ns.census is not None:
-        results["census"] = toric.census(pres, ns.census, cap=ns.cap)
+        results["census"] = lib.toric.census(pres, ns.census, cap=ns.cap)
     return {"left": ns.left.matrix, "right": ns.right.matrix}, results, []
 
 
@@ -93,30 +85,30 @@ def _do_toric_kernel(ns):
 
 
 def _do_toric_census(ns):
-    counts = toric.census(ns.matrix, ns.upto, cap=ns.cap)
+    counts = lib.toric.census(ns.matrix, ns.upto, cap=ns.cap)
     return {"matrix": ns.matrix.matrix, "upto": ns.upto}, {"counts": counts}, []
 
 
 def _do_hilbert_coeff(ns):
-    inputs = {"series": series.format_series(ns.series), "n": ns.n}
+    inputs = {"series": lib.series.format_series(ns.series), "n": ns.n}
     return inputs, {"coefficient": ns.series.coeff(ns.n, ns.cap)}, []
 
 
 def _do_hilbert_shift(ns):
-    inputs = {"series": series.format_series(ns.series), "a": ns.a}
-    return inputs, {"series": series.format_series(ns.series.shift(ns.a))}, []
+    inputs = {"series": lib.series.format_series(ns.series), "a": ns.a}
+    return inputs, {"series": lib.series.format_series(ns.series.shift(ns.a))}, []
 
 
 def _do_hilbert_window(ns):
     values = ns.series.window(ns.lo, ns.hi, cap=ns.cap)
-    inputs = {"series": series.format_series(ns.series), "lo": ns.lo, "hi": ns.hi}
+    inputs = {"series": lib.series.format_series(ns.series), "lo": ns.lo, "hi": ns.hi}
     return inputs, {"lo": ns.lo, "hi": ns.hi, "values": list(values)}, []
 
 
 def _do_hilbert_hadamard(ns):
-    inputs = {"left": series.format_series(ns.left), "right": series.format_series(ns.right)}
+    inputs = {"left": lib.series.format_series(ns.left), "right": lib.series.format_series(ns.right)}
     out = ns.left.hadamard(ns.right, cap=ns.cap)
-    return inputs, {"series": series.format_series(out)}, []
+    return inputs, {"series": lib.series.format_series(out)}, []
 
 
 def _do_classify_depth(ns):
@@ -127,7 +119,7 @@ def _do_classify_depth(ns):
     assumptions = [GORENSTEIN_NOTE, FRIENDLY_NOTE]
     if len(dims) == 2 and min(dims) < 2:
         assumptions.append(DIM_ONE_NOTE)
-    report = cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
+    report = lib.cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
     results = {"dim": report.dim, "depth": report.depth, "is_cm": report.depth == report.dim,
                "witnesses": [w._asdict() for w in report.witnesses],
                "method": "subset-support"}
@@ -136,28 +128,28 @@ def _do_classify_depth(ns):
 
 def _do_classify_cm_twist(ns):
     inputs = {"rho": ns.rho, "a": ns.a}
-    results = {"is_cm": cohomo.cm_uniform_twist(ns.rho, ns.a),
-               "is_cm_raw": cohomo.cm_uniform_twist_raw(ns.rho, ns.a),
-               "chain": None if ns.a in (0, 1) else cohomo.cm_chain(ns.rho, ns.a)}
+    results = {"is_cm": lib.cohomo.cm_uniform_twist(ns.rho, ns.a),
+               "is_cm_raw": lib.cohomo.cm_uniform_twist_raw(ns.rho, ns.a),
+               "chain": None if ns.a in (0, 1) else lib.cohomo.cm_chain(ns.rho, ns.a)}
     return inputs, results, TWIST_NOTES
 
 
 def _do_classify_interval(ns):
-    interval = cohomo.cm_twist_interval(ns.rho)
+    interval = lib.cohomo.cm_twist_interval(ns.rho)
     results = {"kind": "all_integers" if interval.lo is None else "open_interval",
                "lo": interval.lo, "hi": interval.hi, "integer_points": interval.integer_points()}
     return {"rho": ns.rho}, results, TWIST_NOTES
 
 
 def _do_classify_anticanonical(ns):
-    is_cm = cohomo.cm_uniform_twist(ns.rho, -1)
-    m2 = cohomo.anticanonical_cm_m2(-ns.rho[0], -ns.rho[1]) if len(ns.rho) == 2 else None
+    is_cm = lib.cohomo.cm_uniform_twist(ns.rho, -1)
+    m2 = lib.cohomo.anticanonical_cm_m2(-ns.rho[0], -ns.rho[1]) if len(ns.rho) == 2 else None
     return {"rho": ns.rho}, {"is_cm": is_cm, "m2_criterion": m2}, TWIST_NOTES
 
 
 def _do_classify_power(ns):
     inputs = {"rho": ns.rho, "a": ns.a}
-    return inputs, {"is_cm": cohomo.canonical_power_cm(ns.rho, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
+    return inputs, {"is_cm": lib.cohomo.canonical_power_cm(ns.rho, ns.a)}, TWIST_NOTES + [DOMAIN_NOTE]
 
 
 def _oracle_factor(ring, toric_ring, which):
@@ -169,7 +161,7 @@ def _oracle_factor(ring, toric_ring, which):
 
 def _do_oracle_friendly(ns):
     factors = [_oracle_factor(ns.ring1, ns.toric1, 1), _oracle_factor(ns.ring2, ns.toric2, 2)]
-    report = oracle.friendliness(*factors, ns.shift1, ns.shift2, *ns.window, cap=ns.cap)
+    report = lib.oracle.friendliness(*factors, ns.shift1, ns.shift2, *ns.window, cap=ns.cap)
     inputs = {"ring1": factors[0].name, "ring2": factors[1].name,
               "shift1": ns.shift1, "shift2": ns.shift2, "window": list(ns.window)}
     results = {
@@ -190,10 +182,10 @@ def _do_oracle_friendly(ns):
 
 REQUIRED_INT = {"type": int, "required": True}
 INTS = {"type": _int_list, "required": True}
-SERIES = {"type": lambda text: series.parse_series(text), "required": True}
-MATRIX = {"type": lambda path: toric.validate(toric.load_matrix(path)), "required": True}
-RING = {"type": lambda spec: oracle.monomial_factor(*oracle.parse_ring_spec(spec))}
-TORIC = {"type": lambda path: oracle.toric_factor(MATRIX["type"](path))}
+SERIES = {"type": lambda text: lib.series.parse_series(text), "required": True}
+MATRIX = {"type": lambda path: lib.toric.validate(lib.toric.load_matrix(path)), "required": True}
+RING = {"type": lambda spec: lib.oracle.monomial_factor(*lib.oracle.parse_ring_spec(spec))}
+TORIC = {"type": lambda path: lib.oracle.toric_factor(MATRIX["type"](path))}
 PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": {"type": int}}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
            "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}

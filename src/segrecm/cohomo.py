@@ -36,6 +36,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
+from operator import index
 
 from .errors import (DEFAULT_POINT_CAP, BadTwist, DimensionTooSmall,
                      NotApplicable, NotPositive, NotSorted, Record, check_cap)
@@ -103,7 +104,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     witnesses.
     """
     # unpacking each factor rejects one that is not a triple
-    fs = [(dim, -shift, a_inv - shift) for dim, a_inv, shift in factors]
+    fs = [(dim, -shift, a_inv - shift) for dim, a_inv, shift in (map(index, f) for f in factors)]
     if not fs:
         raise ValueError("factor list must be nonempty")
     dims, s, h = zip(*fs)
@@ -139,7 +140,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
 
 
 def _check_sorted(rhos):
-    rhos = [int(x) for x in rhos]
+    rhos = list(map(index, rhos))
     if not rhos:
         raise ValueError("rho list must be nonempty")
     for i in range(len(rhos) - 1):
@@ -183,7 +184,7 @@ def cm_uniform_twist_raw(rhos, a):
     a free factor.  Any rho order; O(m log m).
     """
     _check_twist(a)
-    rhos = [int(x) for x in rhos]
+    rhos = list(map(index, rhos))
     if not rhos:
         raise ValueError("rho list must be nonempty")
     m = len(rhos)

@@ -7,6 +7,7 @@ solve_right back-substitutes in integers: only its answer is rational.
 """
 
 from fractions import Fraction
+from operator import index
 
 
 def _subtract(row, q, pivot):
@@ -66,7 +67,7 @@ def solve_right(a_rows, b):
     if not a_rows:
         return None
     n = len(a_rows[0])
-    pivots, rest = _echelon([{j: v for j, v in enumerate(map(int, [*row, bv])) if v}
+    pivots, rest = _echelon([{j: v for j, v in enumerate(map(index, [*row, bv])) if v}
                              for row, bv in zip(a_rows, b)], range(n))
     if any(rest):
         return None
@@ -82,7 +83,7 @@ def solve_right(a_rows, b):
 
 def pivot_columns(rows):
     """Pivot columns of the row Hermite form, which an echelon form shares."""
-    pivots, _ = _echelon([{j: v for j, v in enumerate(map(int, row)) if v} for row in rows],
+    pivots, _ = _echelon([{j: v for j, v in enumerate(map(index, row)) if v} for row in rows],
                          range(len(rows[0]) if rows else 0))
     return [c for c, _ in pivots]
 
@@ -98,6 +99,6 @@ def integer_kernel(a_rows):
     """
     m, n = len(a_rows), len(a_rows[0])
     # last rows first: ties pivot on late columns, mostly free in the answer
-    rows = [{i: 1} | {n + j: v for j, v in enumerate(map(int, col)) if v}
+    rows = [{i: 1} | {n + j: v for j, v in enumerate(map(index, col)) if v}
             for i, col in reversed(list(enumerate(zip(*a_rows))))]
     return _hermite(_echelon(rows, range(n, n + m))[1], n)

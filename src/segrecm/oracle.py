@@ -50,7 +50,7 @@ Every dimension is therefore exact on every degree of the window.
 
 from collections import Counter
 from functools import cached_property
-from operator import add, ge, sub
+from operator import add, ge, index, sub
 
 from .errors import DEFAULT_POINT_CAP, Record, WindowTooSmall, check_cap
 
@@ -78,7 +78,7 @@ def monomial_factor(names, relations):
     if len(set(names)) < len(names):
         raise ValueError(f"{','.join(names)} repeats a variable name")
     nvars = len(names)
-    rels = tuple(tuple(int(x) for x in rel) for rel in relations)
+    rels = tuple(tuple(map(index, rel)) for rel in relations)
     for rel in rels:
         if len(rel) != nvars or any(x < 0 for x in rel) or sum(rel) == 0:
             raise ValueError(f"bad relation exponent vector {rel} for {','.join(names)}")

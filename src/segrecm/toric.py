@@ -13,7 +13,7 @@ when the box of codes is sparse.
 
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import mul
+from operator import index, mul
 
 from . import linalg
 from .errors import DEFAULT_POINT_CAP, NotStandardGraded, Record, check_cap
@@ -68,7 +68,7 @@ def validate(matrix):
     Solves lam . A = (1, ..., 1) by integer elimination; raises
     NotStandardGraded when the all-ones vector is outside the row space.
     """
-    rows = [tuple(int(x) for x in row) for row in matrix]
+    rows = [tuple(map(index, row)) for row in matrix]
     if not rows or not rows[0]:
         raise NotStandardGraded("presentation matrix must be nonempty")
     lam = linalg.solve_right(list(zip(*rows)), [1] * len(rows[0]))

@@ -1,8 +1,17 @@
-"""The README's python example prints what its trailing comments say."""
+"""The README's python example prints what its trailing comments say, and
+a non-integer entry raises TypeError, as its sign conventions state."""
 
 import contextlib
 import io
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from segrecm.cohomo import cm_twist_interval, cm_uniform_twist_raw, cohomology_support
+from segrecm.linalg import integer_kernel, pivot_columns, solve_right
+from segrecm.oracle import monomial_factor
+from segrecm.toric import validate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +31,22 @@ def test_readme_example_prints_its_comments():
     with contextlib.redirect_stdout(buf):
         exec(compile(code, str(README), "exec"), {})
     assert buf.getvalue().splitlines() == want
+
+
+# each entry point once, with an entry int() would truncate to a valid input
+NON_INTEGER = {
+    "validate": lambda: validate([[1.5, 0], [0, 1]]),
+    "monomial_factor": lambda: monomial_factor(["x"], [(Fraction(5, 2),)]),
+    "cm_uniform_twist_raw": lambda: cm_uniform_twist_raw([Fraction(7, 2), 3], 2),
+    "cm_twist_interval": lambda: cm_twist_interval([2.9, 1]),
+    "solve_right": lambda: solve_right([[2]], [Fraction(1, 2)]),
+    "pivot_columns": lambda: pivot_columns([[0.5, 1]]),
+    "integer_kernel": lambda: integer_kernel([[1.5, 1]]),
+    "cohomology_support": lambda: cohomology_support([(3, -2.5, 0), (2, -2, 0)]),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER.values(), ids=NON_INTEGER)
+def test_non_integer_entry_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
