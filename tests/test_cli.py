@@ -518,6 +518,43 @@ class TestParse:
         assert invoke(capsys, [tok.format(I2=i2_path) for tok in argv]) == (2, "")
 
 
+MATRIX_ARGV = ["toric", "validate", "--matrix", "{file}"]
+SERIES_ARGV = ["hilbert", "coeff", "--n", "1", "--series"]
+FRIENDLY_ARGV = ["oracle", "friendly", "--ring2", "y:2", "--shift1", "0", "--shift2", "0"]
+
+
+class TestUsageMessages:
+    # argv, the text of the file {file} names (or None), the stderr line
+    @pytest.mark.parametrize("argv, file_text, message", [
+        (MATRIX_ARGV, "", "--matrix: empty matrix text"),
+        (MATRIX_ARGV, "2\n1 2", "--matrix: matrix header must be 'r n', got '2'"),
+        (MATRIX_ARGV, "2 2\n1 0\n", "--matrix: expected 2 matrix rows, found 1"),
+        (MATRIX_ARGV, "1 2\n1", "--matrix: expected 2 entries in row '1'"),
+        (MATRIX_ARGV, "1 2\n1 x", "--matrix: bad integer in matrix row '1 x'"),
+        (SERIES_ARGV + ["num: 1 0 den: 2"],
+         None, "--series: series text needs one ';': 'num: 1 0 den: 2'"),
+        (SERIES_ARGV + ["1 0 ; den: 2"],
+         None, "--series: series text needs 'num:' and 'den:' markers: '1 0 ; den: 2'"),
+        (SERIES_ARGV + ["num: 1 ; den: 2"], None,
+         "--series: numerator tokens must come in (coeff, exponent) pairs: 'num: 1 ; den: 2'"),
+        (SERIES_ARGV + ["num: x 0 ; den: 2"], None,
+         "--series: bad integer in series text 'num: x 0 ; den: 2': "
+         "invalid literal for int() with base 10: 'x'"),
+        (FRIENDLY_ARGV + ["--ring1", "x:q"], None, "--ring1: bad relation in ring spec 'x:q'"),
+        (["classify", "interval", "--rho", "1,x"],
+         None, "--rho: expects comma separated integers, got '1,x'"),
+        (FRIENDLY_ARGV + ["--ring1", "x:3", "--window", "3..0"],
+         None, "--window: expects 'lo..hi' with lo <= hi, got '3..0'"),
+    ])
+    def test_usage_error_message(self, capsys, tmp_path, argv, file_text, message):
+        path = tmp_path / "bad.mat"
+        if file_text is not None:
+            path.write_text(file_text)
+        code = run([tok.format(file=path) for tok in argv])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         proc = python_child(["-m", "segrecm.cli", "classify", "interval", "--rho", "4,2"])
