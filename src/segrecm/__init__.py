@@ -13,7 +13,7 @@ _MODULE_OF = {name: module for module, names in (
                " NotStandardGraded ResourceCap SegreError WindowTooSmall"),
     ("linalg", ""),
     ("oracle", "Factor FriendlinessReport friendliness monomial_factor toric_factor"),
-    ("series", "HilbertSeries format_series parse_series"),
+    ("series", "HilbertSeries"),
     ("toric", "ToricPresentation census kernel_lattice segre tensor validate"),
 ) for name in [module, *names.split()]}
 __all__ = sorted(_MODULE_OF)

@@ -4,7 +4,8 @@ Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ..
 with the commands toric, hilbert, classify and oracle, each of which imports
 only the library modules it runs, on first use.  The global flags go before
 the command.  Flags take '--flag value' or '--flag=value', each typed when
-read (the last given wins); -h or --help prints help from COMMANDS.  Every
+read (the last given wins); -h or --help prints help from COMMANDS.  The
+flag types are the only readers of text: the library takes values.  Every
 successful run prints one report object with the fields command, inputs,
 results, assumptions, version; keys are sorted and rationals are rendered as
 lowest-terms "p/q" strings, so identical invocations produce identical bytes.
@@ -26,11 +27,17 @@ from .errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
 lib = sys.modules[__package__]
 
 
-def _int_list(text):
+def _ints(tokens, message):
+    """The tokens as ints; ValueError(message) when one is not an integer."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"expects comma separated integers, got {text!r}") from None
+        raise ValueError(message) from None
+
+
+def _int_list(text):
+    tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+    return _ints(tokens, f"expects comma separated integers, got {text!r}")
 
 
 def _cap(text):
@@ -45,6 +52,54 @@ def _window(text):
     if not sep or int(lo) > int(hi):
         raise ValueError(f"expects 'lo..hi' with lo <= hi, got {text!r}")
     return int(lo), int(hi)
+
+
+def _matrix(path):
+    """A toric presentation from a matrix file: "r n", then r rows of n integers."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln for ln in (raw.strip() for raw in fh.read().splitlines()) if ln]
+    if not lines:
+        raise ValueError("empty matrix text")
+    header, bad_header = lines[0].split(), f"matrix header must be 'r n', got {lines[0]!r}"
+    if len(header) != 2:
+        raise ValueError(bad_header)
+    r, n = _ints(header, bad_header)
+    if len(lines) != r + 1:
+        raise ValueError(f"expected {r} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        if len(ln.split()) != n:
+            raise ValueError(f"expected {n} entries in row {ln!r}")
+        rows.append(_ints(ln.split(), f"bad integer in matrix row {ln!r}"))
+    return lib.toric.validate(rows)
+
+
+def _series(text):
+    """A HilbertSeries from "num: c0 e0 c1 e1 ... ; den: d"."""
+    num_part, sep, den_part = (part.strip() for part in text.partition(";"))
+    if not sep or ";" in den_part:
+        raise ValueError(f"series text needs one ';': {text!r}")
+    if not num_part.startswith("num:") or not den_part.startswith("den:"):
+        raise ValueError(f"series text needs 'num:' and 'den:' markers: {text!r}")
+    tokens = num_part[len("num:"):].split()
+    if len(tokens) % 2 != 0:
+        raise ValueError(f"numerator tokens must come in (coeff, exponent) pairs: {text!r}")
+    *ints, d = _ints([*tokens, den_part[len("den:"):]], f"bad integer in series text {text!r}")
+    return lib.series.HilbertSeries(zip(ints[1::2], ints[::2]), d)
+
+
+def _format_series(h):
+    return f"num:{''.join(f' {c} {e}' for e, c in h.numerator)} ; den: {h.denom_power}"
+
+
+def _ring(spec):
+    """A monomial quotient from "x,y:2 0,0 2": variables, then relations,
+    each an exponent vector; monomial_factor checks the ring."""
+    names, _, rels = spec.partition(":")
+    relations = [_ints(chunk.split(), f"bad relation in ring spec {spec!r}")
+                 for chunk in rels.split(",") if chunk.strip()]
+    names = [name.strip() for name in names.split(",") if name.strip()]
+    return lib.oracle.monomial_factor(names, relations)
 
 
 GORENSTEIN_NOTE = "factor rings are Gorenstein standard graded with the stated data (not verified)"
@@ -90,25 +145,25 @@ def _do_toric_census(ns):
 
 
 def _do_hilbert_coeff(ns):
-    inputs = {"series": lib.series.format_series(ns.series), "n": ns.n}
+    inputs = {"series": _format_series(ns.series), "n": ns.n}
     return inputs, {"coefficient": ns.series.coeff(ns.n, ns.cap)}, []
 
 
 def _do_hilbert_shift(ns):
-    inputs = {"series": lib.series.format_series(ns.series), "a": ns.a}
-    return inputs, {"series": lib.series.format_series(ns.series.shift(ns.a))}, []
+    inputs = {"series": _format_series(ns.series), "a": ns.a}
+    return inputs, {"series": _format_series(ns.series.shift(ns.a))}, []
 
 
 def _do_hilbert_window(ns):
     values = ns.series.window(ns.lo, ns.hi, cap=ns.cap)
-    inputs = {"series": lib.series.format_series(ns.series), "lo": ns.lo, "hi": ns.hi}
+    inputs = {"series": _format_series(ns.series), "lo": ns.lo, "hi": ns.hi}
     return inputs, {"lo": ns.lo, "hi": ns.hi, "values": list(values)}, []
 
 
 def _do_hilbert_hadamard(ns):
-    inputs = {"left": lib.series.format_series(ns.left), "right": lib.series.format_series(ns.right)}
+    inputs = {"left": _format_series(ns.left), "right": _format_series(ns.right)}
     out = ns.left.hadamard(ns.right, cap=ns.cap)
-    return inputs, {"series": lib.series.format_series(out)}, []
+    return inputs, {"series": _format_series(out)}, []
 
 
 def _do_classify_depth(ns):
@@ -182,10 +237,10 @@ def _do_oracle_friendly(ns):
 
 REQUIRED_INT = {"type": int, "required": True}
 INTS = {"type": _int_list, "required": True}
-SERIES = {"type": lambda text: lib.series.parse_series(text), "required": True}
-MATRIX = {"type": lambda path: lib.toric.validate(lib.toric.load_matrix(path)), "required": True}
-RING = {"type": lambda spec: lib.oracle.monomial_factor(*lib.oracle.parse_ring_spec(spec))}
-TORIC = {"type": lambda path: lib.oracle.toric_factor(MATRIX["type"](path))}
+SERIES = {"type": _series, "required": True}
+MATRIX = {"type": _matrix, "required": True}
+RING = {"type": _ring}
+TORIC = {"type": lambda path: lib.oracle.toric_factor(_matrix(path))}
 PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": {"type": int}}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
            "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}

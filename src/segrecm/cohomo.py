@@ -215,6 +215,7 @@ def cm_chain(rhos, a):
 
 def anticanonical_cm_m2(a1, a2):
     """Two-factor anticanonical criterion on the factors' a-invariants a1, a2."""
+    a1, a2 = index(a1), index(a2)
     return a2 > 2 * a1 and a1 > 2 * a2
 
 

@@ -70,11 +70,15 @@ def monomial_str(names, exps):
 
 
 def monomial_factor(names, relations):
-    """The quotient of a polynomial ring in one or more distinct names by
-    monomial relations, each a nonzero exponent vector of natural numbers."""
+    """The quotient of a polynomial ring in one or more distinct names, each
+    an identifier, by monomial relations, each a nonzero exponent vector of
+    natural numbers."""
     names = list(names)
     if not names:
         raise ValueError("need at least one variable")
+    for name in names:
+        if not str.isidentifier(name):  # TypeError for a name that is no str
+            raise ValueError(f"variable name {name!r} is not an identifier")
     if len(set(names)) < len(names):
         raise ValueError(f"{','.join(names)} repeats a variable name")
     nvars = len(names)
@@ -307,24 +311,3 @@ def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT
     right = [len(sides[0].levels[i - shift1]) * len(sides[1].levels[i - shift2])
              if i >= max(shifts) else 0 for i in degrees]
     return FriendlinessReport(i_lo, tuple(left), tuple(right))
-
-
-# ---------------------------------------------------------------------------
-# ring spec parsing for the CLI: "x:3" or "x,y:2 0,0 2"
-
-
-def parse_ring_spec(spec):
-    """(names, relations) from a compact text form, for monomial_factor.
-
-    Variables before the colon, comma separated; relations after it,
-    comma separated, each a whitespace separated exponent vector.  A
-    single variable may abbreviate x^3 to just "3".
-    """
-    var_part, _, rel_part = spec.partition(":")
-    names = [v.strip() for v in var_part.split(",") if v.strip()]
-    try:
-        relations = [tuple(map(int, chunk.split())) for chunk in rel_part.split(",")
-                     if chunk.strip()]
-    except ValueError:
-        raise ValueError(f"bad relation in ring spec {spec!r}") from None
-    return names, relations

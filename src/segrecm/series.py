@@ -14,6 +14,7 @@ running differences; `HilbertSeries.hadamard` proves that degree.
 """
 
 from math import comb
+from operator import index
 
 from .errors import DEFAULT_POINT_CAP, Record, ResourceCap, check_cap
 
@@ -41,11 +42,13 @@ class HilbertSeries(Record):
     _fields = ("numerator", "denom_power")
 
     def __init__(self, numerator, denom_power):
+        denom_power = index(denom_power)
         if denom_power < 0:
             raise ValueError(f"negative denominator power {denom_power}")
         acc = {}
         for e, c in numerator:
-            acc[e] = acc.get(e, 0) + c
+            e = index(e)
+            acc[e] = acc.get(e, 0) + index(c)
         num = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         while num and denom_power > 0 and sum(c for _, c in num) == 0:
             num = _divide_by_one_minus_t(num)
@@ -66,7 +69,7 @@ class HilbertSeries(Record):
     def coeff(self, n, cap=DEFAULT_POINT_CAP):
         """Coefficient of t^n in the power series expansion.  Raises
         ResourceCap, before any binomial is built, when _bits(n) exceeds cap."""
-        d = self.denom_power
+        n, d = index(n), self.denom_power
         if d == 0:
             return dict(self.numerator).get(n, 0)
         bits = self._bits(n)
@@ -123,31 +126,3 @@ class HilbertSeries(Record):
         for _ in range(dd):
             num = [c - prev for prev, c in zip([0, *num], num)]
         return HilbertSeries(zip(range(lo, top + 1), num), dd)
-
-
-# ---------------------------------------------------------------------------
-# text encoding: "num: c0 e0 c1 e1 ... ; den: d"
-
-
-def format_series(h):
-    body = "".join(f" {c} {e}" for e, c in h.numerator)
-    return f"num:{body} ; den: {h.denom_power}"
-
-
-def parse_series(text):
-    try:
-        num_part, den_part = (part.strip() for part in text.split(";"))
-    except ValueError:
-        raise ValueError(f"series text needs one ';': {text!r}") from None
-    if not num_part.startswith("num:") or not den_part.startswith("den:"):
-        raise ValueError(f"series text needs 'num:' and 'den:' markers: {text!r}")
-    tokens = num_part[len("num:"):].split()
-    if len(tokens) % 2 != 0:
-        raise ValueError(f"numerator tokens must come in (coeff, exponent) pairs: {text!r}")
-    try:
-        ints = [int(tok) for tok in tokens]
-        d = int(den_part[len("den:"):].strip())
-    except ValueError as exc:
-        raise ValueError(f"bad integer in series text {text!r}: {exc}") from None
-    pairs = [(ints[k + 1], ints[k]) for k in range(0, len(ints), 2)]
-    return HilbertSeries(pairs, d)

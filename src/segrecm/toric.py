@@ -232,34 +232,3 @@ def _set_layers(codes, n_max):
     for _ in range(n_max):
         layer = {x + c for x in layer for c in codes}
         yield len(layer)
-
-
-# ---------------------------------------------------------------------------
-# matrix file format: first line "r n", then r rows of n integers
-
-
-def parse_matrix(text):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty matrix text")
-    try:
-        r, n = map(int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"matrix header must be 'r n', got {lines[0]!r}") from None
-    if len(lines) != r + 1:
-        raise ValueError(f"expected {r} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != n:
-            raise ValueError(f"expected {n} entries in row {ln!r}")
-        try:
-            rows.append(tuple(int(t) for t in toks))
-        except ValueError:
-            raise ValueError(f"bad integer in matrix row {ln!r}") from None
-    return tuple(rows)
-
-
-def load_matrix(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())

@@ -9,7 +9,7 @@ and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
 two-factor depth by a closed-form case split.  They share data structures
 with the package but not algorithms.  format_matrix writes the matrix files
-that segrecm.toric.load_matrix reads, and nonzero maps each degree of a
+that the --matrix flag of segrecm.cli reads, and nonzero maps each degree of a
 friendliness report to its dimension where that is not zero.
 """
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from segrecm.errors import ResourceCap, WindowTooSmall
 from segrecm.oracle import (_levels, _linked_counts, _sides, friendliness,
-                            monomial_factor, parse_ring_spec, toric_factor)
+                            monomial_factor, toric_factor)
 from segrecm.toric import census, segre, validate
 
 from oracles import (TruncatedModule, _first_unspanned,
@@ -262,33 +262,6 @@ class TestToricFriendliness:
     def test_empty_window(self):
         with pytest.raises(ValueError, match="empty"):
             friendliness(P2, P2, 0, 0, 1, 0)
-
-
-class TestRingSpec:
-    def test_single_variable(self):
-        assert parse_ring_spec("x:3") == (["x"], [(3,)])
-
-    def test_multi_variable(self):
-        assert parse_ring_spec("x,y:2 0,0 2") == (["x", "y"], [(2, 0), (0, 2)])
-
-    def test_polynomial_ring(self):
-        assert parse_ring_spec("x,y") == (["x", "y"], [])
-
-    def test_errors(self):
-        # only the text is checked here; monomial_factor checks the ring
-        with pytest.raises(ValueError, match="bad relation"):
-            parse_ring_spec("x:q")
-        assert parse_ring_spec("") == ([], [])
-        assert parse_ring_spec("x,x:2 0") == (["x", "x"], [(2, 0)])
-
-    @pytest.mark.parametrize("spec, match", [
-        ("", "at least one variable"), (":3", "at least one variable"),
-        ("x,x", "repeats a variable name"), ("x,x:2 0", "repeats a variable name"),
-        ("x:1 2", "bad relation exponent vector"), ("x,y:1 -1", "bad relation exponent vector"),
-        ("x,y:0 0", "bad relation exponent vector")])
-    def test_monomial_factor_rejects(self, spec, match):
-        with pytest.raises(ValueError, match=match):
-            monomial_factor(*parse_ring_spec(spec))
 
 
 class TestModuleInvariants:

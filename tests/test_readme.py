@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from segrecm.cohomo import cm_twist_interval, cm_uniform_twist_raw, cohomology_support
+from segrecm.cohomo import (anticanonical_cm_m2, cm_twist_interval, cm_uniform_twist_raw,
+                            cohomology_support)
 from segrecm.linalg import integer_kernel, pivot_columns, solve_right
 from segrecm.oracle import monomial_factor
+from segrecm.series import HilbertSeries
 from segrecm.toric import validate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,6 +45,12 @@ NON_INTEGER = {
     "pivot_columns": lambda: pivot_columns([[0.5, 1]]),
     "integer_kernel": lambda: integer_kernel([[1.5, 1]]),
     "cohomology_support": lambda: cohomology_support([(3, -2.5, 0), (2, -2, 0)]),
+    "anticanonical_cm_m2": lambda: anticanonical_cm_m2(-2.5, -2),
+    "HilbertSeries-exponent": lambda: HilbertSeries([(0.5, 1)], 2),
+    "HilbertSeries-coefficient": lambda: HilbertSeries([(0, Fraction(3, 2))], 2),
+    "HilbertSeries-denom_power": lambda: HilbertSeries([(0, 1)], 2.5),
+    "shift": lambda: HilbertSeries([(0, 1)], 2).shift(0.5),
+    "coeff": lambda: HilbertSeries([(0, 1)], 2).coeff(Fraction(5, 2)),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrecm.series import HilbertSeries, format_series, parse_series
+from segrecm.series import HilbertSeries
 
 from oracles import expand_series
 
@@ -188,22 +188,6 @@ class TestReducedForm:
         assert h.denom_power == 0 or sum(c for _, c in h.numerator) != 0
         assert h.numerator or h.denom_power == 0
         assert HilbertSeries(h.numerator, h.denom_power) == h
-
-
-class TestTextEncoding:
-    def test_round_trip(self):
-        for h in (POLY_2VARS, TWISTED, NILP3, H([], 0), H([(-2, 3)], 1)):
-            assert parse_series(format_series(h)) == h
-
-    def test_format(self):
-        assert format_series(TWISTED) == "num: 1 0 1 1 ; den: 3"
-        assert format_series(H([], 0)) == "num: ; den: 0"
-
-    def test_parse_errors(self):
-        for bad in ("num: 1 ; den: 2", "1 0 ; den: 2", "num: 1 0 den: 2",
-                    "num: x 0 ; den: 2"):
-            with pytest.raises(ValueError):
-                parse_series(bad)
 
 
 class TestSeriesLaws:

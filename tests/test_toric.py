@@ -11,11 +11,11 @@ from segrecm import toric
 from segrecm.errors import NotStandardGraded, ResourceCap
 from segrecm.oracle import _levels, toric_factor
 from segrecm.toric import (ToricPresentation, _bit_layers, _packing,
-                           _set_layers, census, kernel_lattice,
-                           parse_matrix, segre, tensor, validate)
+                           _set_layers, census, kernel_lattice, segre, tensor,
+                           validate)
 
-from oracles import (census_by_multisets, format_matrix, gauss_rank,
-                     points_by_multisets, smith_diagonal)
+from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
+                     smith_diagonal)
 
 I2 = validate([[1, 0], [0, 1]])
 CUBIC = validate([[1, 1, 1], [0, 1, 2]])
@@ -347,14 +347,3 @@ class TestCensus:
         cols = p.columns()
         assert basis[n] == points_by_multisets(cols, n)
         assert len(basis[n]) == census(p, n)[n] == census_by_multisets(cols, n)
-
-
-class TestMatrixFormat:
-    def test_round_trip(self):
-        text = format_matrix(CUBIC.matrix)
-        assert parse_matrix(text) == CUBIC.matrix
-
-    def test_parse_errors(self):
-        for bad in ("", "2\n1 2", "1 2\n1", "1 2\n1 x"):
-            with pytest.raises(ValueError):
-                parse_matrix(bad)
