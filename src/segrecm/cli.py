@@ -41,17 +41,18 @@ def _int_list(text):
 
 
 def _cap(text):
-    cap = int(text)
+    (cap,) = _ints([text], message := f"expects a nonnegative integer, got {text!r}")
     if cap < 0:
-        raise ValueError(f"expects a nonnegative integer, got {text!r}")
+        raise ValueError(message)
     return cap
 
 
 def _window(text):
     lo, sep, hi = text.partition("..")
-    if not sep or int(lo) > int(hi):
-        raise ValueError(f"expects 'lo..hi' with lo <= hi, got {text!r}")
-    return int(lo), int(hi)
+    lo, hi = _ints([lo, hi], message := f"expects 'lo..hi' with lo <= hi, got {text!r}")
+    if not sep or lo > hi:
+        raise ValueError(message)
+    return lo, hi
 
 
 def _matrix(path):
@@ -235,13 +236,14 @@ def _do_oracle_friendly(ns):
 # parser: one pass over argv, driven by GLOBALS and COMMANDS
 
 
-REQUIRED_INT = {"type": int, "required": True}
+INT = {"type": lambda text: _ints([text], f"expects an integer, got {text!r}")[0]}
+REQUIRED_INT = INT | {"required": True}
 INTS = {"type": _int_list, "required": True}
 SERIES = {"type": _series, "required": True}
 MATRIX = {"type": _matrix, "required": True}
 RING = {"type": _ring}
 TORIC = {"type": lambda path: lib.oracle.toric_factor(_matrix(path))}
-PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": {"type": int}}
+PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": INT}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
            "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}
 HELP = ("-h", "--help")
@@ -313,7 +315,7 @@ def _flags(tokens, spec):
             raise ValueError(f"{flag} expects one of {', '.join(keys['choices'])}, got {text!r}")
         try:
             values[flag[2:]] = keys.get("type", str)(text)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{flag}: {exc}") from None
     for flag, keys in spec.items():
         if keys.get("required") and values[flag[2:]] is None:

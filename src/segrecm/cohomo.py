@@ -120,7 +120,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     # 2^free clipped to 2^bits > cap keeps the count a lower bound that
     # exceeds the cap exactly when the true count does; it stays exact
     # below 2^64 per top and short enough to print above
-    bits = max(cap.bit_length(), 64)
+    bits = max(index(cap).bit_length(), 64)
     check_cap(1 + sum((1 << min(free, bits)) - (r == m - 1) for r, free in tops),
               cap, "depth witnesses")
 

@@ -8,6 +8,8 @@ Record is the base of the library's value types: immutable records
 compared and hashed by value, with no code generated when a module loads.
 """
 
+from operator import index
+
 DEFAULT_POINT_CAP = 1_000_000
 
 
@@ -55,15 +57,17 @@ class ResourceCap(SegreError):
     """An enumeration exceeded its configured resource bound."""
 
 
-def check_cap(total, cap, what):
-    """Raise ResourceCap naming what is bounded when total exceeds cap.
-
-    total is a running count of what an enumeration has built so far or a
-    closed-form count taken before anything is built; either way the
-    enumeration needs at least that many entries.
+def check_cap(total, cap, what, needs=None):
+    """Raise ResourceCap naming what is bounded when total exceeds cap: an
+    enumeration needs at least total entries, or what needs says, total a
+    running count of what it has built or a closed-form count taken before
+    it builds anything.  Each check reads cap with operator.index, so one
+    that is not an int raises TypeError and a negative one ValueError.
     """
+    if index(cap) < 0:
+        raise ValueError(f"cap must be a nonnegative integer, got {cap}")
     if total > cap:
-        raise ResourceCap(f"{what}: needs at least {total} entries, "
+        raise ResourceCap(f"{what}: {needs or f'needs at least {total} entries'}, "
                           f"over the cap of {cap}")
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
-One echelon step on sparse rows, {column: entry} dicts of Python ints,
-serves every routine, so a gcd step costs only the nonzeros of its pivot
-row.  integer_kernel takes the Hermite form of the kernel tails only, and
-solve_right back-substitutes in integers: only its answer is rational.
+Every routine runs one echelon pass on sparse rows, {column: entry} dicts of
+Python ints, that clears their columns in increasing order, so a gcd step
+costs only the nonzeros of its pivot row.  integer_kernel keys A^T at -m..-1
+to clear it first; solve_right back-substitutes over one integer denominator.
 """
 
 from fractions import Fraction
@@ -20,14 +20,14 @@ def _subtract(row, q, pivot):
             del row[j]
 
 
-def _echelon(rows, columns):
-    """(pivots, rest) for sparse rows echeloned on the increasing columns:
-    pivots lists (c, row) by increasing c, row[c] > 0 and row zero on the
-    columns before c, and the rest rows are zero on every column.  The
-    steps are unimodular, so pivots and rest span the lattice of the rows.
+def _echelon(rows):
+    """Pivots (c, row) of sparse rows echeloned on the columns they use, by
+    increasing c: row[c] > 0 and row zero on the columns before c.  A step
+    writes only to those columns, and it is unimodular, so the pivots span
+    the lattice of the rows.
     """
     pivots = []
-    for c in columns:
+    for c in sorted(set().union(*rows)):
         live = [row for row in rows if c in row]
         rows = [row for row in rows if c not in row]
         # gcd out column c: reduce by the smallest entry until one is left
@@ -41,35 +41,34 @@ def _echelon(rows, columns):
             live = left
         for p in live:  # the one row left, if any
             pivots.append((c, p if p[c] > 0 else {j: -v for j, v in p.items()}))
-    return pivots, rows
+    return pivots
 
 
-def _hermite(rows, ncols):
-    """Row Hermite normal form of sparse rows on columns 0..ncols-1, dense."""
-    pivots, rest = _echelon(rows, range(ncols))
+def _hermite(pivots, ncols):
+    """Row Hermite normal form of the _echelon pivots on columns 0..ncols-1, dense."""
+    pivots = [(c, p) for c, p in pivots if c >= 0]
     for k, (c, p) in enumerate(pivots):
         for _, row in pivots[:k]:
             q = row.get(c, 0) // p[c]
             if q:
                 _subtract(row, q, p)
-    return ([[row.get(j, 0) for j in range(ncols)] for _, row in pivots]
-            + [[0] * ncols for _ in rest])
+    return [[row.get(j, 0) for j in range(ncols)] for _, row in pivots]
 
 
 def solve_right(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 
-    An echelon form of [A | b] has the pivots of the reduced one: b is a
-    pivot exactly when inconsistent.  Free coordinates are set to zero,
-    which makes the answer deterministic, and back-substitution from the
-    last pivot row gives the rest as integers over the pivots' product.
+    An echelon form of [A | b] has the pivots of the reduced one: the b
+    column n is a pivot exactly when inconsistent.  Free coordinates are
+    set to zero, which makes the answer deterministic, and back-substitution
+    from the last pivot row gives the rest as integers over the pivots' product.
     """
     if not a_rows:
         return None
     n = len(a_rows[0])
-    pivots, rest = _echelon([{j: v for j, v in enumerate(map(index, [*row, bv])) if v}
-                             for row, bv in zip(a_rows, b)], range(n))
-    if any(rest):
+    pivots = _echelon([{j: v for j, v in enumerate(map(index, [*row, bv])) if v}
+                       for row, bv in zip(a_rows, b)])
+    if pivots and pivots[-1][0] == n:
         return None
     y, d = {}, 1
     for c, row in reversed(pivots):
@@ -83,22 +82,20 @@ def solve_right(a_rows, b):
 
 def pivot_columns(rows):
     """Pivot columns of the row Hermite form, which an echelon form shares."""
-    pivots, _ = _echelon([{j: v for j, v in enumerate(map(index, row)) if v} for row in rows],
-                         range(len(rows[0]) if rows else 0))
-    return [c for c, _ in pivots]
+    return [c for c, _ in _echelon([{j: v for j, v in enumerate(map(index, row)) if v}
+                                    for row in rows])]
 
 
 def integer_kernel(a_rows):
     """Basis of ker(A) cap Z^n for an integer matrix A, in row Hermite form.
 
-    Row i of [A^T | I] is column i of A, kept on columns n.., and the tail
-    e_i.  The rows an echelon form of the A^T part leaves zero there span
-    the (0, u) with u A^T = 0, so the Hermite form of their tails alone is
-    the unique Hermite basis of the kernel, a saturated lattice: Z^n
-    modulo it is torsion free.  The pivot rows are dropped unreduced.
+    Row i of [A^T | I] is column i of A, keyed -m..-1, then the tail e_i.
+    One echelon pass clears A^T first, so the pivots on columns 0.. span the
+    (0, u) with u A^T = 0.  Their Hermite form, the pivots on A^T dropped
+    unreduced, is the unique Hermite basis of the saturated kernel lattice.
     """
     m, n = len(a_rows), len(a_rows[0])
     # last rows first: ties pivot on late columns, mostly free in the answer
-    rows = [{i: 1} | {n + j: v for j, v in enumerate(map(index, col)) if v}
+    rows = [{i: 1} | {j - m: v for j, v in enumerate(map(index, col)) if v}
             for i, col in reversed(list(enumerate(zip(*a_rows))))]
-    return _hermite(_echelon(rows, range(n, n + m))[1], n)
+    return _hermite(_echelon(rows), n)

@@ -294,6 +294,7 @@ def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT
     signatures otherwise ("monomial Hom candidates").  Raises
     WindowTooSmall when R(a) # S(b) is zero.
     """
+    shift1, shift2, i_lo, i_hi = map(index, (shift1, shift2, i_lo, i_hi))
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")
     shifts = (shift1, shift2)

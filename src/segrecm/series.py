@@ -16,7 +16,7 @@ running differences; `HilbertSeries.hadamard` proves that degree.
 from math import comb
 from operator import index
 
-from .errors import DEFAULT_POINT_CAP, Record, ResourceCap, check_cap
+from .errors import DEFAULT_POINT_CAP, Record, check_cap
 
 
 def _divide_by_one_minus_t(pairs):
@@ -73,9 +73,8 @@ class HilbertSeries(Record):
         if d == 0:
             return dict(self.numerator).get(n, 0)
         bits = self._bits(n)
-        if bits > cap:
-            raise ResourceCap(f"series coefficient t^{n}: a binomial of up to {bits} bits, "
-                              f"over the cap of {cap}")
+        if bits > index(cap):  # true of a negative cap too, and check_cap rejects it
+            check_cap(bits, cap, f"series coefficient t^{n}", f"a binomial of up to {bits} bits")
         return sum(c * comb(n - e + d - 1, d - 1) for e, c in self.numerator if n >= e)
 
     # -- operations -------------------------------------------------------
@@ -88,13 +87,13 @@ class HilbertSeries(Record):
         """Coefficients on [lo, hi].  Raises ResourceCap when there are more
         than cap, or, before any binomial is built, when they may have more
         than cap bits: their number times _bits(hi), which bounds each."""
+        lo, hi = index(lo), index(hi)
         if lo > hi:
             raise ValueError(f"window lo {lo} exceeds hi {hi}")
-        check_cap(hi - lo + 1, cap, f"series window [{lo}, {hi}]")
+        what = f"series window [{lo}, {hi}]"
+        check_cap(hi - lo + 1, cap, what)
         bits = (hi - lo + 1) * self._bits(hi)
-        if bits > cap:
-            raise ResourceCap(f"series window [{lo}, {hi}]: coefficients of up to {bits} bits "
-                              f"in all, over the cap of {cap}")
+        check_cap(bits, cap, what, f"coefficients of up to {bits} bits in all")
         return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
 
     def hadamard(self, other, cap=DEFAULT_POINT_CAP):

@@ -140,17 +140,13 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
-    return tuple(_capped(_layer_sizes(set(p.columns()), True, n_max), cap))
-
-
-def _capped(sizes, cap):
-    """Pass layer sizes 0, 1, ... through, capping their running total."""
-    total = 0
-    for k, size in enumerate(sizes):
+    sizes, total = [], 0
+    for size in _layer_sizes(set(p.columns()), True, n_max):
         total += size
-        if k:
+        if sizes:
             check_cap(total, cap, "semigroup census")
-        yield size
+        sizes.append(size)
+    return tuple(sizes)
 
 
 def _layer_sizes(cols, graded, n_max):

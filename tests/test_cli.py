@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segrecm
-from segrecm.cli import (COMMANDS, GLOBALS, MATRIX, RING, SERIES, TORIC, _cap, _format_series,
-                         _int_list, _window, run)
+from segrecm.cli import (COMMANDS, GLOBALS, INT, MATRIX, RING, SERIES, TORIC, _cap,
+                         _format_series, _int_list, _window, run)
 from segrecm.series import HilbertSeries as H
 from segrecm.toric import validate
 from oracles import format_matrix, support_witnesses
@@ -403,7 +403,7 @@ class TestExitCodes:
 # draw from one pool, so each flag also meets the other's values
 FILES_AND_RINGS = ("x:3", "y:2", "x,y:2 0,0 2", "x,x:2 0", "{I2}", "{Q}", "{bad}", "{missing}")
 VALUES = {
-    int: ("0", "1", "-2", "5", "40", "10000000", "100000000", "x"),
+    INT["type"]: ("0", "1", "-2", "5", "40", "10000000", "100000000", "x"),
     _cap: ("0", "10", "100000", "1000000", "-1"),
     _int_list: ("4,2", "3,2,1", "-3,-2", "2,2,2", "0,-3", "1,,x"),
     _window: ("-6..6", "0..3", "-2..2", "3..0"),
@@ -546,6 +546,24 @@ class TestUsageMessages:
          None, "--rho: expects comma separated integers, got '1,x'"),
         (FRIENDLY_ARGV + ["--ring1", "x:3", "--window", "3..0"],
          None, "--window: expects 'lo..hi' with lo <= hi, got '3..0'"),
+        # a scalar integer flag names its expected form, like the lists
+        (FRIENDLY_ARGV + ["--ring1", "x:3", "--window", "x..0"],
+         None, "--window: expects 'lo..hi' with lo <= hi, got 'x..0'"),
+        (["--cap", "x", "classify", "interval", "--rho", "4,2"],
+         None, "--cap: expects a nonnegative integer, got 'x'"),
+        (["--cap", "-1", "classify", "interval", "--rho", "4,2"],
+         None, "--cap: expects a nonnegative integer, got '-1'"),
+        (["hilbert", "coeff", "--n", "1.5", "--series", "num: 1 0 ; den: 2"],
+         None, "--n: expects an integer, got '1.5'"),
+        (["hilbert", "shift", "--series", "num: 1 0 ; den: 2", "--a", "x"],
+         None, "--a: expects an integer, got 'x'"),
+        (["toric", "census", "--upto", "x", "--matrix", "{file}"],
+         None, "--upto: expects an integer, got 'x'"),
+        (["toric", "segre", "--census", "x"], None, "--census: expects an integer, got 'x'"),
+        (FRIENDLY_ARGV + ["--shift1", "x"], None, "--shift1: expects an integer, got 'x'"),
+        # a matrix file that cannot be opened
+        (["toric", "census", "--matrix", "{file}", "--upto", "2"],
+         None, "--matrix: [Errno 2] No such file or directory: '{file}'"),
     ])
     def test_usage_error_message(self, capsys, tmp_path, argv, file_text, message):
         path = tmp_path / "bad.mat"
@@ -553,7 +571,7 @@ class TestUsageMessages:
             path.write_text(file_text)
         code = run([tok.format(file=path) for tok in argv])
         out, err = capsys.readouterr()
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {message.format(file=path)}\n")
 
 
 # the text formats, read by the flag types that consume them

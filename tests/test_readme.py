@@ -1,5 +1,6 @@
-"""The README's python example prints what its trailing comments say, and
-a non-integer entry raises TypeError, as its sign conventions state."""
+"""The README's python example prints what its trailing comments say, a
+non-integer entry raises TypeError, as its sign conventions state, and a
+cap or window end is read as an integer, as its cap rules state."""
 
 import contextlib
 import io
@@ -11,9 +12,9 @@ import pytest
 from segrecm.cohomo import (anticanonical_cm_m2, cm_twist_interval, cm_uniform_twist_raw,
                             cohomology_support)
 from segrecm.linalg import integer_kernel, pivot_columns, solve_right
-from segrecm.oracle import monomial_factor
+from segrecm.oracle import friendliness, monomial_factor
 from segrecm.series import HilbertSeries
-from segrecm.toric import validate
+from segrecm.toric import census, validate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,4 +58,37 @@ NON_INTEGER = {
 @pytest.mark.parametrize("call", NON_INTEGER.values(), ids=NON_INTEGER)
 def test_non_integer_entry_raises_type_error(call):
     with pytest.raises(TypeError):
+        call()
+
+
+I2, H2 = validate([[1, 0], [0, 1]]), HilbertSeries([(0, 1)], 2)
+X3, Y2 = monomial_factor(["x"], [(3,)]), monomial_factor(["y"], [(2,)])
+TRIPLES = [(3, -3, 0), (2, -2, -3)]
+# each capped entry point with a cap that is no integer or is negative, and
+# each window end or shift that is no integer: never an AttributeError, a
+# cap stop or an answer
+BAD_CAP_OR_WINDOW = {
+    "census-cap": (lambda: census(I2, 3, cap=10.5), TypeError),
+    "census-negative-cap": (lambda: census(I2, 3, cap=-1), ValueError),
+    "cohomology_support-cap": (lambda: cohomology_support(TRIPLES, cap=2.5), TypeError),
+    "cohomology_support-negative-cap": (lambda: cohomology_support(TRIPLES, cap=-1), ValueError),
+    "coeff-cap": (lambda: H2.coeff(5, cap=2.5), TypeError),
+    "coeff-negative-cap": (lambda: H2.coeff(5, cap=-1), ValueError),
+    "window-end": (lambda: H2.window(0, 2.5), TypeError),
+    "window-cap": (lambda: H2.window(0, 2, cap=Fraction(7, 2)), TypeError),
+    "window-negative-cap": (lambda: H2.window(0, 2, cap=-1), ValueError),
+    "hadamard-cap": (lambda: H2.hadamard(H2, cap=2.5), TypeError),
+    "hadamard-negative-cap": (lambda: H2.hadamard(H2, cap=-1), ValueError),
+    "friendliness-shift": (lambda: friendliness(X3, Y2, 0.5, 0, -2, 2), TypeError),
+    "friendliness-window-end": (lambda: friendliness(X3, Y2, 0, 0, -2, 2.5), TypeError),
+    "friendliness-cap": (lambda: friendliness(X3, Y2, 0, 0, -2, 2, cap=100.5), TypeError),
+    "friendliness-negative-cap": (lambda: friendliness(X3, Y2, 0, 0, -2, 2, cap=-1), ValueError),
+}
+MESSAGE = {TypeError: "cannot be interpreted as an integer",
+           ValueError: "cap must be a nonnegative integer"}
+
+
+@pytest.mark.parametrize("call, error", BAD_CAP_OR_WINDOW.values(), ids=BAD_CAP_OR_WINDOW)
+def test_cap_and_window_are_read_as_integers(call, error):
+    with pytest.raises(error, match=MESSAGE[error]):
         call()
