@@ -186,14 +186,14 @@ def _do_classify_cm_twist(ns):
     inputs = {"rho": ns.rho, "a": ns.a}
     results = {"is_cm": lib.cohomo.cm_uniform_twist(ns.rho, ns.a),
                "is_cm_raw": lib.cohomo.cm_uniform_twist_raw(ns.rho, ns.a),
-               "chain": None if ns.a in (0, 1) else lib.cohomo.cm_chain(ns.rho, ns.a)}
+               "chain": None if ns.a in (0, 1) else lib.cohomo.cm_chain(ns.rho, ns.a, ns.cap)}
     return inputs, results, TWIST_NOTES
 
 
 def _do_classify_interval(ns):
     interval = lib.cohomo.cm_twist_interval(ns.rho)
     results = {"kind": "all_integers" if interval.lo is None else "open_interval",
-               "lo": interval.lo, "hi": interval.hi, "integer_points": interval.integer_points()}
+               "lo": interval.lo, "hi": interval.hi, "integer_points": interval.integer_points(ns.cap)}
     return {"rho": ns.rho}, results, TWIST_NOTES
 
 

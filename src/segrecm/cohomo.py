@@ -70,10 +70,11 @@ class TwistInterval(Record):
         if lo is not None and not lo < hi:
             raise ValueError("open interval needs lo < hi")
 
-    def integer_points(self):
-        """Integers strictly inside a bounded interval; None when all."""
+    def integer_points(self, cap=DEFAULT_POINT_CAP):
+        """Integers strictly inside a bounded interval, at most cap; None when all."""
         if self.lo is None:
             return None
+        check_cap(math.ceil(self.hi) - math.floor(self.lo) - 1, cap, "integer points of the interval")
         return list(range(math.floor(self.lo) + 1, math.ceil(self.hi)))
 
 
@@ -154,6 +155,8 @@ def _check_sorted(rhos):
 def _check_twist(a):
     if a % 1:  # a twist of a graded module is an integer
         raise BadTwist(f"twist a = {a} is not an integer")
+    a = index(a)
+    return a, max(a, 1 - a)  # b: the twists a and 1 - a give dual modules
 
 
 def cm_uniform_twist(rhos, a):
@@ -164,9 +167,8 @@ def cm_uniform_twist(rhos, a):
     consecutive comparisons below are equivalent to the subset criterion
     cm_uniform_twist_raw; the equivalence is exercised in the test suite.
     """
-    _check_twist(a)
+    _, b = _check_twist(a)
     rhos = _check_sorted(rhos)
-    b = max(a, 1 - a)
     return all(b * rhos[l + 1] > (b - 1) * rhos[l] for l in range(len(rhos) - 1))
 
 
@@ -183,16 +185,14 @@ def cm_uniform_twist_raw(rhos, a):
     top admits one, that is when it is not the last-ranked factor or has
     a free factor.  Any rho order; O(m log m).
     """
-    _check_twist(a)
-    rhos = list(map(index, rhos))
-    if not rhos:
-        raise ValueError("rho list must be nonempty")
+    a, _ = _check_twist(a)
+    rhos = _check_sorted(sorted(rhos, reverse=True))
     m = len(rhos)
     _, tops = _support_scan([a * r for r in rhos], [(a - 1) * r for r in rhos])
     return all(r == m - 1 and free == 0 for r, free in tops)
 
 
-def cm_chain(rhos, a):
+def cm_chain(rhos, a, cap=DEFAULT_POINT_CAP):
     """Chain form of the uniform twist criterion for a twist a outside [0, 1].
 
     With C = b/(b-1) for b = max(a, 1 - a), the module is Cohen-Macaulay
@@ -202,12 +202,12 @@ def cm_chain(rhos, a):
 
     evaluated exactly in integers: scaled by (b-1)^(m-1) > 0 throughout.
     """
-    _check_twist(a)
-    b = max(a, 1 - a)
+    a, b = _check_twist(a)
     if b <= 1:
         raise BadTwist(f"chain criterion undefined for twist a = {a}")
     rhos = _check_sorted(rhos)
     m = len(rhos)
+    check_cap(m * (m - 1) * b.bit_length(), cap, "bits of the chain criterion")
     values = [b ** j * (b - 1) ** (m - 1 - j) * rhos[j] for j in range(m)]
     # values[j] = (b-1)^(m-1) C^j rho_(j+1); the chain says they strictly increase
     return all(values[j + 1] > values[j] for j in range(m - 1))
@@ -243,7 +243,7 @@ def canonical_power_cm(rhos, a):
     of itself in every direction); callers with ratio 1 should consult
     cm_twist_interval directly.
     """
-    _check_twist(a)
+    a, _ = _check_twist(a)
     interval = cm_twist_interval(rhos)
     if interval.lo is None:
         raise NotApplicable(

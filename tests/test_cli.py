@@ -245,11 +245,36 @@ class TestExitCodes:
     def test_negative_cap_is_usage_error(self, capsys, i2_path):
         # a cap of 0 is valid: the census needs one point in degree 0
         for argv, at_zero in ((["toric", "census", "--matrix", i2_path, "--upto", "2"], 4),
-                              (["classify", "interval", "--rho", "4,2"], 0)):
+                              (["classify", "anticanonical", "--rho", "4,2"], 0)):
             assert run(["--cap", "-1"] + argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and "--cap" in err
             assert run(["--cap", "0"] + argv) == at_zero
+
+    def test_interval_points_stop_at_cap(self, capsys):
+        # the open interval (-1, 2) holds the two points 0 and 1
+        argv = ["classify", "interval", "--rho", "4,2"]
+        for cap in ("0", "1"):
+            assert run(["--cap", cap] + argv) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err == ("error: resource cap: integer points of the interval: "
+                                         f"needs at least 2 entries, over the cap of {cap}\n")
+        assert invoke_json(capsys, ["--cap", "2"] + argv)["results"]["integer_points"] == [0, 1]
+
+    @pytest.mark.parametrize("argv, what", [
+        (["classify", "interval", "--rho", "1000001,1000000"], "integer points of the interval"),
+        (["classify", "interval", "--rho", "1000000000001,1000000000000"],
+         "integer points of the interval"),
+        (["classify", "cm-twist", "--rho", ",".join(["1"] * 4000), "--a", "1000000"],
+         "bits of the chain criterion")])
+    def test_twist_commands_stop_at_the_default_cap(self, capsys, argv, what):
+        # the points and the chain bits are counted before any is built
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "") and elapsed < 2
+        assert what in err and "cap of 1000000" in err
 
     def test_oracle_resource_cap(self, capsys):
         assert run(["--cap", "10", "oracle", "friendly", "--ring1", "a,b,c,d",

@@ -299,6 +299,30 @@ class TestChain:
                 with pytest.raises(BadTwist):
                     criterion([3, 2], a)
 
+    def test_cap_bounds_the_bits_before_any_power(self):
+        # m (m - 1) bit_length(b) = 2 * 1 * 2 bits for two factors at a = -1
+        assert cm_chain([3, 2], -1, cap=4) is True
+        with pytest.raises(ResourceCap, match="bits of the chain criterion"):
+            cm_chain([3, 2], -1, cap=3)
+
+
+class TestTwistReader:
+    def test_twist_is_read_as_an_integer(self):
+        # read with operator.index, as every other integer input is
+        criteria = (cm_uniform_twist, cm_uniform_twist_raw, cm_chain, canonical_power_cm)
+        for criterion in criteria:
+            for a in (1e200, 2.0, Fraction(2)):
+                with pytest.raises(TypeError):
+                    criterion([3, 2], a)
+            with pytest.raises(BadTwist):
+                criterion([3, 2], Fraction(1, 2))
+            assert criterion([3, 2], 2) is True
+            assert criterion([3, 2], 10**200) is False
+        for criterion in criteria[:3]:
+            assert criterion([2, 2], 10**200) is True
+            with pytest.raises(TypeError):
+                criterion([2, 2], 1e200)
+
 
 class TestAnticanonicalM2:
     def test_examples(self):
@@ -343,6 +367,12 @@ class TestTwistInterval:
         for ends in ((Fraction(1), None), (None, Fraction(1))):
             with pytest.raises(ValueError):
                 TwistInterval(*ends)
+
+    def test_integer_points_stop_at_cap(self):
+        interval = cm_twist_interval([4, 2])
+        assert interval.integer_points(cap=2) == [0, 1]
+        with pytest.raises(ResourceCap, match="integer points of the interval"):
+            interval.integer_points(cap=1)
 
 
 class TestCanonicalPowers:
