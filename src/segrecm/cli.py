@@ -186,7 +186,7 @@ def _do_classify_cm_twist(ns):
     inputs = {"rho": ns.rho, "a": ns.a}
     results = {"is_cm": lib.cohomo.cm_uniform_twist(ns.rho, ns.a),
                "is_cm_raw": lib.cohomo.cm_uniform_twist_raw(ns.rho, ns.a),
-               "chain": None if ns.a in (0, 1) else lib.cohomo.cm_chain(ns.rho, ns.a, ns.cap)}
+               "chain": None if ns.a in (0, 1) else lib.cohomo.cm_chain(ns.rho, ns.a)}
     return inputs, results, TWIST_NOTES
 
 

@@ -72,10 +72,9 @@ class TwistInterval(Record):
 
     def integer_points(self, cap=DEFAULT_POINT_CAP):
         """Integers strictly inside a bounded interval, at most cap; None when all."""
-        if self.lo is None:
-            return None
-        check_cap(math.ceil(self.hi) - math.floor(self.lo) - 1, cap, "integer points of the interval")
-        return list(range(math.floor(self.lo) + 1, math.ceil(self.hi)))
+        count = 0 if self.lo is None else math.ceil(self.hi) - math.floor(self.lo) - 1
+        check_cap(count, cap, "integer points of the interval")
+        return None if self.lo is None else list(range(math.floor(self.lo) + 1, math.ceil(self.hi)))
 
 
 def _support_scan(s, h):
@@ -192,25 +191,21 @@ def cm_uniform_twist_raw(rhos, a):
     return all(r == m - 1 and free == 0 for r, free in tops)
 
 
-def cm_chain(rhos, a, cap=DEFAULT_POINT_CAP):
+def cm_chain(rhos, a):
     """Chain form of the uniform twist criterion for a twist a outside [0, 1].
 
     With C = b/(b-1) for b = max(a, 1 - a), the module is Cohen-Macaulay
     exactly when
 
-        C^(m-1) rho_m > C^(m-2) rho_(m-1) > ... > C rho_2 > rho_1,
+        C^(m-1) rho_m > C^(m-2) rho_(m-1) > ... > C rho_2 > rho_1.
 
-    evaluated exactly in integers: scaled by (b-1)^(m-1) > 0 throughout.
+    Times (b-1)/C^j > 0, its link C^(j+1) rho_(j+2) > C^j rho_(j+1) is
+    b rho_(j+2) > (b-1) rho_(j+1), the comparison of cm_uniform_twist.
     """
     a, b = _check_twist(a)
     if b <= 1:
         raise BadTwist(f"chain criterion undefined for twist a = {a}")
-    rhos = _check_sorted(rhos)
-    m = len(rhos)
-    check_cap(m * (m - 1) * b.bit_length(), cap, "bits of the chain criterion")
-    values = [b ** j * (b - 1) ** (m - 1 - j) * rhos[j] for j in range(m)]
-    # values[j] = (b-1)^(m-1) C^j rho_(j+1); the chain says they strictly increase
-    return all(values[j + 1] > values[j] for j in range(m - 1))
+    return cm_uniform_twist(rhos, a)
 
 
 def anticanonical_cm_m2(a1, a2):
@@ -241,12 +236,12 @@ def canonical_power_cm(rhos, a):
 
     Only meaningful when the ratio rho exceeds 1 (the ring is not a twist
     of itself in every direction); callers with ratio 1 should consult
-    cm_twist_interval directly.
+    cm_twist_interval directly.  a lies in its interval exactly when every
+    ratio rho_i / rho_(i+1) is below b/(b-1), the test of cm_uniform_twist.
     """
     a, _ = _check_twist(a)
-    interval = cm_twist_interval(rhos)
-    if interval.lo is None:
+    if cm_twist_interval(rhos).lo is None:
         raise NotApplicable(
             "all rho entries are equal (ratio 1); every power is "
             "Cohen-Macaulay and the power criterion does not apply")
-    return interval.lo < a < interval.hi
+    return cm_uniform_twist(rhos, a)

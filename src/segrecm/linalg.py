@@ -2,7 +2,7 @@
 
 Every routine runs one echelon pass on sparse rows, {column: entry} dicts of
 Python ints, that clears their columns in increasing order, so a gcd step
-costs only the nonzeros of its pivot row.  integer_kernel keys A^T at -m..-1
+costs only the nonzeros of its pivot row.  integer_kernel keys A^T at 0..m-1
 to clear it first; solve_right back-substitutes over one integer denominator.
 """
 
@@ -44,15 +44,15 @@ def _echelon(rows):
     return pivots
 
 
-def _hermite(pivots, ncols):
-    """Row Hermite normal form of the _echelon pivots on columns 0..ncols-1, dense."""
-    pivots = [(c, p) for c, p in pivots if c >= 0]
+def _hermite(pivots, cols):
+    """Row Hermite normal form of the _echelon pivots on the range cols, dense on cols."""
+    pivots = [(c, p) for c, p in pivots if c in cols]
     for k, (c, p) in enumerate(pivots):
         for _, row in pivots[:k]:
             q = row.get(c, 0) // p[c]
             if q:
                 _subtract(row, q, p)
-    return [[row.get(j, 0) for j in range(ncols)] for _, row in pivots]
+    return [[row.get(j, 0) for j in cols] for _, row in pivots]
 
 
 def solve_right(a_rows, b):
@@ -89,13 +89,13 @@ def pivot_columns(rows):
 def integer_kernel(a_rows):
     """Basis of ker(A) cap Z^n for an integer matrix A, in row Hermite form.
 
-    Row i of [A^T | I] is column i of A, keyed -m..-1, then the tail e_i.
-    One echelon pass clears A^T first, so the pivots on columns 0.. span the
-    (0, u) with u A^T = 0.  Their Hermite form, the pivots on A^T dropped
-    unreduced, is the unique Hermite basis of the saturated kernel lattice.
+    Row i of [A^T | I] is column i of A, keyed 0..m-1, then e_i, keyed
+    m..m+n-1.  One echelon pass clears A^T first, so the pivots on columns
+    m.. span the (0, u) with u A^T = 0.  Their Hermite form, the pivots on
+    A^T dropped unreduced, is the unique Hermite basis of the saturated kernel.
     """
     m, n = len(a_rows), len(a_rows[0])
     # last rows first: ties pivot on late columns, mostly free in the answer
-    rows = [{i: 1} | {j - m: v for j, v in enumerate(map(index, col)) if v}
+    rows = [{m + i: 1} | {j: v for j, v in enumerate(map(index, col)) if v}
             for i, col in reversed(list(enumerate(zip(*a_rows))))]
-    return _hermite(_echelon(rows), n)
+    return _hermite(_echelon(rows), range(m, m + n))

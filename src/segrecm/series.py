@@ -70,11 +70,11 @@ class HilbertSeries(Record):
         """Coefficient of t^n in the power series expansion.  Raises
         ResourceCap, before any binomial is built, when _bits(n) exceeds cap."""
         n, d = index(n), self.denom_power
-        if d == 0:
-            return dict(self.numerator).get(n, 0)
         bits = self._bits(n)
         if bits > index(cap):  # true of a negative cap too, and check_cap rejects it
             check_cap(bits, cap, f"series coefficient t^{n}", f"a binomial of up to {bits} bits")
+        if d == 0:
+            return dict(self.numerator).get(n, 0)
         return sum(c * comb(n - e + d - 1, d - 1) for e, c in self.numerator if n >= e)
 
     # -- operations -------------------------------------------------------
@@ -112,6 +112,7 @@ class HilbertSeries(Record):
         (1 - t)^D, therefore vanishes for n > top; below lo the stream is 0.
         """
         if not (self.numerator and other.numerator):
+            check_cap(0, cap, "Hadamard coefficient stream")  # the cap is read all the same
             return HilbertSeries((), 0)
         d1, d2 = self.denom_power, other.denom_power
         dd = max(d1 + d2 - 1, 0)

@@ -140,6 +140,7 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
+    check_cap(0, cap, "semigroup census")  # read the cap before any split is tried
     sizes, total = [], 0
     for size in _layer_sizes(set(p.columns()), True, n_max):
         total += size

@@ -264,17 +264,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, what", [
         (["classify", "interval", "--rho", "1000001,1000000"], "integer points of the interval"),
         (["classify", "interval", "--rho", "1000000000001,1000000000000"],
-         "integer points of the interval"),
-        (["classify", "cm-twist", "--rho", ",".join(["1"] * 4000), "--a", "1000000"],
-         "bits of the chain criterion")])
+         "integer points of the interval")])
     def test_twist_commands_stop_at_the_default_cap(self, capsys, argv, what):
-        # the points and the chain bits are counted before any is built
+        # the points are counted before any is built
         start = time.perf_counter()
         code = run(argv)
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert (code, out) == (4, "") and elapsed < 2
         assert what in err and "cap of 1000000" in err
+
+    @pytest.mark.parametrize("m, a", [(4000, "1000000"), (708, "-1")])
+    def test_long_chains_answer_under_the_default_cap(self, capsys, m, a):
+        # the chain form makes the m - 1 comparisons of the other forms, so
+        # it builds no power of the twist and has nothing to cap
+        start = time.perf_counter()
+        results = invoke_json(capsys, ["classify", "cm-twist", "--rho", ",".join(["1"] * m),
+                                       "--a", a])["results"]
+        assert time.perf_counter() - start < 2
+        assert results["is_cm"] == results["is_cm_raw"] == results["chain"]
 
     def test_oracle_resource_cap(self, capsys):
         assert run(["--cap", "10", "oracle", "friendly", "--ring1", "a,b,c,d",

@@ -299,12 +299,6 @@ class TestChain:
                 with pytest.raises(BadTwist):
                     criterion([3, 2], a)
 
-    def test_cap_bounds_the_bits_before_any_power(self):
-        # m (m - 1) bit_length(b) = 2 * 1 * 2 bits for two factors at a = -1
-        assert cm_chain([3, 2], -1, cap=4) is True
-        with pytest.raises(ResourceCap, match="bits of the chain criterion"):
-            cm_chain([3, 2], -1, cap=3)
-
 
 class TestTwistReader:
     def test_twist_is_read_as_an_integer(self):

@@ -19,7 +19,7 @@ def hermite_rows(rows):
     """linalg's row Hermite form of a nonempty dense integer matrix, padded
     with zero rows to the matrix's row count."""
     n = len(rows[0])
-    h = _hermite(_echelon([{j: v for j, v in enumerate(row) if v} for row in rows]), n)
+    h = _hermite(_echelon([{j: v for j, v in enumerate(row) if v} for row in rows]), range(n))
     return h + [[0] * n for _ in rows[len(h):]]
 
 

@@ -61,7 +61,7 @@ def test_non_integer_entry_raises_type_error(call):
         call()
 
 
-I2, H2 = validate([[1, 0], [0, 1]]), HilbertSeries([(0, 1)], 2)
+I2, H2, ZERO = validate([[1, 0], [0, 1]]), HilbertSeries([(0, 1)], 2), HilbertSeries([], 0)
 X3, Y2 = monomial_factor(["x"], [(3,)]), monomial_factor(["y"], [(2,)])
 TRIPLES = [(3, -3, 0), (2, -2, -3)]
 # each capped entry point with a cap that is no integer or is negative, and
@@ -70,15 +70,25 @@ TRIPLES = [(3, -3, 0), (2, -2, -3)]
 BAD_CAP_OR_WINDOW = {
     "census-cap": (lambda: census(I2, 3, cap=10.5), TypeError),
     "census-negative-cap": (lambda: census(I2, 3, cap=-1), ValueError),
+    "census-degree-0-cap": (lambda: census(I2, 0, cap=2.5), TypeError),
+    "census-degree-0-negative-cap": (lambda: census(I2, 0, cap=-1), ValueError),
     "cohomology_support-cap": (lambda: cohomology_support(TRIPLES, cap=2.5), TypeError),
     "cohomology_support-negative-cap": (lambda: cohomology_support(TRIPLES, cap=-1), ValueError),
     "coeff-cap": (lambda: H2.coeff(5, cap=2.5), TypeError),
     "coeff-negative-cap": (lambda: H2.coeff(5, cap=-1), ValueError),
+    "polynomial-coeff-cap": (lambda: HilbertSeries([(0, 1)], 0).coeff(0, cap=2.5), TypeError),
+    "polynomial-coeff-negative-cap": (lambda: HilbertSeries([(0, 1)], 0).coeff(0, cap=-1),
+                                      ValueError),
     "window-end": (lambda: H2.window(0, 2.5), TypeError),
     "window-cap": (lambda: H2.window(0, 2, cap=Fraction(7, 2)), TypeError),
     "window-negative-cap": (lambda: H2.window(0, 2, cap=-1), ValueError),
     "hadamard-cap": (lambda: H2.hadamard(H2, cap=2.5), TypeError),
     "hadamard-negative-cap": (lambda: H2.hadamard(H2, cap=-1), ValueError),
+    "zero-hadamard-cap": (lambda: ZERO.hadamard(H2, cap=2.5), TypeError),
+    "zero-hadamard-negative-cap": (lambda: ZERO.hadamard(H2, cap=-1), ValueError),
+    "all-integers-points-cap": (lambda: cm_twist_interval([5, 5]).integer_points(2.5), TypeError),
+    "all-integers-points-negative-cap": (lambda: cm_twist_interval([5, 5]).integer_points(-1),
+                                         ValueError),
     "friendliness-shift": (lambda: friendliness(X3, Y2, 0.5, 0, -2, 2), TypeError),
     "friendliness-window-end": (lambda: friendliness(X3, Y2, 0, 0, -2, 2.5), TypeError),
     "friendliness-cap": (lambda: friendliness(X3, Y2, 0, 0, -2, 2, cap=100.5), TypeError),
