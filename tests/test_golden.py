@@ -72,6 +72,14 @@ CORPUS = [
     "--format=text classify interval --rho 4,2",
     "classify interval --rho 4,2 --rho 6,3,2",
     "--cap 5 --cap 100000 toric census --matrix {A} --upto 6",
+    # ties and long integers in the twist criteria and the support scan:
+    # two equal largest ratios, interval ends of 28 and 29 digits, every
+    # s_i tied with 7 witnesses tied on q
+    "classify interval --rho 9,6,4",
+    "classify interval --rho 30000000000000000000000000000,10000000000000000000000000000,1",
+    "classify power --rho 9,6,4 --a 2",
+    "classify cm-twist --rho 14,14,13,13,12 --a 2",
+    "classify depth --dims 2,3,4 --ainv 0,0,0 --shifts 0,0,0",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",
