@@ -25,6 +25,7 @@ from .errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
 
 # lib.toric is a plain attribute once imported; lib.census would run __getattr__ each call
 lib = sys.modules[__package__]
+REPORT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), default=str)
 
 
 def _ints(tokens, message):
@@ -344,7 +345,7 @@ def _parse(argv):
 def _text_lines(prefix, value):
     """Dotted 'key: value' lines of a report, keys sorted."""
     if not isinstance(value, dict):
-        return [f"{prefix}: {json.dumps(value, default=str)}"]
+        return [f"{prefix}: {json.dumps(value, sort_keys=True, default=str)}"]
     return [line for key in sorted(value)
             for line in _text_lines(f"{prefix}.{key}" if prefix else str(key), value[key])]
 
@@ -357,8 +358,7 @@ def run(argv=None):
         report = {"command": f"{ns.command} {ns.subcommand}", "inputs": inputs,
                   "results": results, "assumptions": assumptions, "version": __version__}
         try:
-            text = (json.dumps(report, sort_keys=True, separators=(",", ": "), default=str)
-                    if ns.format == "json" else "\n".join(_text_lines("", report)))
+            text = REPORT_ENCODER.encode(report) if ns.format == "json" else "\n".join(_text_lines("", report))
         except ValueError:  # an int longer than str() may convert
             raise ResourceCap("report integer: more digits than sys.get_int_max_str_digits() "
                               f"= {sys.get_int_max_str_digits()}") from None

@@ -15,20 +15,20 @@ depth is the least q(E) with overlap and the full set always realizes the
 dimension, sum d_i - (m - 1) (Goto-Watanabe, On graded rings I, section 4).
 
 Supported subsets are found by one threshold scan, not by visiting all
-2^m: with s_i = -a_i and h_i = alpha_i - a_i, rank the factors by
-(s_i, i).  A supported E other than the full set has one top-ranked
-factor j off E, at threshold t = s_j; E holds every factor ranked above j
-(each with h_i >= t) and any ranked below j with h_i >= t.
+2^m: with s_i = -a_i and h_i = alpha_i - a_i, a stable sort on s ranks
+the factors by (s_i, i).  A supported E other than the full set has one
+top-ranked factor j off E, at threshold t = s_j; E holds every factor
+ranked above j (each with h_i >= t) and any ranked below j with h_i >= t.
 cohomology_support caps their count, a sum of powers of two, before
 listing them at O(m) each; cm_uniform_twist_raw runs the same scan and
 only asks whether any proper subset is supported.  With exactly two
 factors a dimension-1 factor is allowed: the two-factor case split gives
 the same witnesses (it is a test oracle in tests/oracles.py).
 
-Everything here stores a-invariants.  The uniform-twist criteria below
-take positive 'rho' lists with rho_i = -alpha_i, the convention natural
-for Cohen-Macaulay rings; keeping one stored convention and converting at
-the call boundary avoids sign bugs.
+Everything here stores a-invariants; the uniform-twist criteria take
+positive rho_i = -alpha_i and convert at the call boundary, so one stored
+convention avoids sign bugs.  They decide in integers, the largest ratio
+rho_i/rho_(i+1) by cross-multiplying; only the interval ends are Fractions.
 """
 
 import math
@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from operator import index
+from operator import ge, index
 
 from .errors import (DEFAULT_POINT_CAP, BadTwist, DimensionTooSmall,
                      NotApplicable, NotPositive, NotSorted, Record, check_cap)
@@ -78,16 +78,16 @@ class TwistInterval(Record):
 
 
 def _support_scan(s, h):
-    """Rank the factors by (s_i, i) and list the admissible tops lazily.
+    """Rank the factors by a stable sort on s and list the admissible tops.
 
-    Returns the ranking and an iterator of (r, free): the factor j ranked
-    r can be the top-ranked factor off a supported subset when every
-    factor ranked above it has h_i >= s_j, and free counts the factors
-    ranked below j with h_i >= s_j.  As the ones above all qualify, free
-    is r + 1 less the factors with h_i < s_j less [h_j >= s_j]: one
-    bisection in sorted h, so the scan is O(m log m).
+    Stable, the sort ranks by (s_i, i).  Returns the ranking and a lazy
+    iterator of (r, free): the factor j ranked r can be the top-ranked
+    factor off a supported subset when every factor ranked above it has
+    h_i >= s_j, and free counts the factors ranked below j with h_i >= s_j.
+    As the ones above all qualify, free is r + 1 less the factors with
+    h_i < s_j less [h_j >= s_j]: one bisection in sorted h, so O(m log m).
     """
-    rank = sorted(range(len(s)), key=lambda i: (s[i], i))
+    rank = sorted(range(len(s)), key=s.__getitem__)
     # floor[r] is the least h among the factors ranked r and above
     floor = list(accumulate((h[i] for i in reversed(rank)), min, initial=math.inf))[::-1]
     h_sorted = sorted(h)
@@ -135,7 +135,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
         for mask in range(0 if forced else 1, 1 << len(free)):
             chosen = [i for b, i in enumerate(free) if mask >> b & 1]
             witnesses.append(witness(sorted(forced + chosen), t))
-    witnesses.sort(key=lambda w: (w.q, w.subset))
+    witnesses.sort()
     return DepthReport(sum(dims) - (m - 1), witnesses[0].q, tuple(witnesses))
 
 
@@ -143,11 +143,10 @@ def _check_sorted(rhos):
     rhos = list(map(index, rhos))
     if not rhos:
         raise ValueError("rho list must be nonempty")
-    for i in range(len(rhos) - 1):
-        if rhos[i] < rhos[i + 1]:
-            raise NotSorted(
-                f"rho list must be non-increasing; entry {rhos[i + 1]} at "
-                f"position {i + 1} exceeds {rhos[i]}")
+    if not all(map(ge, rhos, rhos[1:])):
+        i = next(i for i in range(1, len(rhos)) if rhos[i - 1] < rhos[i])
+        raise NotSorted(f"rho list must be non-increasing; entry {rhos[i]} at "
+                        f"position {i} exceeds {rhos[i - 1]}")
     return rhos
 
 
@@ -186,9 +185,8 @@ def cm_uniform_twist_raw(rhos, a):
     """
     a, _ = _check_twist(a)
     rhos = _check_sorted(sorted(rhos, reverse=True))
-    m = len(rhos)
     _, tops = _support_scan([a * r for r in rhos], [(a - 1) * r for r in rhos])
-    return all(r == m - 1 and free == 0 for r, free in tops)
+    return all(r == len(rhos) - 1 and free == 0 for r, free in tops)
 
 
 def cm_chain(rhos, a):
@@ -217,18 +215,20 @@ def anticanonical_cm_m2(a1, a2):
 def cm_twist_interval(rhos):
     """All uniform twists a giving a Cohen-Macaulay module, as a set.
 
-    rhos must be positive and non-increasing.  With ratio
-    rho = max(rho_i / rho_(i+1)) the answer is every integer when rho = 1
-    and otherwise the open interval (1/(1-rho), rho/(rho-1)).
+    rhos must be positive and non-increasing.  The largest ratio
+    rho = p/q of rho_i / rho_(i+1) is found by cross-multiplying integers.
+    The answer is every integer when rho = 1 and otherwise the open interval
+    (1/(1-rho), rho/(rho-1)) = (q/(q-p), p/(p-q)); only its ends are Fractions.
     """
     rhos = _check_sorted(rhos)
     for i, x in enumerate(rhos):
         if x <= 0:
             raise NotPositive(f"rho entry {x} at position {i} is not positive")
-    ratio = max((Fraction(rhos[i], rhos[i + 1]) for i in range(len(rhos) - 1)), default=1)
-    if ratio == 1:
-        return TwistInterval()
-    return TwistInterval(Fraction(1) / (1 - ratio), ratio / (ratio - 1))
+    p, q = 1, 1  # the largest ratio so far is p/q
+    for x, y in zip(rhos, rhos[1:]):
+        if x * q > p * y:
+            p, q = x, y
+    return TwistInterval() if p == q else TwistInterval(Fraction(q, q - p), Fraction(p, p - q))
 
 
 def canonical_power_cm(rhos, a):

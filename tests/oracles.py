@@ -6,11 +6,13 @@ local Gaussian elimination, linear solves by reduced row echelon form
 over the rationals, Hermite forms and integer kernels by dense
 elimination on whole rows, Smith elementary divisors by unimodular row
 and column operations, graded hom by seed propagation on truncated
-modules and by one dense linear solve, and the depth witnesses and uniform twist criterion by visiting every subset, and
-two-factor depth by a closed-form case split.  They share data structures
-with the package but not algorithms.  format_matrix writes the matrix files
-that the --matrix flag of segrecm.cli reads, and nonzero maps each degree of a
-friendliness report to its dimension where that is not zero.
+modules and by one dense linear solve, the depth witnesses and uniform
+twist criterion by visiting every subset, two-factor depth by a
+closed-form case split, and the twist interval by its largest ratio in
+Fractions.  They share data structures with the package but not
+algorithms.  format_matrix writes the matrix files that the --matrix flag
+of segrecm.cli reads, and nonzero maps each degree of a friendliness
+report to its dimension where that is not zero.
 """
 
 from collections import Counter
@@ -622,6 +624,16 @@ def uniform_twist_by_subsets(rhos, a):
             if not big > small:
                 return False
     return True
+
+
+def twist_interval_by_fractions(rhos):
+    """(lo, hi) of the twist interval of positive non-increasing rhos, or
+    (None, None) when every ratio is 1, with the largest ratio taken over
+    Fractions: (1/(1-rho), rho/(rho-1)) for rho = max rho_i / rho_(i+1)."""
+    ratio = max((Fraction(rhos[i], rhos[i + 1]) for i in range(len(rhos) - 1)), default=1)
+    if ratio == 1:
+        return None, None
+    return Fraction(1) / (1 - ratio), ratio / (ratio - 1)
 
 
 def prop_depth_m2(r, s, rho, sigma, a, b):

@@ -193,6 +193,14 @@ class TestReports:
         assert code == 0
         assert "results.is_cm: true" in out
 
+    def test_text_format_sorts_nested_keys(self, capsys):
+        # dicts inside lists print with their keys sorted too
+        code, out = invoke(capsys, ["--format", "text", "classify", "depth", "--dims", "3,2",
+                                    "--ainv", "-3,-2", "--shifts", "0,-3"])
+        assert code == 0
+        assert ('results.witnesses: [{"hi": 1, "lo": 0, "q": 2, "subset": [2]}, '
+                '{"hi": -3, "lo": null, "q": 4, "subset": [1, 2]}]\n') in out
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, i2_path):

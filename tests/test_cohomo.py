@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -9,17 +10,31 @@ from hypothesis import strategies as st
 from segrecm.cohomo import (DepthReport, TwistInterval, anticanonical_cm_m2,
                             canonical_power_cm, cm_chain, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
-                            cohomology_support)
+                            cohomology_support, _check_sorted, _support_scan)
 from segrecm.errors import (BadTwist, DimensionTooSmall, NotApplicable,
                             NotPositive, NotSorted, ResourceCap)
 
-from oracles import prop_depth_m2, support_witnesses, uniform_twist_by_subsets
+from oracles import (prop_depth_m2, support_witnesses, twist_interval_by_fractions,
+                     uniform_twist_by_subsets)
 
 # shifts and a-invariants from short ranges, so that several factors
 # share a threshold -a_i and ties are the common case
 factor_lists = st.lists(st.tuples(st.integers(2, 4), st.integers(-4, 1),
                                   st.integers(-2, 2)), min_size=1, max_size=9)
 rho_lists = st.lists(st.integers(-4, 4), min_size=1, max_size=9)
+
+
+def positive_rho_lists(rng, count, top=10**30):
+    """count non-increasing positive lists of 1 to 8 entries, in turn: small
+    entries (ties are common), all equal, spread up to top, and crowded
+    just below top (every ratio barely above 1)."""
+    for n in range(count):
+        m = rng.randint(1, 8)
+        rhos = [[rng.randint(1, 6) for _ in range(m)],
+                [rng.randint(1, top)] * m,
+                [rng.randint(1, top) for _ in range(m)],
+                [top - rng.randint(0, 3) for _ in range(m)]][n % 4]
+        yield sorted(rhos, reverse=True)
 
 
 def sorted_vectors(max_m, lo, hi):
@@ -367,6 +382,57 @@ class TestTwistInterval:
         assert interval.integer_points(cap=2) == [0, 1]
         with pytest.raises(ResourceCap, match="integer points of the interval"):
             interval.integer_points(cap=1)
+
+    def test_ends_match_the_fraction_reference(self):
+        # the largest ratio is compared in integers; the reference takes
+        # the max over Fractions
+        for rhos in positive_rho_lists(random.Random(41), 600):
+            interval = cm_twist_interval(rhos)
+            assert (interval.lo, interval.hi) == twist_interval_by_fractions(rhos), rhos
+            if interval.lo is not None:
+                assert type(interval.lo) is type(interval.hi) is Fraction
+
+    def test_integer_points_match_a_twist_scan(self):
+        # with entries up to 12 the ratio is at least 12/11 and hi at most 12
+        seen = 0
+        for rhos in positive_rho_lists(random.Random(43), 400, top=12):
+            interval = cm_twist_interval(rhos)
+            if interval.lo is None:
+                continue
+            window = range(math.floor(interval.lo) - 2, math.ceil(interval.hi) + 3)
+            assert interval.integer_points() == [a for a in window
+                                                 if cm_uniform_twist(rhos, a)], rhos
+            seen += 1
+        assert seen >= 200
+
+
+class TestScanAndOrder:
+    def test_rank_is_by_threshold_then_index(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            m = rng.randint(1, 30)
+            s = [rng.randint(-2, 2) for _ in range(m)]
+            h = [rng.randint(-3, 3) for _ in range(m)]
+            want = sorted(range(m), key=lambda i: (s[i], i))
+            assert _support_scan(s, h)[0] == want
+            assert _support_scan(tuple(s), tuple(h))[0] == want
+
+    def test_not_sorted_names_the_first_offending_position(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            rhos = [rng.randint(-3, 3) for _ in range(rng.randint(2, 8))]
+            rises = [i for i in range(1, len(rhos)) if rhos[i - 1] < rhos[i]]
+            if not rises:
+                assert _check_sorted(rhos) == rhos
+                continue
+            i = rises[0]
+            message = (f"rho list must be non-increasing; entry {rhos[i]} at "
+                       f"position {i} exceeds {rhos[i - 1]}")
+            with pytest.raises(NotSorted) as exc:
+                _check_sorted(rhos)
+            assert str(exc.value) == message
+            with pytest.raises(NotSorted, match=f"^{message}$"):
+                cm_uniform_twist(rhos, 2)
 
 
 class TestCanonicalPowers:
