@@ -9,24 +9,15 @@ every degree.
 The one nontrivial operation is the coefficientwise (Hadamard) product,
 which is what the degreewise tensor construction does to Hilbert series:
 it multiplies the two coefficient streams up to the last degree the
-product's numerator over (1 - t)^max(d1 + d2 - 1, 0) can reach and takes
-running differences; `HilbertSeries.hadamard` proves that degree.
+product's numerator over (1 - t)^D can reach and takes running
+differences; `HilbertSeries.hadamard` proves that degree and gives D.
 """
 
+from itertools import accumulate
 from math import comb
 from operator import index
 
 from .errors import DEFAULT_POINT_CAP, Record, check_cap
-
-
-def _divide_by_one_minus_t(pairs):
-    # prefix sums compute p / (1 - t); only valid when p(1) = 0
-    coeffs, run, quot = dict(pairs), 0, []
-    for e in range(pairs[0][0], pairs[-1][0] + 1):
-        run += coeffs.get(e, 0)
-        if run:
-            quot.append((e, run))
-    return tuple(quot)
 
 
 class HilbertSeries(Record):
@@ -34,9 +25,11 @@ class HilbertSeries(Record):
     (exponent, coefficient) pairs with nonzero integer coefficients.
 
     The constructor normalizes any iterable of pairs: it sums equal
-    exponents, drops zero coefficients and cancels (1 - t) factors.  So
-    every instance is reduced: when denom_power > 0 the numerator does not
-    vanish at t = 1, and the zero series has denom_power 0.
+    exponents, drops zero coefficients and cancels (1 - t) factors by
+    running sums, raising ResourceCap when the divisions together walk more
+    than DEFAULT_POINT_CAP exponents beyond the input's own.  So every
+    instance is reduced: when denom_power > 0 the numerator does not vanish
+    at t = 1, and the zero series has denom_power 0.
     """
 
     _fields = ("numerator", "denom_power")
@@ -50,8 +43,13 @@ class HilbertSeries(Record):
             e = index(e)
             acc[e] = acc.get(e, 0) + index(c)
         num = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        walked = -len(num)  # exponents the divisions walk, less the input's own
         while num and denom_power > 0 and sum(c for _, c in num) == 0:
-            num = _divide_by_one_minus_t(num)
+            walked += num[-1][0] - num[0][0] + 1
+            check_cap(walked, DEFAULT_POINT_CAP, "series numerator")
+            exps, coeffs = range(num[0][0], num[-1][0] + 1), dict(num)
+            sums = accumulate(coeffs.get(e, 0) for e in exps)
+            num = tuple((e, c) for e, c in zip(exps, sums) if c)
             denom_power -= 1
         super().__init__(num, denom_power if num else 0)
 
@@ -97,8 +95,8 @@ class HilbertSeries(Record):
         return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
 
     def hadamard(self, other, cap=DEFAULT_POINT_CAP):
-        """Coefficientwise product, reduced over (1-t)^D with
-        D = max(d1 + d2 - 1, 0).  Raises ResourceCap when the stream would
+        """Coefficientwise product, reduced over (1-t)^D with D = d1 + d2 - 1,
+        or D = 0 when a d is 0.  Raises ResourceCap when the stream would
         exceed cap terms, or when multiplying it out would take more than
         cap products.
 
@@ -110,12 +108,13 @@ class HilbertSeries(Record):
         stream is a polynomial of degree at most D - 1 (zero if a d is 0).
         Its D-th difference, the coefficient of t^n in the stream times
         (1 - t)^D, therefore vanishes for n > top; below lo the stream is 0.
+        With both d positive D is reduced: the streams' leading terms multiply.
         """
         if not (self.numerator and other.numerator):
             check_cap(0, cap, "Hadamard coefficient stream")  # the cap is read all the same
             return HilbertSeries((), 0)
         d1, d2 = self.denom_power, other.denom_power
-        dd = max(d1 + d2 - 1, 0)
+        dd = d1 + d2 - 1 if d1 and d2 else 0
         lo = max(self.numerator[0][0], other.numerator[0][0])
         top = max(self.numerator[-1][0] - d1, other.numerator[-1][0] - d2) + dd
         terms = top - lo + 1

@@ -92,13 +92,14 @@ def segre(p, q):
     order; the first factor's certificate extended by zeros grades every
     generator in degree 1.
     """
-    cols = [ai + bj for ai in p.columns() for bj in q.columns()]
+    q_cols = q.columns()
+    cols = [ai + bj for ai in p.columns() for bj in q_cols]
     return ToricPresentation(tuple(zip(*cols)), p.grading + (Fraction(0),) * q.nrows)
 
 
 def kernel_lattice(p):
     """Basis rows of {c : A c = 0}, saturated, in canonical row form."""
-    vectors = linalg.integer_kernel([list(row) for row in p.matrix])
+    vectors = linalg.integer_kernel(p.matrix)
     for v in vectors:
         if any(sum(map(mul, row, v)) for row in p.matrix):
             raise RuntimeError(f"kernel vector {v} does not annihilate {p.matrix}")
@@ -167,8 +168,8 @@ def _layer_sizes(cols, graded, n_max):
         if graded and all(not any(c[:s]) or not any(c[s:]) for c in cols):
             # a graded set has no zero column, and the Segre rule took the
             # case of an empty block, so both blocks are nonempty
-            return _convolve(_layer_sizes({c[:s] for c in cols if any(c[:s])}, True, n_max),
-                             _layer_sizes({c[s:] for c in cols if any(c[s:])}, True, n_max))
+            return _convolve(_layer_sizes(tops - {(0,) * s}, True, n_max),
+                             _layer_sizes(bottoms - {(0,) * (nrows - s)}, True, n_max))
     codes, box = _packing(cols, n_max)
     dense = box <= _BITSET_BOX and box <= _BITS_PER_MULTISET * comb(
         n_max + len(codes) - 1, n_max)

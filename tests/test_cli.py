@@ -368,11 +368,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "repeats a variable name" in err
 
+    def test_series_reader_stops_at_the_default_cap(self, capsys):
+        # the flag type builds the series before --cap is read, so the
+        # default cap bounds the 2,999,999 exponents (1 - t^3000000) / (1 - t) fills in
+        assert run(["--cap", "10", "hilbert", "coeff", "--series", "num: 1 0 -1 3000000 ; den: 1",
+                    "--n", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: resource cap: series numerator: needs at least "
+                                     "2999999 entries, over the cap of 1000000\n")
+
     def test_hilbert_hadamard_resource_cap(self, capsys):
         assert run(["--cap", "10", "hilbert", "hadamard", "--left", "num: 1 0 ; den: 2",
                     "--right", "num: 1 0 1 100000 ; den: 2"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "Hadamard coefficient stream" in err and "cap of 10" in err
+
+    def test_hilbert_hadamard_polynomial_factor_under_a_large_cap(self, capsys):
+        # the gap of 1,000,003 exponents is past the default cap, but the
+        # product with a polynomial is its stream, which --cap allows
+        assert run(["--cap", "3000000", "hilbert", "hadamard",
+                    "--left", "num: 1 0 1 1000003 ; den: 0", "--right", "num: 1 0 ; den: 2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and '"series": "num: 1 0 1000004 1000003 ; den: 0"' in out
 
     def test_hilbert_hadamard_work_cap(self, capsys):
         # the stream of 2,000 terms is under the cap, but multiplying it

@@ -80,6 +80,15 @@ CORPUS = [
     "classify power --rho 9,6,4 --a 2",
     "classify cm-twist --rho 14,14,13,13,12 --a 2",
     "classify depth --dims 2,3,4 --ainv 0,0,0 --shifts 0,0,0",
+    # a quotient unit with a semigroup side, a semigroup unit, a
+    # non-Artinian quotient unit, the tensor rule, a numerator divisible
+    # by (1 - t)^2 and the Segre rule in text form
+    "oracle friendly --ring1 x:3 --toric2 {I2} --shift1 0 --shift2 1 --window -2..3",
+    "oracle friendly --toric1 {I2} --ring2 y:2 --shift1 0 --shift2 1 --window -2..3",
+    "oracle friendly --ring1|x,y:2 0|--ring2 z:2 --shift1 1 --shift2 0 --window -3..3",
+    "toric tensor --left {I2} --right {B} --census 4",
+    "hilbert coeff --series|num: 1 0 -2 1 1 2 ; den: 3|--n 4",
+    "--format text toric segre --left {I2} --right {I2} --census 2",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segrecm import series
+from segrecm.errors import ResourceCap
 from segrecm.series import HilbertSeries
 
 from oracles import expand_series
@@ -90,7 +92,7 @@ class TestHadamard:
         line = H([(0, 1)], 1)
         assert line.hadamard(line) == line
 
-    def test_polynomial_inputs(self):
+    def test_polynomial_inputs(self, monkeypatch):
         # an Artinian factor makes the product a polynomial: (1 + t + t^2)
         # times the stream n + 1 is 1 + 2t + 3t^2
         want = H([(0, 1), (1, 2), (2, 3)], 0)
@@ -99,6 +101,11 @@ class TestHadamard:
         assert NILP3.hadamard(H([], 0)) == H([], 0) == H([], 0).hadamard(POLY_2VARS)
         # t^5 / (1 - t) and 1 share no degree
         assert H([(5, 1)], 1).hadamard(H([(0, 1)], 0)) == H([], 0)
+        # the stream with a d = 0 factor is the numerator itself, so the
+        # constructor's default cap does not bound what hadamard's cap allows
+        monkeypatch.setattr(series, "DEFAULT_POINT_CAP", 5)
+        got = H([(0, 1), (20, 1)], 0).hadamard(H([(0, 1)], 2), cap=100)
+        assert got == H([(0, 1), (20, 21)], 0)
 
     def test_pointwise_law(self):
         samples = [POLY_2VARS, TWISTED, H([(0, 1)], 1), H([(-1, 2), (1, 1)], 2),
@@ -167,6 +174,33 @@ class TestReducedForm:
         assert HilbertSeries(((0, 1), (1, -1)), 1) == HilbertSeries(((0, 1),), 0)
         assert HilbertSeries(((1, 1), (0, 1)), 0).numerator == ((0, 1), (1, 1))
         assert HilbertSeries(((0, 0),), 0).numerator == ()
+
+    def test_division_fill_in_stops_at_the_default_cap(self, monkeypatch):
+        # dividing 1 - t^6 by 1 - t fills in the five exponents 1..5, and
+        # 1 - t^7 six; the count is taken before any is summed
+        monkeypatch.setattr(series, "DEFAULT_POINT_CAP", 5)
+        assert H([(0, 1), (6, -1)], 1) == H([(e, 1) for e in range(6)], 0)
+        with pytest.raises(ResourceCap, match="^series numerator: needs at least 6 entries, "
+                                              "over the cap of 5$"):
+            H([(0, 1), (7, -1)], 1)
+        with pytest.raises(ResourceCap, match="^series numerator: needs at least 9{200} "):
+            H([(0, 1), (10**200, -1)], 1)
+        # the divisions share the cap: for (1 - t^3)^2 / (1 - t)^2 the first
+        # walks 0..6 past the three input terms (4), the second 0..5 (6 more)
+        monkeypatch.setattr(series, "DEFAULT_POINT_CAP", 10)
+        square = [(0, 1), (3, -2), (6, 1)]
+        assert H(square, 2) == H([(0, 1), (1, 2), (2, 3), (3, 2), (4, 1)], 0)
+        monkeypatch.setattr(series, "DEFAULT_POINT_CAP", 9)
+        with pytest.raises(ResourceCap, match="^series numerator: needs at least 10 entries, "
+                                              "over the cap of 9$"):
+            H(square, 2)
+
+    def test_many_fold_root_stops_at_the_second_division(self):
+        # (1 - t^19000)^40 / (1 - t)^40 would walk about 40 x 760,000
+        # exponents; the second division takes the total over the cap
+        power = [(19000 * k, (-1) ** k * comb(40, k)) for k in range(41)]
+        with pytest.raises(ResourceCap, match="^series numerator: needs at least 1519960 entries"):
+            H(power, 40)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(-4, 5), st.integers(-3, 3)), max_size=6),
