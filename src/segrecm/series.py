@@ -7,10 +7,9 @@ Everything is integer arithmetic, so coefficient extraction is exact at
 every degree.
 
 The one nontrivial operation is the coefficientwise (Hadamard) product,
-which is what the degreewise tensor construction does to Hilbert series:
-it multiplies the two coefficient streams up to the last degree the
-product's numerator over (1 - t)^D can reach and takes running
-differences; `HilbertSeries.hadamard` proves that degree and gives D.
+which is what the degreewise tensor construction does to Hilbert series;
+`HilbertSeries.hadamard` reads it off a polynomial factor's own terms,
+or else off the two coefficient streams up to a proved last degree.
 """
 
 from itertools import accumulate
@@ -95,26 +94,27 @@ class HilbertSeries(Record):
         return tuple(self.coeff(n, cap) for n in range(lo, hi + 1))
 
     def hadamard(self, other, cap=DEFAULT_POINT_CAP):
-        """Coefficientwise product, reduced over (1-t)^D with D = d1 + d2 - 1,
-        or D = 0 when a d is 0.  Raises ResourceCap when the stream would
-        exceed cap terms, or when multiplying it out would take more than
-        cap products.
+        """Coefficientwise product.  With a polynomial factor (d = 0, the zero
+        series with no terms; the shorter of two) it lives on that factor's
+        exponents, one coeff of the other per term; else it is reduced over
+        (1-t)^D, D = d1 + d2 - 1.  Raises ResourceCap when the polynomial or
+        the stream has more than cap terms, or when multiplying the stream out
+        would take more than cap products.
 
-        The stream on [lo, top] determines the numerator, lo the larger
-        lowest exponent and top = max(e1 - d1, e2 - d2) + D, e1 and e2 the
-        highest exponents.  C(n - e + d - 1, d - 1) is a polynomial of degree
-        d - 1 in n that vanishes at n - e = 1 - d..-1, and a series with
-        d = 0 vanishes above e, so from n = top - D + 1 on the product
-        stream is a polynomial of degree at most D - 1 (zero if a d is 0).
-        Its D-th difference, the coefficient of t^n in the stream times
-        (1 - t)^D, therefore vanishes for n > top; below lo the stream is 0.
-        With both d positive D is reduced: the streams' leading terms multiply.
+        The stream on [lo, top] determines the numerator, lo the larger lowest
+        exponent and top = max(e1 - d1, e2 - d2) + D, e1 and e2 the highest
+        exponents.  C(n - e + d - 1, d - 1) is a polynomial of degree d - 1 in
+        n that vanishes at n - e = 1 - d..-1, so from n = top - D + 1 on the
+        stream is a polynomial of degree D - 1 (the leading terms multiply, so
+        D is reduced) and its D-th difference, the t^n coefficient of the
+        stream times (1 - t)^D, vanishes for n > top; below lo it is 0.
         """
-        if not (self.numerator and other.numerator):
-            check_cap(0, cap, "Hadamard coefficient stream")  # the cap is read all the same
-            return HilbertSeries((), 0)
+        poly, rest = sorted((self, other), key=lambda h: (h.denom_power, len(h.numerator)))
+        if not poly.denom_power:
+            check_cap(len(poly.numerator), cap, "Hadamard coefficient stream")
+            return HilbertSeries(((e, c * rest.coeff(e, cap)) for e, c in poly.numerator), 0)
         d1, d2 = self.denom_power, other.denom_power
-        dd = d1 + d2 - 1 if d1 and d2 else 0
+        dd = d1 + d2 - 1
         lo = max(self.numerator[0][0], other.numerator[0][0])
         top = max(self.numerator[-1][0] - d1, other.numerator[-1][0] - d2) + dd
         terms = top - lo + 1

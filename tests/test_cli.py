@@ -385,11 +385,34 @@ class TestExitCodes:
 
     def test_hilbert_hadamard_polynomial_factor_under_a_large_cap(self, capsys):
         # the gap of 1,000,003 exponents is past the default cap, but the
-        # product with a polynomial is its stream, which --cap allows
+        # product with a polynomial lives on its two terms, so nothing
+        # divides across the gap
         assert run(["--cap", "3000000", "hilbert", "hadamard",
                     "--left", "num: 1 0 1 1000003 ; den: 0", "--right", "num: 1 0 ; den: 2"]) == 0
         out, err = capsys.readouterr()
         assert err == "" and '"series": "num: 1 0 1000004 1000003 ; den: 0"' in out
+
+    def test_hilbert_hadamard_polynomial_factor_costs_its_terms(self, capsys):
+        # two coefficients, not one per degree up to 2,000,000
+        start = time.perf_counter()
+        code = run(["--cap", "10000000", "hilbert", "hadamard",
+                    "--left", "num: 1 0 1 2000000 ; den: 0", "--right", "num: 1 0 ; den: 2"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and elapsed < 1
+        assert '"series": "num: 1 0 2000001 2000000 ; den: 0"' in out
+
+    def test_hilbert_hadamard_cap_counts_the_polynomial_terms(self, capsys):
+        # the cap counts the polynomial's 2 terms, not the 101 degrees they span
+        assert run(["--cap", "10", "hilbert", "hadamard",
+                    "--left", "num: 1 0 1 100 ; den: 0", "--right", "num: 1 0 ; den: 2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and '"series": "num: 1 0 101 100 ; den: 0"' in out
+        assert run(["--cap", "2", "hilbert", "hadamard",
+                    "--left", "num: 1 0 1 1 1 100 ; den: 0", "--right", "num: 1 0 ; den: 2"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "Hadamard coefficient stream" in err
+        assert "needs at least 3 entries" in err
 
     def test_hilbert_hadamard_work_cap(self, capsys):
         # the stream of 2,000 terms is under the cap, but multiplying it

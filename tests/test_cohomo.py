@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
@@ -13,6 +14,7 @@ from segrecm.cohomo import (DepthReport, TwistInterval, anticanonical_cm_m2,
                             cohomology_support, _check_sorted, _support_scan)
 from segrecm.errors import (BadTwist, DimensionTooSmall, NotApplicable,
                             NotPositive, NotSorted, ResourceCap)
+from segrecm.series import HilbertSeries
 
 from oracles import (prop_depth_m2, support_witnesses, twist_interval_by_fractions,
                      uniform_twist_by_subsets)
@@ -143,6 +145,52 @@ class TestCohomologySupport:
             c = rng.randint(-4, 4)
             moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
             assert (base.dim, base.depth) == (moved.dim, moved.depth)
+
+
+def binomial(x, r):
+    """C(x, r) as a polynomial in x: x (x - 1) ... (x - r + 1) / r!, also for
+    negative x."""
+    return math.prod(range(x - r + 1, x + 1)) // math.factorial(r)
+
+
+def summand_dim(factors, subset, k):
+    """dim at k of the tensor product of H^{d_i}(R_i(a_i)) over the subset
+    and of R_i(a_i) off it, R_i = K[x_1..x_{d_i}]: each factor is 0 outside
+    k + a_i <= -d_i, respectively k + a_i >= 0."""
+    dim = 1
+    for i, (d, a) in enumerate(factors, start=1):
+        j = k + a
+        if i in subset:
+            dim *= binomial(-j - 1, d - 1) if j <= -d else 0
+        else:
+            dim *= binomial(j + d - 1, d - 1) if j >= 0 else 0
+    return dim
+
+
+class TestGrothendieckSerre:
+    """H_M(k) - P_M(k) = sum_q (-1)^q dim H^q_m(M)_k (Bruns-Herzog 4.4.3) for
+    the Segre product M of shifted polynomial rings: H_M from series, the
+    local cohomology from the witnesses of cohomology_support.  The two
+    modules share no code."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(2, 4), st.integers(-4, 4)), min_size=2, max_size=4))
+    def test_euler_characteristic_is_hilbert_function_minus_polynomial(self, factors):
+        hm = reduce(HilbertSeries.hadamard, (HilbertSeries([(-a, 1)], d) for d, a in factors))
+        dd = hm.denom_power
+
+        def hilbert_polynomial(k):
+            return sum(c * binomial(k - e + dd - 1, dd - 1) for e, c in hm.numerator)
+
+        witnesses = cohomology_support([(d, -d, a) for d, a in factors]).witnesses
+        ends = [end for w in witnesses for end in (w.lo, w.hi) if end is not None]
+        for k in range(min(ends) - 3, max(ends) + 4):
+            chi = 0
+            for w in witnesses:
+                dim = summand_dim(factors, w.subset, k)
+                assert (dim != 0) == ((w.lo is None or w.lo <= k) and k <= w.hi)
+                chi += (-1) ** w.q * dim
+            assert chi == hm.coeff(k) - hilbert_polynomial(k)
 
 
 class TestPropDepthM2:

@@ -89,6 +89,14 @@ CORPUS = [
     "toric tensor --left {I2} --right {B} --census 4",
     "hilbert coeff --series|num: 1 0 -2 1 1 2 ; den: 3|--n 4",
     "--format text toric segre --left {I2} --right {I2} --census 2",
+    # Hadamard products with a polynomial factor: on either side, with a
+    # negative exponent, a series that reduces to 1 + t + t^2, two
+    # polynomials and the zero series
+    "hilbert hadamard --left|num: 1 0 2 1 1 2 ; den: 0|--right|num: 1 0 ; den: 2",
+    "hilbert hadamard --left|num: 1 -1 1 0 ; den: 2|--right|num: 1 0 2 1 1 2 ; den: 0",
+    "hilbert hadamard --left|num: 1 0 -1 3 ; den: 1|--right|num: 1 0 ; den: 2",
+    "hilbert hadamard --left|num: 1 0 1 3 ; den: 0|--right|num: 2 1 1 3 ; den: 0",
+    "hilbert hadamard --left|num: 1 0 -1 0 ; den: 1|--right|num: 1 0 ; den: 2",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",

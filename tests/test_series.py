@@ -101,8 +101,16 @@ class TestHadamard:
         assert NILP3.hadamard(H([], 0)) == H([], 0) == H([], 0).hadamard(POLY_2VARS)
         # t^5 / (1 - t) and 1 share no degree
         assert H([(5, 1)], 1).hadamard(H([(0, 1)], 0)) == H([], 0)
-        # the stream with a d = 0 factor is the numerator itself, so the
-        # constructor's default cap does not bound what hadamard's cap allows
+        # the cap counts the polynomial's terms, not the degrees they span;
+        # of two polynomials, the shorter one's
+        poly = H([(0, 1), (1, 1), (5, 1)], 0)
+        assert poly.hadamard(POLY_2VARS, cap=3) == H([(0, 1), (1, 2), (5, 6)], 0)
+        with pytest.raises(ResourceCap, match="needs at least 3 entries"):
+            POLY_2VARS.hadamard(poly, cap=2)
+        assert poly.hadamard(H([(5, 2)], 0), cap=1) == H([(5, 2)], 0)
+        # the product with a d = 0 factor lives on that factor's terms and
+        # divides nothing, so the constructor's default cap does not bound
+        # what hadamard's cap allows
         monkeypatch.setattr(series, "DEFAULT_POINT_CAP", 5)
         got = H([(0, 1), (20, 1)], 0).hadamard(H([(0, 1)], 2), cap=100)
         assert got == H([(0, 1), (20, 21)], 0)
