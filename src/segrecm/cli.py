@@ -176,7 +176,8 @@ def _do_classify_depth(ns):
     assumptions = [GORENSTEIN_NOTE, FRIENDLY_NOTE]
     if len(dims) == 2 and min(dims) < 2:
         assumptions.append(DIM_ONE_NOTE)
-    report = lib.cohomo.cohomology_support(list(zip(dims, ainv, shifts)), cap=ns.cap)
+    report = lib.cohomo.cohomology_support(  # R(a), a-invariant alpha: s = -a, h = alpha - a
+        [(d, -a, alpha - a) for d, alpha, a in zip(dims, ainv, shifts)], cap=ns.cap)
     results = {"dim": report.dim, "depth": report.depth, "is_cm": report.depth == report.dim,
                "witnesses": [w._asdict() for w in report.witnesses],
                "method": "subset-support"}

@@ -1,34 +1,30 @@
-"""Depth and Cohen-Macaulay classification of twisted degreewise products.
+"""Depth and Cohen-Macaulay classification of degreewise products.
 
-Inputs describe a module M = (R_1 shifted by a_1) # ... # (R_m shifted by
-a_m) over T = R_1 # ... # R_m, each R_i Gorenstein standard graded of
-dimension d_i with a-invariant alpha_i.  Graded local cohomology of M
-decomposes into one summand per nonempty subset E of factors: the factors
-in E contribute their top cohomology, the others contribute themselves,
-and the summand is nonzero exactly when the two support rays overlap:
+A module M = M_1 # ... # M_m over T = R_1 # ... # R_m is read as three
+numbers per factor: d_i = dim M_i, the lowest nonzero degree s_i of M_i and
+the last degree h_i where H^(d_i)(M_i) is nonzero; R(a), R Gorenstein with
+a-invariant alpha, has s = -a and h = alpha - a.  Graded local cohomology
+of M has one summand per nonempty subset E of factors, from the top
+cohomology of the factors in E and the others themselves, nonzero exactly
+when the support rays overlap:
 
-    max over i not in E of (-a_i)  <=  min over i in E of (alpha_i - a_i)
+    max over i not in E of s_i  <=  min over i in E of h_i
 
 (the left side is -infinity when E is the full set).  The summand for E
 sits in cohomological degree q(E) = sum of d_i over E minus (|E| - 1), so
 depth is the least q(E) with overlap and the full set always realizes the
 dimension, sum d_i - (m - 1) (Goto-Watanabe, On graded rings I, section 4).
 
-Supported subsets are found by one threshold scan, not by visiting all
-2^m: with s_i = -a_i and h_i = alpha_i - a_i, a stable sort on s ranks
-the factors by (s_i, i).  A supported E other than the full set has one
-top-ranked factor j off E, at threshold t = s_j; E holds every factor
-ranked above j (each with h_i >= t) and any ranked below j with h_i >= t.
-cohomology_support caps their count, a sum of powers of two, before
-listing them at O(m) each; cm_uniform_twist_raw runs the same scan and
-only asks whether any proper subset is supported.  With exactly two
-factors a dimension-1 factor is allowed: the two-factor case split gives
-the same witnesses (it is a test oracle in tests/oracles.py).
+Supported subsets are found by one threshold scan, not by visiting all 2^m:
+a stable sort on s ranks the factors by (s_i, i).  A supported E other than
+the full set has one top-ranked factor j off E, at threshold t = s_j; E
+holds every factor ranked above j (each with h_i >= t) and any ranked below
+j with h_i >= t.  cohomology_support caps their count, a sum of powers of
+two, before listing them at O(m) each; cm_uniform_twist_raw runs the same
+scan and only asks whether any proper subset is supported.
 
-Everything here stores a-invariants; the uniform-twist criteria take
-positive rho_i = -alpha_i and convert at the call boundary, so one stored
-convention avoids sign bugs.  They decide in integers, the largest ratio
-rho_i/rho_(i+1) by cross-multiplying; only the interval ends are Fractions.
+The uniform-twist criteria take positive rho_i = -alpha_i and decide in
+integers, the largest ratio rho_i/rho_(i+1) by cross-multiplying.
 """
 
 import math
@@ -97,14 +93,14 @@ def _support_scan(s, h):
 
 
 def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
-    """Depth report for M = # of R_i(a_i) via subset support analysis.
+    """Depth report for M = # of M_i, given one (d, s, h) per factor.
 
-    Requires every factor dimension >= 2, or >= 1 when there are exactly
-    two factors.  Raises ResourceCap when there are more than cap
-    witnesses.
+    Requires every factor dimension >= 2, or >= 1 with exactly two factors,
+    where the case split in tests/oracles.py gives the same witnesses.
+    Raises ResourceCap when there are more than cap witnesses.
     """
     # unpacking each factor rejects one that is not a triple
-    fs = [(dim, -shift, a_inv - shift) for dim, a_inv, shift in (map(index, f) for f in factors)]
+    fs = [(d, s, h) for d, s, h in (map(index, f) for f in factors)]
     if not fs:
         raise ValueError("factor list must be nonempty")
     dims, s, h = zip(*fs)

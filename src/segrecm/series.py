@@ -12,6 +12,7 @@ which is what the degreewise tensor construction does to Hilbert series;
 or else off the two coefficient streams up to a proved last degree.
 """
 
+from bisect import bisect_left
 from itertools import accumulate
 from math import comb
 from operator import index
@@ -71,7 +72,8 @@ class HilbertSeries(Record):
         if bits > index(cap):  # true of a negative cap too, and check_cap rejects it
             check_cap(bits, cap, f"series coefficient t^{n}", f"a binomial of up to {bits} bits")
         if d == 0:
-            return dict(self.numerator).get(n, 0)
+            i = bisect_left(self.numerator, (n,))
+            return sum(c for e, c in self.numerator[i:i + 1] if e == n)
         return sum(c * comb(n - e + d - 1, d - 1) for e, c in self.numerator if n >= e)
 
     # -- operations -------------------------------------------------------

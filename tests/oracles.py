@@ -598,16 +598,17 @@ def hom_window(mod, ring, i_lo, i_hi):
 
 def support_witnesses(factors):
     """Every (q, subset, lo, hi) with overlapping support rays, sorted,
-    by visiting all 2^m - 1 nonempty subsets of (dim, a_inv, shift)
-    factors; subsets are 1-based."""
+    by visiting all 2^m - 1 nonempty subsets of (d, s, h) factors: lo is
+    the largest s off the subset, hi the least h on it; subsets are
+    1-based."""
     m = len(factors)
     found = []
     for size in range(1, m + 1):
         for subset in combinations(range(1, m + 1), size):
             q = sum(factors[i - 1][0] for i in subset) - (size - 1)
-            lo = max((-factors[i - 1][2] for i in range(1, m + 1)
+            lo = max((factors[i - 1][1] for i in range(1, m + 1)
                       if i not in subset), default=None)
-            hi = min(factors[i - 1][1] - factors[i - 1][2] for i in subset)
+            hi = min(factors[i - 1][2] for i in subset)
             if lo is None or lo <= hi:
                 found.append((q, subset, lo, hi))
     return sorted(found)

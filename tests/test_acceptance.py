@@ -87,7 +87,7 @@ def test_criterion_3_two_factor_conformance(capsys):
                     for a in range(-6, 7):
                         for b in range(-6, 7):
                             cases = prop_depth_m2(r, s, rho, sigma, a, b)
-                            factors = [(r, rho, a), (s, sigma, b)]
+                            factors = [(r, -a, rho - a), (s, -b, sigma - b)]
                             kunneth = cohomology_support(factors)
                             assert cases.depth == kunneth.depth, \
                                 (r, s, rho, sigma, a, b)

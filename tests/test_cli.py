@@ -83,7 +83,8 @@ class TestReports:
                             "classify", "depth", "--dims", "%d,%d" % dims,
                             "--ainv", "%d,%d" % ainv, "--shifts", f"{s1},{s2}"])
                         results = report["results"]
-                        want = support_witnesses(list(zip(dims, ainv, (s1, s2))))
+                        want = support_witnesses([(d, -a, alpha - a) for d, alpha, a
+                                                  in zip(dims, ainv, (s1, s2))])
                         got = [(w["q"], tuple(w["subset"]), w["lo"], w["hi"])
                                for w in results["witnesses"]]
                         assert got == want, (dims, ainv, s1, s2)

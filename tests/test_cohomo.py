@@ -19,10 +19,10 @@ from segrecm.series import HilbertSeries
 from oracles import (prop_depth_m2, support_witnesses, twist_interval_by_fractions,
                      uniform_twist_by_subsets)
 
-# shifts and a-invariants from short ranges, so that several factors
-# share a threshold -a_i and ties are the common case
-factor_lists = st.lists(st.tuples(st.integers(2, 4), st.integers(-4, 1),
-                                  st.integers(-2, 2)), min_size=1, max_size=9)
+# (d, s, h) with s and h from short ranges, so that several factors share
+# a threshold s_i and ties are the common case
+factor_lists = st.lists(st.tuples(st.integers(2, 4), st.integers(-2, 2),
+                                  st.integers(-6, 3)), min_size=1, max_size=9)
 rho_lists = st.lists(st.integers(-4, 4), min_size=1, max_size=9)
 
 
@@ -47,37 +47,39 @@ def sorted_vectors(max_m, lo, hi):
 
 class TestCohomologySupport:
     def test_two_planes(self):
-        rep = cohomology_support([(2, -2, 0), (2, -2, 0)])
+        rep = cohomology_support([(2, 0, -2), (2, 0, -2)])
         assert (rep.dim, rep.depth) == (3, 3)
         assert [w.subset for w in rep.witnesses] == [(1, 2)]
         assert rep.witnesses[0].lo is None
 
     def test_depth_two_witness(self):
-        rep = cohomology_support([(3, -3, 0), (2, -2, -3)])
+        # R(a) with a-invariant alpha has s = -a and h = alpha - a: these
+        # are K[x,y,z] and K[u,v](-3), the README's example
+        rep = cohomology_support([(3, 0, -3), (2, 3, 1)])
         assert (rep.dim, rep.depth) == (4, 2)
-        assert rep.witnesses[0] == (2, (2,), 0, 1)
+        assert rep.witnesses == ((2, (2,), 0, 1), (4, (1, 2), None, -3))
 
     def test_three_uniform_twists(self):
-        rep = cohomology_support([(2, -1, 1)] * 3)
+        rep = cohomology_support([(2, -1, -2)] * 3)
         assert rep.depth == rep.dim
         assert [w.subset for w in rep.witnesses] == [(1, 2, 3)]
 
     def test_single_factor(self):
-        rep = cohomology_support([(4, -2, 7)])
+        rep = cohomology_support([(4, -7, -9)])
         assert (rep.dim, rep.depth) == (4, 4)
 
     def test_rejects_dimension_one(self):
         # dimension 1 is allowed only with exactly two factors, and
         # dimension 0 or less never
-        for factors in ([(2, -2, 0), (1, -1, 0), (2, -2, 0)], [(1, -1, 0)],
-                        [(0, -1, 0), (2, -2, 0)], [(2, -2, 0), (-1, 0, 0)],
-                        [(0, 0, 0)], [(2, -2, 0), (2, -2, 0), (0, -1, 0)]):
+        for factors in ([(2, 0, -2), (1, 0, -1), (2, 0, -2)], [(1, 0, -1)],
+                        [(0, 0, -1), (2, 0, -2)], [(2, 0, -2), (-1, 0, 0)],
+                        [(0, 0, 0)], [(2, 0, -2), (2, 0, -2), (0, 0, -1)]):
             with pytest.raises(DimensionTooSmall):
                 cohomology_support(factors)
 
     def test_rejects_factor_that_is_not_a_triple(self):
         with pytest.raises(ValueError):
-            cohomology_support([(2, -2, 0), (3, -3, 0, 9)])
+            cohomology_support([(2, 0, -2), (3, 0, -3, 9)])
         # nor an empty factor list, nor a report deeper than its dimension
         with pytest.raises(ValueError, match="nonempty"):
             cohomology_support([])
@@ -88,7 +90,8 @@ class TestCohomologySupport:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(-4, 1),
            st.integers(-4, 1), st.integers(-3, 3), st.integers(-3, 3))
     def test_two_factors_match_case_split(self, r, s, rho, sigma, a, b):
-        factors = [(r, rho, a), (s, sigma, b)]
+        # the case split reads a-invariants rho, sigma and shifts a, b
+        factors = [(r, -a, rho - a), (s, -b, sigma - b)]
         rep = cohomology_support(factors)
         assert rep == prop_depth_m2(r, s, rho, sigma, a, b)
         assert [tuple(w) for w in rep.witnesses] == support_witnesses(factors)
@@ -107,18 +110,20 @@ class TestCohomologySupport:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(factor_lists, st.integers(-5, 5))
     def test_depth_invariant_under_global_shift(self, factors, c):
+        # shifting every factor by c subtracts c from every s and h
         base = cohomology_support(factors)
-        moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
+        moved = cohomology_support([(d, s - c, h - c) for d, s, h in factors])
         assert (moved.dim, moved.depth) == (base.dim, base.depth)
         assert [w.subset for w in moved.witnesses] == [w.subset for w in base.witnesses]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(factor_lists)
     def test_dual_shift_is_involution_on_reports(self, factors):
-        dims, ainv, shifts = zip(*factors)
-        dual = [-s for s in shifts]
-        assert cohomology_support(list(zip(dims, ainv, [-s for s in dual]))) == \
-            cohomology_support(factors)
+        # negating the shift -s keeps the a-invariant h - s: (d, s, h) goes
+        # to (d, -s, h - 2s), and twice back to itself
+        def dual(fs):
+            return [(d, -s, h - 2 * s) for d, s, h in fs]
+        assert cohomology_support(dual(dual(factors))) == cohomology_support(factors)
 
     def test_cap_counts_witnesses_before_listing(self):
         # every nonempty subset of six equal factors is supported
@@ -130,7 +135,7 @@ class TestCohomologySupport:
             "depth witnesses: needs at least 63 entries, over the cap of 62"
 
     def test_many_factors_few_witnesses(self):
-        factors = [(2 + i % 3, -1 - i % 4, i % 5 - 2) for i in range(200)]
+        factors = [(2 + i % 3, 2 - i % 5, 1 - i % 4 - i % 5) for i in range(200)]
         rep = cohomology_support(factors)
         assert rep.witnesses[-1].subset == tuple(range(1, 201))
         assert rep.depth == min(w.q for w in rep.witnesses)
@@ -139,11 +144,11 @@ class TestCohomologySupport:
         rng = random.Random(3)
         for _ in range(200):
             m = rng.randint(1, 4)
-            factors = [(rng.randint(2, 4), rng.randint(-5, 2), rng.randint(-6, 6))
+            factors = [(rng.randint(2, 4), rng.randint(-6, 6), rng.randint(-11, 8))
                        for _ in range(m)]
             base = cohomology_support(factors)
             c = rng.randint(-4, 4)
-            moved = cohomology_support([(d, a, s + c) for d, a, s in factors])
+            moved = cohomology_support([(d, s - c, h - c) for d, s, h in factors])
             assert (base.dim, base.depth) == (moved.dim, moved.depth)
 
 
@@ -182,7 +187,8 @@ class TestGrothendieckSerre:
         def hilbert_polynomial(k):
             return sum(c * binomial(k - e + dd - 1, dd - 1) for e, c in hm.numerator)
 
-        witnesses = cohomology_support([(d, -d, a) for d, a in factors]).witnesses
+        # K[x_1..x_d](a) has a-invariant -d: s = -a and h = -d - a
+        witnesses = cohomology_support([(d, -a, -d - a) for d, a in factors]).witnesses
         ends = [end for w in witnesses for end in (w.lo, w.hi) if end is not None]
         for k in range(min(ends) - 3, max(ends) + 4):
             chi = 0
@@ -191,6 +197,55 @@ class TestGrothendieckSerre:
                 assert (dim != 0) == ((w.lo is None or w.lo <= k) and k <= w.hi)
                 chi += (-1) ** w.q * dim
             assert chi == hm.coeff(k) - hilbert_polynomial(k)
+
+
+class TestGrothendieckSerreVeronese:
+    """The same law for M = # of M_i, M_i = omega^(k_i) of Ver(n_i, c_i), the
+    c-th Veronese of S = K[x_1..x_n]: (M_i)_t = S_(ct - kn) and H^n(M_i)_t =
+    H^n(S)_(ct - kn), so M_i has (d, s, h) = (n, ceil(kn/c), floor((k-1)n/c)).
+    A factor with c not dividing n is not Gorenstein."""
+
+    @staticmethod
+    def data(n, c, k):
+        return n, -(-k * n // c), (k - 1) * n // c
+
+    @staticmethod
+    def dims(factors, t):
+        """Per factor at t: dim (M_i)_t, dim H^n(M_i)_t and the Hilbert
+        polynomial, the first binomial read as a polynomial in t."""
+        poly = [binomial(c * t - k * n + n - 1, n - 1) for n, c, k in factors]
+        module = [p if c * t >= k * n else 0 for p, (n, c, k) in zip(poly, factors)]
+        top = [binomial(k * n - c * t - 1, n - 1) if c * t - k * n <= -n else 0
+               for n, c, k in factors]
+        return module, top, poly
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(2, 4), st.integers(1, 3),
+                              st.sampled_from([-3, -2, -1, 2, 3])), min_size=2, max_size=4))
+    def test_euler_characteristic_is_hilbert_function_minus_polynomial(self, factors):
+        witnesses = cohomology_support([self.data(*f) for f in factors]).witnesses
+        ends = [end for w in witnesses for end in (w.lo, w.hi) if end is not None]
+        for t in range(min(ends) - 3, max(ends) + 4):
+            module, top, poly = self.dims(factors, t)
+            chi = 0
+            for w in witnesses:
+                dim = math.prod(top[i] if i + 1 in w.subset else module[i]
+                                for i in range(len(factors)))
+                assert (dim != 0) == ((w.lo is None or w.lo <= t) and t <= w.hi)
+                chi += (-1) ** w.q * dim
+            assert chi == math.prod(module) - math.prod(poly)
+
+    def test_anticanonical_module_of_c3_times_i2(self):
+        # omega^(-1) of C3 = Ver(2, 3), not Gorenstein, and of I2 = Ver(2, 1):
+        # depth 2 of 3, with H^2 only in degree -2, where it is H^2 of the
+        # C3 part, of dimension 3, times the I2 part, of dimension 1
+        factors = [(2, 3, -1), (2, 1, -1)]
+        assert [self.data(*f) for f in factors] == [(2, 0, -2), (2, -2, -4)]
+        rep = cohomology_support([(2, 0, -2), (2, -2, -4)])
+        assert (rep.dim, rep.depth) == (3, 2)
+        assert rep.witnesses == ((2, (1,), -2, -2), (3, (1, 2), None, -4))
+        module, top, _ = self.dims(factors, -2)
+        assert (top[0], module[1]) == (3, 1)
 
 
 class TestPropDepthM2:
@@ -214,7 +269,7 @@ class TestPropDepthM2:
         # with s = 1 the case split must give the least q of the
         # exhaustive Kunneth witnesses, numbered in input order
         rep = prop_depth_m2(r, 1, rho, sigma, a, b)
-        want = support_witnesses([(r, rho, a), (1, sigma, b)])
+        want = support_witnesses([(r, -a, rho - a), (1, -b, sigma - b)])
         assert [tuple(w) for w in rep.witnesses] == want
         assert rep.depth == min(w[0] for w in want)
 
@@ -242,7 +297,7 @@ class TestPropDepthM2:
                             for b in range(-4, 5):
                                 cases = prop_depth_m2(r, s, rho, sigma, a, b)
                                 kunneth = cohomology_support(
-                                    [(r, rho, a), (s, sigma, b)])
+                                    [(r, -a, rho - a), (s, -b, sigma - b)])
                                 assert cases.depth == kunneth.depth
                                 assert (cases.depth == cases.dim) == \
                                     (kunneth.depth == kunneth.dim)
@@ -311,15 +366,16 @@ class TestUniformTwist:
                     assert cm_chain(rhos, a) == fast, (rhos, a)
 
     def test_reduction_from_support_analysis(self):
-        # uniform twists are the shifts a_i = -a rho_i on factors with
-        # a-invariant -rho_i; CM there must match the chain criterion
+        # uniform twists are the shifts -a rho_i on factors with a-invariant
+        # -rho_i, so s_i = a rho_i and h_i = (a - 1) rho_i; CM there must
+        # match the chain criterion
         rng = random.Random(9)
         for _ in range(300):
             m = rng.randint(1, 4)
             rhos = sorted((rng.randint(-4, 4) for _ in range(m)), reverse=True)
             a = rng.randint(-5, 5)
             dims = [rng.randint(2, 4) for _ in range(m)]
-            factors = [(dims[i], -rhos[i], -a * rhos[i]) for i in range(m)]
+            factors = [(dims[i], a * rhos[i], (a - 1) * rhos[i]) for i in range(m)]
             rep = cohomology_support(factors)
             assert (rep.depth == rep.dim) == cm_uniform_twist(rhos, a)
 

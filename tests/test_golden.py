@@ -97,6 +97,12 @@ CORPUS = [
     "hilbert hadamard --left|num: 1 0 -1 3 ; den: 1|--right|num: 1 0 ; den: 2",
     "hilbert hadamard --left|num: 1 0 1 3 ; den: 0|--right|num: 2 1 1 3 ; den: 0",
     "hilbert hadamard --left|num: 1 0 -1 0 ; den: 1|--right|num: 1 0 ; den: 2",
+    # depth reports: a dimension-1 factor, a module that is not
+    # Cohen-Macaulay (depth 8 of 10), four factors, and a witness cap stop
+    "classify depth --dims 1,3 --ainv -1,-3 --shifts 0,2",
+    "classify depth --dims 4,3,5 --ainv -5,-1,-2 --shifts -2,3,0",
+    "classify depth --dims 2,2,2,2 --ainv -2,-2,-2,-2 --shifts 1,-1,2,0",
+    "--cap 3 classify depth --dims 2,2,2,2 --ainv 0,0,0,0 --shifts 0,0,0,0",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",

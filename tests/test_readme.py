@@ -45,7 +45,7 @@ NON_INTEGER = {
     "solve_right": lambda: solve_right([[2]], [Fraction(1, 2)]),
     "pivot_columns": lambda: pivot_columns([[0.5, 1]]),
     "integer_kernel": lambda: integer_kernel([[1.5, 1]]),
-    "cohomology_support": lambda: cohomology_support([(3, -2.5, 0), (2, -2, 0)]),
+    "cohomology_support": lambda: cohomology_support([(3, 0, -2.5), (2, 0, -2)]),
     "anticanonical_cm_m2": lambda: anticanonical_cm_m2(-2.5, -2),
     "HilbertSeries-exponent": lambda: HilbertSeries([(0.5, 1)], 2),
     "HilbertSeries-coefficient": lambda: HilbertSeries([(0, Fraction(3, 2))], 2),
@@ -63,7 +63,7 @@ def test_non_integer_entry_raises_type_error(call):
 
 I2, H2, ZERO = validate([[1, 0], [0, 1]]), HilbertSeries([(0, 1)], 2), HilbertSeries([], 0)
 X3, Y2 = monomial_factor(["x"], [(3,)]), monomial_factor(["y"], [(2,)])
-TRIPLES = [(3, -3, 0), (2, -2, -3)]
+TRIPLES = [(3, 0, -3), (2, 3, 1)]
 # each capped entry point with a cap that is no integer or is negative, and
 # each window end or shift that is no integer: never an AttributeError, a
 # cap stop or an answer

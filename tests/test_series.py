@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -57,6 +58,24 @@ class TestCoeff:
             got = [h.coeff(n) for n in range(-4, 12)]
             want = expand_series(list(h.numerator), h.denom_power, -4, 11)
             assert got == want
+
+    def test_polynomial_hadamard_reads_each_term_by_bisection(self):
+        # one coeff of the 6,000-term polynomial per term of the 3,000-term
+        # one, each a bisection rather than a table of all 6,000 terms
+        evens = H([(2 * i, i + 1) for i in range(3000)], 0)
+        dense = H([(j, j + 1) for j in range(6000)], 0)
+        start = time.perf_counter()
+        got = evens.hadamard(dense)
+        assert time.perf_counter() - start < 0.3
+        assert got == H([(2 * i, (i + 1) * (2 * i + 1)) for i in range(3000)], 0)
+
+    def test_polynomial_window_reads_each_degree_by_bisection(self):
+        # 100,000 coefficients of a 1,000-term polynomial on exponents 100 i
+        sparse = H([(100 * i, i + 1) for i in range(1000)], 0)
+        start = time.perf_counter()
+        got = sparse.window(0, 99_999)
+        assert time.perf_counter() - start < 2
+        assert got == tuple(0 if n % 100 else n // 100 + 1 for n in range(100_000))
 
 
 class TestShift:
