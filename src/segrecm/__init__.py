@@ -14,7 +14,7 @@ _MODULE_OF = {name: module for module, names in (
     ("linalg", ""),
     ("oracle", "Factor FriendlinessReport friendliness monomial_factor toric_factor"),
     ("series", "HilbertSeries"),
-    ("toric", "ToricPresentation census kernel_lattice segre tensor validate"),
+    ("toric", "ToricPresentation census kernel_lattice product_kernel segre tensor validate"),
 ) for name in [module, *names.split()]}
 __all__ = sorted(_MODULE_OF)
 

@@ -1,14 +1,14 @@
 """Command line front end with deterministic JSON reports.
 
 Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ...
-with the commands toric, hilbert, classify and oracle, each of which imports
-only the library modules it runs, on first use.  The global flags go before
-the command.  Flags take '--flag value' or '--flag=value', each typed when
-read (the last given wins); -h or --help prints help from COMMANDS.  The
-flag types are the only readers of text: the library takes values.  Every
-successful run prints one report object with the fields command, inputs,
-results, assumptions, version; keys are sorted and rationals are rendered as
-lowest-terms "p/q" strings, so identical invocations produce identical bytes.
+with the commands toric, hilbert, classify and oracle, each importing only
+the library modules it runs, on first use.  Global flags go before the
+command.  Flags take '--flag value' or '--flag=value', typed when read (the
+last given wins); -h or --help prints help from COMMANDS.  The flag types
+are the only readers of text: the library takes values.  A successful run
+prints one report object with the fields command, inputs, results,
+assumptions, version, keys sorted and rationals as lowest-terms "p/q"
+strings, so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap (also
 for a report integer longer than str() may convert), and 141 (128 + SIGPIPE,
@@ -117,28 +117,24 @@ DIM_ONE_NOTE = "subset support analysis with a dimension-1 factor (not independe
 # handlers: each returns (inputs, results, assumptions)
 
 
-def _kernel(pres):
-    vectors = lib.toric.kernel_lattice(pres)
-    return {"rank": len(vectors), "vectors": vectors}
-
-
 def _do_toric_validate(ns):
-    pres = ns.matrix
-    return {"matrix": pres.matrix}, {"rows": pres.nrows, "cols": pres.ncols,
-                                     "grading": pres.grading}, []
+    p = ns.matrix
+    return {"matrix": p.matrix}, {"rows": p.nrows, "cols": p.ncols, "grading": p.grading}, []
 
 
 def _do_toric_product(ns):
     """toric tensor and toric segre: the subcommand names the product."""
-    pres = getattr(lib.toric, ns.subcommand)(ns.left, ns.right)
-    results = {"matrix": pres.matrix, "grading": pres.grading, "kernel": _kernel(pres)}
+    pres, vectors = lib.toric.product_kernel(ns.subcommand, ns.left, ns.right)
+    results = {"matrix": pres.matrix, "grading": pres.grading,
+               "kernel": {"rank": len(vectors), "vectors": vectors}}
     if ns.census is not None:
         results["census"] = lib.toric.census(pres, ns.census, cap=ns.cap)
     return {"left": ns.left.matrix, "right": ns.right.matrix}, results, []
 
 
 def _do_toric_kernel(ns):
-    return {"matrix": ns.matrix.matrix}, _kernel(ns.matrix), []
+    vectors = lib.toric.kernel_lattice(ns.matrix)
+    return {"matrix": ns.matrix.matrix}, {"rank": len(vectors), "vectors": vectors}, []
 
 
 def _do_toric_census(ns):

@@ -15,13 +15,12 @@ sits in cohomological degree q(E) = sum of d_i over E minus (|E| - 1), so
 depth is the least q(E) with overlap and the full set always realizes the
 dimension, sum d_i - (m - 1) (Goto-Watanabe, On graded rings I, section 4).
 
-Supported subsets are found by one threshold scan, not by visiting all 2^m:
-a stable sort on s ranks the factors by (s_i, i).  A supported E other than
-the full set has one top-ranked factor j off E, at threshold t = s_j; E
-holds every factor ranked above j (each with h_i >= t) and any ranked below
-j with h_i >= t.  cohomology_support caps their count, a sum of powers of
-two, before listing them at O(m) each; cm_uniform_twist_raw runs the same
-scan and only asks whether any proper subset is supported.
+Supported subsets come from one threshold scan, not from all 2^m: a stable
+sort on s ranks the factors by (s_i, i), and a supported E other than the
+full set has one top-ranked factor j off E, at threshold t = s_j.  E holds
+every factor ranked above j, each with h_i >= t, and any ranked below with
+h_i >= t.  cohomology_support caps their count, then lists them;
+cm_uniform_twist_raw only asks whether any proper subset is supported.
 
 The uniform-twist criteria take positive rho_i = -alpha_i and decide in
 integers, the largest ratio rho_i/rho_(i+1) by cross-multiplying.
@@ -74,15 +73,12 @@ class TwistInterval(Record):
 
 
 def _support_scan(s, h):
-    """Rank the factors by a stable sort on s and list the admissible tops.
-
-    Stable, the sort ranks by (s_i, i).  Returns the ranking and a lazy
-    iterator of (r, free): the factor j ranked r can be the top-ranked
-    factor off a supported subset when every factor ranked above it has
-    h_i >= s_j, and free counts the factors ranked below j with h_i >= s_j.
-    As the ones above all qualify, free is r + 1 less the factors with
-    h_i < s_j less [h_j >= s_j]: one bisection in sorted h, so O(m log m).
-    """
+    """The ranking of the factors by a stable sort on s, and a lazy iterator
+    of (r, free): the factor j ranked r can be the top-ranked factor off a
+    supported subset when every factor ranked above it has h_i >= s_j, and
+    free counts the factors ranked below j with h_i >= s_j.  As the ones
+    above all qualify, free is r + 1 less the factors with h_i < s_j less
+    [h_j >= s_j]: one bisection in sorted h, so O(m log m)."""
     rank = sorted(range(len(s)), key=s.__getitem__)
     # floor[r] is the least h among the factors ranked r and above
     floor = list(accumulate((h[i] for i in reversed(rank)), min, initial=math.inf))[::-1]
@@ -135,7 +131,7 @@ def cohomology_support(factors, cap=DEFAULT_POINT_CAP):
     return DepthReport(sum(dims) - (m - 1), witnesses[0].q, tuple(witnesses))
 
 
-def _check_sorted(rhos):
+def _check_sorted(rhos, positive=False):
     rhos = list(map(index, rhos))
     if not rhos:
         raise ValueError("rho list must be nonempty")
@@ -143,6 +139,9 @@ def _check_sorted(rhos):
         i = next(i for i in range(1, len(rhos)) if rhos[i - 1] < rhos[i])
         raise NotSorted(f"rho list must be non-increasing; entry {rhos[i]} at "
                         f"position {i} exceeds {rhos[i - 1]}")
+    if positive and rhos[-1] <= 0:  # sorted, so the first such entry is the one named
+        i, x = next((i, x) for i, x in enumerate(rhos) if x <= 0)
+        raise NotPositive(f"rho entry {x} at position {i} is not positive")
     return rhos
 
 
@@ -159,8 +158,7 @@ def cm_uniform_twist(rhos, a):
     rhos are the negated a-invariants, sorted non-increasing.  The twists
     a and 1 - a give dual modules, so with b = max(a, 1 - a) the m - 1
     consecutive comparisons below are equivalent to the subset criterion
-    cm_uniform_twist_raw; the equivalence is exercised in the test suite.
-    """
+    cm_uniform_twist_raw, as the test suite checks."""
     _, b = _check_twist(a)
     rhos = _check_sorted(rhos)
     return all(b * rhos[l + 1] > (b - 1) * rhos[l] for l in range(len(rhos) - 1))
@@ -209,17 +207,11 @@ def anticanonical_cm_m2(a1, a2):
 
 
 def cm_twist_interval(rhos):
-    """All uniform twists a giving a Cohen-Macaulay module, as a set.
-
-    rhos must be positive and non-increasing.  The largest ratio
-    rho = p/q of rho_i / rho_(i+1) is found by cross-multiplying integers.
-    The answer is every integer when rho = 1 and otherwise the open interval
-    (1/(1-rho), rho/(rho-1)) = (q/(q-p), p/(p-q)); only its ends are Fractions.
-    """
-    rhos = _check_sorted(rhos)
-    for i, x in enumerate(rhos):
-        if x <= 0:
-            raise NotPositive(f"rho entry {x} at position {i} is not positive")
+    """All uniform twists a giving a Cohen-Macaulay module, for positive
+    non-increasing rhos: every integer when the largest ratio rho = p/q of
+    rho_i / rho_(i+1) is 1, else the open interval (1/(1-rho), rho/(rho-1))
+    = (q/(q-p), p/(p-q)); only its ends are Fractions."""
+    rhos = _check_sorted(rhos, positive=True)
     p, q = 1, 1  # the largest ratio so far is p/q
     for x, y in zip(rhos, rhos[1:]):
         if x * q > p * y:
@@ -228,15 +220,13 @@ def cm_twist_interval(rhos):
 
 
 def canonical_power_cm(rhos, a):
-    """Cohen-Macaulayness of the a-th power of the canonical ideal.
-
-    Only meaningful when the ratio rho exceeds 1 (the ring is not a twist
-    of itself in every direction); callers with ratio 1 should consult
-    cm_twist_interval directly.  a lies in its interval exactly when every
-    ratio rho_i / rho_(i+1) is below b/(b-1), the test of cm_uniform_twist.
-    """
+    """Cohen-Macaulayness of the a-th power of the canonical ideal: a lies
+    in the interval of cm_twist_interval exactly when every ratio
+    rho_i / rho_(i+1) is below b/(b-1), the test of cm_uniform_twist.  With
+    every rho equal (ratio 1) the criterion does not apply."""
     a, _ = _check_twist(a)
-    if cm_twist_interval(rhos).lo is None:
+    rhos = _check_sorted(rhos, positive=True)
+    if rhos[0] == rhos[-1]:
         raise NotApplicable(
             "all rho entries are equal (ratio 1); every power is "
             "Cohen-Macaulay and the power criterion does not apply")

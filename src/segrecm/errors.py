@@ -3,9 +3,7 @@
 DomainError subclasses signal mathematically invalid input and map to CLI
 exit code 3; ResourceCap signals that a configured enumeration bound was
 exceeded and maps to exit code 4.  Every message names the offending input.
-
-Record is the base of the library's value types: immutable records
-compared and hashed by value, with no code generated when a module loads.
+Record, the base of the value types, generates no code when a module loads.
 """
 
 from operator import index
@@ -62,8 +60,7 @@ def check_cap(total, cap, what, needs=None):
     enumeration needs at least total entries, or what needs says, total a
     running count of what it has built or a closed-form count taken before
     it builds anything.  Each check reads cap with operator.index, so one
-    that is not an int raises TypeError and a negative one ValueError.
-    """
+    that is not an int raises TypeError and a negative one ValueError."""
     if index(cap) < 0:
         raise ValueError(f"cap must be a nonnegative integer, got {cap}")
     if total > cap:

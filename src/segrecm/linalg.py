@@ -2,8 +2,7 @@
 
 Every routine runs one echelon pass on sparse rows, {column: entry} dicts of
 Python ints, that clears their columns in increasing order, so a gcd step
-costs only the nonzeros of its pivot row.  integer_kernel keys A^T at 0..m-1
-to clear it first; solve_right back-substitutes over one integer denominator.
+costs only the nonzeros of its pivot row.
 """
 
 from fractions import Fraction

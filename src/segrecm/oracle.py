@@ -43,9 +43,8 @@ g, g' from the least degree d with (g + S_d) meeting (g' + S_d).  When
 neither factor has relations every candidate links and no class is
 zero, so a piece is 1 exactly when every generator is a candidate, which
 counts factor by factor: dim Hom_i = N_R(i) N_S(i), N_R(i) = #{p in
-R_{k0+i} : p - g0 + G_R lies in R_{k0+i}} for any g0 in G_R.
-
-Every dimension is therefore exact on every degree of the window.
+R_{k0+i} : p - g0 + G_R lies in R_{k0+i}} for any g0 in G_R.  So every
+dimension is exact on every degree of the window.
 """
 
 from collections import Counter
@@ -258,16 +257,12 @@ def _sides(factors, shifts, i_hi, cap):
 
 
 class FriendlinessReport(Record):
-    """Comparison of the dual of a product with the product of the duals.
-
-    left_dims are the Hom dimensions of (R shifted by a) # (S shifted by
-    b) into the product ring; right_dims are the plain dimensions of
-    (R shifted by -a) # (S shifted by -b), which is the product of the
-    factor duals because duals of shifted free modules are the opposite
-    shifts.  Every dimension is exact, so a mismatch at any degree
-    certifies that the two sides are not isomorphic; a match on the
-    window is consistency evidence only.
-    """
+    """The dual of a product against the product of the duals: left_dims
+    are the Hom dimensions of R(a) # S(b) into the product ring, right_dims
+    the dimensions of R(-a) # S(-b), the product of the factor duals, as
+    the dual of a shifted free module is the opposite shift.  Every
+    dimension is exact, so a mismatch at any degree certifies that the
+    sides are not isomorphic; a match on the window is evidence only."""
 
     _fields = ("i_lo", "left_dims", "right_dims")
 
@@ -288,12 +283,11 @@ class FriendlinessReport(Record):
 def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT_CAP):
     """Compare dim Hom_T(R(a) # S(b), T)_i with dim (R(-a) # S(-b))_i.
 
-    cap bounds both factor label enumerations (built first, to the
-    degrees the window needs), the window, and the Hom work: membership
-    tests when neither factor has relations ("toric Hom candidates"),
-    signatures otherwise ("monomial Hom candidates").  Raises
-    WindowTooSmall when R(a) # S(b) is zero.
-    """
+    cap bounds both factor label enumerations (built first, to the degrees
+    the window needs), the window, and the Hom work: membership tests when
+    neither factor has relations ("toric Hom candidates"), signatures
+    otherwise ("monomial Hom candidates").  Raises WindowTooSmall when
+    R(a) # S(b) is zero."""
     shift1, shift2, i_lo, i_hi = map(index, (shift1, shift2, i_lo, i_hi))
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")

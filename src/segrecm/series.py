@@ -1,15 +1,11 @@
 """Exact Hilbert series arithmetic.
 
-A series is stored as an integer Laurent polynomial numerator over a
-denominator (1 - t)^d.  Negative numerator exponents encode degree
-shifts; d = 0 means the series is the numerator polynomial itself.
-Everything is integer arithmetic, so coefficient extraction is exact at
-every degree.
-
-The one nontrivial operation is the coefficientwise (Hadamard) product,
-which is what the degreewise tensor construction does to Hilbert series;
-`HilbertSeries.hadamard` reads it off a polynomial factor's own terms,
-or else off the two coefficient streams up to a proved last degree.
+A series is an integer Laurent polynomial numerator over (1 - t)^d, d = 0
+for a polynomial; negative exponents encode degree shifts.  The one
+nontrivial operation is the coefficientwise (Hadamard) product, what the
+degreewise product does to Hilbert series: `HilbertSeries.hadamard` reads
+it off a polynomial factor's own terms, or else off the two coefficient
+streams up to a proved last degree.
 """
 
 from bisect import bisect_left
@@ -22,15 +18,12 @@ from .errors import DEFAULT_POINT_CAP, Record, check_cap
 
 class HilbertSeries(Record):
     """numerator / (1 - t)^denom_power, numerator a sorted tuple of
-    (exponent, coefficient) pairs with nonzero integer coefficients.
-
-    The constructor normalizes any iterable of pairs: it sums equal
-    exponents, drops zero coefficients and cancels (1 - t) factors by
-    running sums, raising ResourceCap when the divisions together walk more
-    than DEFAULT_POINT_CAP exponents beyond the input's own.  So every
-    instance is reduced: when denom_power > 0 the numerator does not vanish
-    at t = 1, and the zero series has denom_power 0.
-    """
+    (exponent, coefficient) pairs with nonzero integer coefficients.  The
+    constructor sums equal exponents of any iterable of pairs and cancels
+    (1 - t) factors by running sums, raising ResourceCap when the divisions
+    walk more than DEFAULT_POINT_CAP exponents beyond the input's own, so
+    every instance is reduced: with denom_power > 0 the numerator does not
+    vanish at t = 1, and the zero series has denom_power 0."""
 
     _fields = ("numerator", "denom_power")
 

@@ -1,14 +1,12 @@
 """Integer matrix presentations of standard graded toric rings.
 
 A presentation is a matrix whose columns are the exponent vectors of the
-degree-1 monomial generators, together with a rational certificate vector
-giving every column degree exactly 1.  Tensor and degreewise products are
-matrix constructions; the defining relations live in the integer kernel
-of the matrix, and the Hilbert function is counted degree by degree, as a
-product or convolution of factor counts where the columns split.  Where
-they do not, points are mixed-radix codes over coordinates independent on
-the column differences, and layers step as bitsets, or as sets of ints
-when the box of codes is sparse.
+degree-1 generators, with a rational certificate giving every column
+degree 1.  Tensor and degreewise products are matrix constructions whose
+relation lattices, the integer kernels, are read off the factors'.  The
+Hilbert function is counted degree by degree: a product or convolution of
+factor counts where the columns split, else mixed-radix codes of points
+stepped as bitsets, or as sets of ints when the box of codes is sparse.
 """
 
 from fractions import Fraction
@@ -24,13 +22,10 @@ _BITSET_BOX, _BITS_PER_MULTISET = 1 << 24, 1 << 10
 
 
 class ToricPresentation(Record):
-    """Exponent matrix (a tuple of int tuples) plus a grading certificate.
-
-    The certificate is a tuple of Fractions lam with lam . column == 1
-    for every column; its existence is exactly the standard graded
-    condition and is re-checked, in integers over the lcm of its
-    denominators, on every construction.
-    """
+    """Exponent matrix (a tuple of int tuples) plus a grading certificate,
+    Fractions lam with lam . column == 1 for every column: they exist
+    exactly when the ring is standard graded, and every construction checks
+    them again in integers over the lcm of their denominators."""
 
     _fields = ("matrix", "grading")
 
@@ -63,11 +58,8 @@ class ToricPresentation(Record):
 
 
 def validate(matrix):
-    """Certify a matrix as a standard graded toric presentation.
-
-    Solves lam . A = (1, ..., 1) by integer elimination; raises
-    NotStandardGraded when the all-ones vector is outside the row space.
-    """
+    """Certify a matrix as a standard graded toric presentation: solve
+    lam . A = (1, ..., 1), or raise NotStandardGraded."""
     rows = [tuple(map(index, row)) for row in matrix]
     if not rows or not rows[0]:
         raise NotStandardGraded("presentation matrix must be nonempty")
@@ -86,12 +78,8 @@ def tensor(p, q):
 
 
 def segre(p, q):
-    """Presentation of the degreewise product.
-
-    Columns are all stacked pairs (a_i over b_j) in row-major (i, j)
-    order; the first factor's certificate extended by zeros grades every
-    generator in degree 1.
-    """
+    """Presentation of the degreewise product: the stacked pairs (a_i over
+    b_j) in row-major (i, j) order, graded by p's certificate and zeros."""
     q_cols = q.columns()
     cols = [ai + bj for ai in p.columns() for bj in q_cols]
     return ToricPresentation(tuple(zip(*cols)), p.grading + (Fraction(0),) * q.nrows)
@@ -99,45 +87,91 @@ def segre(p, q):
 
 def kernel_lattice(p):
     """Basis rows of {c : A c = 0}, saturated, in canonical row form."""
-    vectors = linalg.integer_kernel(p.matrix)
+    return _annihilating(p.matrix, linalg.integer_kernel(p.matrix))
+
+
+def product_kernel(kind, p, q):
+    """tensor(p, q) or segre(p, q), as kind names, and its kernel_lattice,
+    read off the factors' Hermite bases; for a tensor, the two side by side.
+
+    A vector on the grid of Segre columns (i, j) is a relation exactly when
+    its row sums are one of p and its column sums one of q, and relations of
+    a graded factor sum to 0.  So with (k, l) the last cell, ker p on column
+    l, ker q on row k and, for i < k and j < l, e_ij plus e_kl - e_il reduced
+    by ker p on column l and -e_kj by ker q on row k, sorted by pivot, are
+    the Hermite basis: the pivots are distinct and the entries above reduced.
+    """
+    if not (isinstance(p, ToricPresentation) and isinstance(q, ToricPresentation)):
+        raise TypeError("product factors must be ToricPresentations")
+    if kind not in ("tensor", "segre"):
+        raise ValueError(f"product kind must be 'tensor' or 'segre', not {kind!r}")
+    kp, kq = linalg.integer_kernel(p.matrix), linalg.integer_kernel(q.matrix)
+    m, n = p.ncols, q.ncols
+    if kind == "tensor":
+        pres, basis = tensor(p, q), [v + [0] * n for v in kp] + [[0] * m + v for v in kq]
+    else:
+        def grid(col, row, cell=-1):  # col and row overwrite a 1 at the corner -1
+            v = [0] * (m * n)
+            v[cell], v[n - 1::n], v[-n:] = 1, col, row
+            v[-1] += col[-1]
+            return v
+        pres, basis, lifts = segre(p, q), [], {_pivot(v): [grid(v, [0] * n)] for v in kp}
+        rows = [_reduced([-(c == j) for c in range(n)], kq) for j in range(n - 1)]
+        for i in range(m - 1):
+            col = _reduced([(r == m - 1) - (r == i) for r in range(m)], kp)
+            basis += [grid(col, row, i * n + j) for j, row in enumerate(rows)] + lifts.get(i, [])
+        basis += [grid([0] * m, v) for v in kq]
+    return pres, _annihilating(pres.matrix, basis)
+
+
+def _pivot(v):
+    return next(k for k, x in enumerate(v) if x)
+
+
+def _reduced(w, basis):
+    """w reduced at the pivots of the Hermite basis rows."""
+    for h in basis:
+        t = w[_pivot(h)] // h[_pivot(h)]
+        w = [x - t * y for x, y in zip(w, h)]
+    return w
+
+
+def _annihilating(matrix, vectors):
+    """The vectors as tuples, once each has A v = 0, read off its nonzeros."""
+    cols = list(zip(*matrix))
     for v in vectors:
-        if any(sum(map(mul, row, v)) for row in p.matrix):
-            raise RuntimeError(f"kernel vector {v} does not annihilate {p.matrix}")
-    return tuple(tuple(v) for v in vectors)
+        if any(map(sum, zip(*[[x * a for a in cols[k]] for k, x in enumerate(v) if x]))):
+            raise RuntimeError(f"kernel vector {v} does not annihilate {matrix}")
+    return tuple(map(tuple, vectors))
 
 
 def census(p, n_max, cap=DEFAULT_POINT_CAP):
     """The tuple of counts of distinct semigroup elements of each degree 0..n_max.
 
-    Layer k is the set of sums of k columns.  The distinct columns are
-    split into factors before anything is enumerated.  Each contiguous
-    row split s in 1..nrows-1 is tried, with A the distinct top
-    projections c[:s] and B the distinct bottom projections c[s:]:
+    Layer k is the set of sums of k columns.  The distinct columns are split
+    before anything is enumerated: each contiguous row split s is tried,
+    with A and B the distinct top and bottom projections c[:s] and c[s:].
 
-    * Segre rule: when there are |A| * |B| distinct columns, they are
-      exactly A x B, so layer k is layer_k(A) x layer_k(B) and the counts
-      multiply.  This holds for any column set, graded or not.
-    * Tensor rule: when every column vanishes on one of the two blocks,
-      layer k is the union over j of layer_j(top) x layer_{k-j}(bottom)
-      and the counts convolve.  The union is disjoint when a block is
-      graded, and both blocks of a graded column set are: the
-      certificate restricted to a block grades it.  A Segre factor need
-      not be graded (stacking the columns of I2 over 0 and over 1 gives
-      the factor [0 1]), so inside one only the Segre rule and
-      enumeration apply.
+    * Segre rule: with |A| * |B| distinct columns they are exactly A x B,
+      so layer k is layer_k(A) x layer_k(B) and the counts multiply, for
+      any column set, graded or not.
+    * Tensor rule: when every column vanishes on one block, layer k is the
+      union over j of layer_j(top) x layer_{k-j}(bottom), disjoint when a
+      block is graded, and the counts convolve.  The certificate grades
+      both blocks of a graded set; a Segre factor need not be graded (I2
+      stacked over 0 and over 1 gives [0 1]), so inside one only the Segre
+      rule and enumeration apply.
 
-    Both factors recurse, and a column set that no split applies to is
-    enumerated: layer k + 1 is layer k plus each code of _packing, stepped
-    as a bitset when the box has at most _BITSET_BOX bits and at most
-    _BITS_PER_MULTISET per multiset of n_max codes, a bound on the points
-    of layer n_max, and as a set of ints when not.  A bitset step costs
-    the box and a set step the points, a point about as much as a
-    thousand bits, so the set step wins only on sparse boxes, from
-    entries far apart such as 10**9.  Every factor yields its layer sizes one degree at a time, and
-    ResourceCap is raised as soon as the running total of the layer sizes
-    of p, the number of points an enumeration of p would build, exceeds
-    cap.  So the work done before a cap stop is bounded by the layers
-    already counted.
+    Both factors recurse.  A set no split applies to is enumerated: layer
+    k + 1 is layer k plus each code of _packing, stepped as a bitset while
+    the box has at most _BITSET_BOX bits and _BITS_PER_MULTISET per
+    multiset of n_max codes (a bound on the points of layer n_max), else as
+    a set of ints.  A bitset step costs the box and a set step the points,
+    a point about a thousand bits, so sets win only on sparse boxes, from
+    entries far apart such as 10**9.  Layer sizes come one degree at a
+    time, and ResourceCap is raised once their running total, the points
+    an enumeration of p would build, exceeds cap: the work before a cap
+    stop is bounded by the layers already counted.
     """
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
@@ -152,13 +186,11 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
 
 
 def _layer_sizes(cols, graded, n_max):
-    """Iterator over the layer sizes 0..n_max of a set of distinct columns.
-
-    graded says that some linear form gives every column degree 1.  The
-    split rules are those of census.  Splits nearest the middle row are
-    tried first, so a product of many factors, such as a polynomial ring
-    in a thousand variables, recurses to a depth logarithmic in its rows.
-    """
+    """Iterator over the layer sizes 0..n_max of a set of distinct columns,
+    graded when a linear form gives every column degree 1, by the splits of
+    census.  Splits nearest the middle row come first, so a product of many
+    factors, such as a polynomial ring in a thousand variables, recurses to
+    a depth logarithmic in its rows."""
     nrows = len(next(iter(cols)))
     for s in sorted(range(1, nrows), key=lambda s: abs(2 * s - nrows)):
         tops, bottoms = {c[:s] for c in cols}, {c[s:] for c in cols}
@@ -189,10 +221,9 @@ def _packing(cols, n_max):
     """The columns coded as ints, and the size of the box of the codes.
 
     Only the coordinates at the pivots of the row Hermite form of the
-    differences c - c0 are kept.  Two points of one layer differ by a
-    vector in their span, which is zero only if zero at every pivot, so
-    the kept coordinates tell the points of a layer apart.  Each becomes
-    one mixed-radix digit: shifted by low, its minimum over the columns,
+    differences c - c0 are kept: two points of one layer differ by a vector
+    in their span, zero only if zero at every pivot.  Each kept coordinate
+    is one mixed-radix digit, shifted by low, its minimum over the columns,
     with radix n_max * (max - low) + 1.  A degree-k code then encodes its
     point minus k * low, one bias for the whole layer, and no digit of a
     sum of at most n_max columns exceeds n_max * (max - low), so no digit

@@ -1,11 +1,11 @@
 """Library entry points end in a documented way on any argument.
 
-The seven public callables of cohomo, toric.validate,
+The seven public callables of cohomo, toric.validate, toric.product_kernel,
 oracle.monomial_factor, the HilbertSeries constructor, coeff, shift and
-window of a fixed series and integer_points of a fixed TwistInterval
-each get arguments drawn from a small grammar:
-ints, huge ints, floats, Fractions, None, strings and nested tuples of
-these; window's cap is at most the default one.  Each call must return,
+window of a fixed series and integer_points of a fixed TwistInterval each
+get arguments drawn from a small grammar: ints, huge ints, floats,
+Fractions, None, strings and nested tuples of these; window's cap is at
+most the default one.  Each call must return,
 or raise TypeError, ValueError, a DomainError or ResourceCap, within two
 seconds; any other exception fails the test as it propagates.
 """
@@ -20,13 +20,13 @@ from segrecm import cohomo
 from segrecm.errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
 from segrecm.oracle import monomial_factor
 from segrecm.series import HilbertSeries
-from segrecm.toric import validate
+from segrecm.toric import product_kernel, validate
 
 SERIES = HilbertSeries([(0, 1), (1, 1)], 3)
 ENTRY_POINTS = {f.__name__: f for f in (
     cohomo.cohomology_support, cohomo.cm_uniform_twist, cohomo.cm_uniform_twist_raw,
     cohomo.cm_chain, cohomo.anticanonical_cm_m2, cohomo.cm_twist_interval,
-    cohomo.canonical_power_cm, validate, monomial_factor, HilbertSeries,
+    cohomo.canonical_power_cm, validate, product_kernel, monomial_factor, HilbertSeries,
     SERIES.coeff, SERIES.shift, SERIES.window, cohomo.cm_twist_interval([4, 2]).integer_points)}
 DOCUMENTED = (TypeError, ValueError, DomainError, ResourceCap)
 
@@ -78,6 +78,8 @@ calls = st.sampled_from(sorted(ENTRY_POINTS)).flatmap(
 @example(call=("validate", (((1, 2), (3,)),)))
 @example(call=("HilbertSeries", (((0, 1), (10**200, -1)), 1)))
 @example(call=("window", (-5, 2**64 + 1)))
+@example(call=("product_kernel", ("segre", ((1, 0), (0, 1)), validate([[1]]))))
+@example(call=("product_kernel", ("join", validate([[1]]), validate([[1]]))))
 def test_every_call_ends_in_a_documented_way(call):
     name, args = call
     start = time.perf_counter()

@@ -28,6 +28,10 @@ MATRICES = {
     "I3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     "A": [[1, 1, 1, 1], [0, 1, 2, 3]],
     "B": [[1, 1, 1], [0, 1, 2]],
+    # x^3, y^3, z^3, x^2 y, y z^2: the kernel has pivot 2
+    "C": [[3, 0, 0, 2, 0], [0, 3, 0, 1, 1], [0, 0, 3, 0, 2]],
+    "R": [[1, 1, 0], [0, 0, 1]],  # a repeated column
+    "P": [[1]],  # one column
 }
 
 CORPUS = [
@@ -103,6 +107,16 @@ CORPUS = [
     "classify depth --dims 4,3,5 --ainv -5,-1,-2 --shifts -2,3,0",
     "classify depth --dims 2,2,2,2 --ainv -2,-2,-2,-2 --shifts 1,-1,2,0",
     "--cap 3 classify depth --dims 2,2,2,2 --ainv 0,0,0,0 --shifts 0,0,0,0",
+    # product kernels read off the factors: a factor kernel with pivot 2
+    # on either side, a repeated column and a one-column factor
+    "toric segre --left {B} --right {C}",
+    "toric segre --left {C} --right {B}",
+    "toric tensor --left {C} --right {B}",
+    "toric segre --left {R} --right {A} --census 3",
+    "toric tensor --left {R} --right {R}",
+    "toric segre --left {P} --right {C}",
+    "toric segre --left {C} --right {P}",
+    "toric tensor --left {I2} --right {P} --census 3",
     # usage and domain errors print nothing on stdout
     "classify nonsense",
     "classify cm-twist --rho 2,3 --a 1",

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from segrecm import toric
 from segrecm.errors import NotStandardGraded, ResourceCap
+from segrecm.linalg import integer_kernel
 from segrecm.oracle import _levels, toric_factor
 from segrecm.toric import (ToricPresentation, _bit_layers, _packing,
-                           _set_layers, census, kernel_lattice, segre, tensor,
-                           validate)
+                           _set_layers, census, kernel_lattice, product_kernel,
+                           segre, tensor, validate)
 
 from oracles import (census_by_multisets, gauss_rank, points_by_multisets,
                      smith_diagonal)
@@ -222,6 +224,75 @@ class TestKernelLattice:
             kernel_lattice(CUBIC)
         assert str(err.value) == (
             "kernel vector [1, -1, 0] does not annihilate ((1, 1, 1), (0, 1, 2))")
+
+
+def identity(n):
+    return validate([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+# x^3, y^3, z^3, x^2 y, y z^2, the cubic set of VERONESE_CUBICS in
+# test_linalg.py: its kernel has a pivot 2; and the degree-2 Veronese of
+# K[x,y,z], the other factor of VERONESE_CUBICS
+CUBIC_SET = validate([[3, 0, 0, 2, 0], [0, 3, 0, 1, 1], [0, 0, 3, 0, 2]])
+VERONESE = as_presentation([(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)])
+
+
+@st.composite
+def monomial_presentations(draw):
+    """One to five monomials of one degree d in one to three variables,
+    repeats allowed, graded by 1/d: kernels with pivots above 1 occur."""
+    nvars, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    monomials = [m for m in itertools.product(range(d + 1), repeat=nvars) if sum(m) == d]
+    return as_presentation(draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=5)))
+
+
+product_factors = st.one_of(
+    st.sampled_from([identity(1), identity(2), identity(3), CUBIC, CUBIC_SET]),
+    signed_presentations(), monomial_presentations())
+
+
+class TestProductKernel:
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(product_factors, product_factors)
+    @example(CUBIC_SET, VERONESE)
+    @example(VERONESE, CUBIC_SET)
+    @example(identity(1), CUBIC_SET)  # a one-column factor on either side
+    @example(CUBIC_SET, identity(1))
+    @example(validate([[1, 1, 0], [0, 0, 1]]), CUBIC)  # a repeated column
+    def test_matches_elimination_on_the_product(self, p, q):
+        for kind, build in (("tensor", tensor), ("segre", segre)):
+            pres, basis = product_kernel(kind, p, q)
+            assert pres == build(p, q)
+            assert basis == tuple(map(tuple, integer_kernel(pres.matrix)))
+
+    def test_cubic_set_kernel_has_pivot_2(self):
+        kernel = integer_kernel(CUBIC_SET.matrix)
+        assert [next(x for x in row if x) for row in kernel] == [2, 1]
+
+    def test_wrong_factor_basis_fails_the_annihilation_check(self, monkeypatch):
+        # (1, -1, 0) is no relation of CUBIC; its lift and every grid
+        # vector reduced by it carry the wrong row sums into the product
+        real = toric.linalg.integer_kernel
+        monkeypatch.setattr(toric.linalg, "integer_kernel",
+                            lambda rows: [[1, -1, 0]] if rows == CUBIC.matrix else real(rows))
+        with pytest.raises(RuntimeError) as err:
+            product_kernel("segre", CUBIC, I2)
+        assert str(err.value) == (
+            "kernel vector [1, 0, 0, -1, -1, 1] does not annihilate "
+            "((1, 1, 1, 1, 1, 1), (0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1))")
+        with pytest.raises(RuntimeError) as err:
+            product_kernel("tensor", I2, CUBIC)
+        assert str(err.value) == (
+            "kernel vector [0, 0, 1, -1, 0] does not annihilate "
+            "((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 1), (0, 0, 0, 1, 2))")
+
+    def test_bad_arguments(self):
+        with pytest.raises(TypeError):
+            product_kernel("segre", I2.matrix, I2)
+        with pytest.raises(TypeError):
+            product_kernel("tensor", I2, None)
+        with pytest.raises(ValueError):
+            product_kernel("join", I2, I2)
 
 
 class TestCensus:
