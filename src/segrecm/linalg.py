@@ -43,15 +43,20 @@ def _echelon(rows):
     return pivots
 
 
-def _hermite(pivots, cols):
-    """Row Hermite normal form of the _echelon pivots on the range cols, dense on cols."""
+def hermite(pivots, cols):
+    """Row Hermite normal form, dense on the range cols, of echelon pivots
+    (c, row) by increasing c, as _echelon returns: row[c] > 0 and row zero
+    before c.  Pivots off cols are dropped; the rest must be zero off cols."""
     pivots = [(c, p) for c, p in pivots if c in cols]
     for k, (c, p) in enumerate(pivots):
         for _, row in pivots[:k]:
-            q = row.get(c, 0) // p[c]
-            if q:
+            if c in row and (q := row[c] // p[c]):
                 _subtract(row, q, p)
-    return [[row.get(j, 0) for j in cols] for _, row in pivots]
+    dense = [[0] * len(cols) for _ in pivots]
+    for v, (_, row) in zip(dense, pivots):
+        for j, x in row.items():
+            v[j - cols.start] = x
+    return dense
 
 
 def solve_right(a_rows, b):
@@ -97,4 +102,4 @@ def integer_kernel(a_rows):
     # last rows first: ties pivot on late columns, mostly free in the answer
     rows = [{m + i: 1} | {j: v for j, v in enumerate(map(index, col)) if v}
             for i, col in reversed(list(enumerate(zip(*a_rows))))]
-    return _hermite(_echelon(rows), range(m, m + n))
+    return hermite(_echelon(rows), range(m, m + n))

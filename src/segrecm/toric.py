@@ -72,6 +72,7 @@ def validate(matrix):
 
 def tensor(p, q):
     """Block diagonal presentation of the tensor product."""
+    _check_presentations(p, q)
     top = tuple(tuple(row) + (0,) * q.ncols for row in p.matrix)
     bottom = tuple((0,) * p.ncols + tuple(row) for row in q.matrix)
     return ToricPresentation(top + bottom, p.grading + q.grading)
@@ -80,6 +81,7 @@ def tensor(p, q):
 def segre(p, q):
     """Presentation of the degreewise product: the stacked pairs (a_i over
     b_j) in row-major (i, j) order, graded by p's certificate and zeros."""
+    _check_presentations(p, q)
     q_cols = q.columns()
     cols = [ai + bj for ai in p.columns() for bj in q_cols]
     return ToricPresentation(tuple(zip(*cols)), p.grading + (Fraction(0),) * q.nrows)
@@ -87,6 +89,7 @@ def segre(p, q):
 
 def kernel_lattice(p):
     """Basis rows of {c : A c = 0}, saturated, in canonical row form."""
+    _check_presentations(p)
     return _annihilating(p.matrix, linalg.integer_kernel(p.matrix))
 
 
@@ -97,12 +100,11 @@ def product_kernel(kind, p, q):
     A vector on the grid of Segre columns (i, j) is a relation exactly when
     its row sums are one of p and its column sums one of q, and relations of
     a graded factor sum to 0.  So with (k, l) the last cell, ker p on column
-    l, ker q on row k and, for i < k and j < l, e_ij plus e_kl - e_il reduced
-    by ker p on column l and -e_kj by ker q on row k, sorted by pivot, are
-    the Hermite basis: the pivots are distinct and the entries above reduced.
+    l, ker q on row k and e_ij - e_il - e_kj + e_kl for i < k and j < l span
+    the relations, each led by a distinct cell, and linalg.hermite of them
+    is the Hermite basis.
     """
-    if not (isinstance(p, ToricPresentation) and isinstance(q, ToricPresentation)):
-        raise TypeError("product factors must be ToricPresentations")
+    _check_presentations(p, q)
     if kind not in ("tensor", "segre"):
         raise ValueError(f"product kind must be 'tensor' or 'segre', not {kind!r}")
     kp, kq = linalg.integer_kernel(p.matrix), linalg.integer_kernel(q.matrix)
@@ -110,30 +112,19 @@ def product_kernel(kind, p, q):
     if kind == "tensor":
         pres, basis = tensor(p, q), [v + [0] * n for v in kp] + [[0] * m + v for v in kq]
     else:
-        def grid(col, row, cell=-1):  # col and row overwrite a 1 at the corner -1
-            v = [0] * (m * n)
-            v[cell], v[n - 1::n], v[-n:] = 1, col, row
-            v[-1] += col[-1]
-            return v
-        pres, basis, lifts = segre(p, q), [], {_pivot(v): [grid(v, [0] * n)] for v in kp}
-        rows = [_reduced([-(c == j) for c in range(n)], kq) for j in range(n - 1)]
-        for i in range(m - 1):
-            col = _reduced([(r == m - 1) - (r == i) for r in range(m)], kp)
-            basis += [grid(col, row, i * n + j) for j, row in enumerate(rows)] + lifts.get(i, [])
-        basis += [grid([0] * m, v) for v in kq]
+        pres, last_row = segre(p, q), (m - 1) * n
+        rows = [{i * n + n - 1: x for i, x in enumerate(v) if x} for v in kp]
+        rows += [{last_row + j: x for j, x in enumerate(v) if x} for v in kq]
+        rows += [{i * n + j: 1, i * n + n - 1: -1, last_row + j: -1, last_row + n - 1: 1}
+                 for i in range(m - 1) for j in range(n - 1)]
+        basis = linalg.hermite(sorted((min(row), row) for row in rows), range(m * n))
     return pres, _annihilating(pres.matrix, basis)
 
 
-def _pivot(v):
-    return next(k for k, x in enumerate(v) if x)
-
-
-def _reduced(w, basis):
-    """w reduced at the pivots of the Hermite basis rows."""
-    for h in basis:
-        t = w[_pivot(h)] // h[_pivot(h)]
-        w = [x - t * y for x, y in zip(w, h)]
-    return w
+def _check_presentations(*ps):
+    for p in ps:
+        if not isinstance(p, ToricPresentation):
+            raise TypeError(f"expected a ToricPresentation, not {type(p).__name__}")
 
 
 def _annihilating(matrix, vectors):
@@ -173,6 +164,7 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
     an enumeration of p would build, exceeds cap: the work before a cap
     stop is bounded by the layers already counted.
     """
+    _check_presentations(p)
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
     check_cap(0, cap, "semigroup census")  # read the cap before any split is tried

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrecm.linalg import _echelon, _hermite, integer_kernel, pivot_columns, solve_right
+from segrecm.linalg import _echelon, hermite, integer_kernel, pivot_columns, solve_right
 
 from oracles import dense_hermite_rows, dense_integer_kernel, solve_by_rref
 
@@ -19,7 +19,7 @@ def hermite_rows(rows):
     """linalg's row Hermite form of a nonempty dense integer matrix, padded
     with zero rows to the matrix's row count."""
     n = len(rows[0])
-    h = _hermite(_echelon([{j: v for j, v in enumerate(row) if v} for row in rows]), range(n))
+    h = hermite(_echelon([{j: v for j, v in enumerate(row) if v} for row in rows]), range(n))
     return h + [[0] * n for _ in rows[len(h):]]
 
 

@@ -259,6 +259,9 @@ class TestProductKernel:
     @example(identity(1), CUBIC_SET)  # a one-column factor on either side
     @example(CUBIC_SET, identity(1))
     @example(validate([[1, 1, 0], [0, 0, 1]]), CUBIC)  # a repeated column
+    @example(VERONESE, VERONESE)
+    @example(CUBIC_SET, CUBIC_SET)  # pivot 2 on both sides
+    @example(as_presentation(CUBES), as_presentation(CUBES))  # Ver(3,3) twice, 100 columns
     def test_matches_elimination_on_the_product(self, p, q):
         for kind, build in (("tensor", tensor), ("segre", segre)):
             pres, basis = product_kernel(kind, p, q)
