@@ -4,11 +4,11 @@ Usage: segrecm [--format json|text] [--cap N] COMMAND SUBCOMMAND --flag value ..
 with the commands toric, hilbert, classify and oracle, each importing only
 the library modules it runs, on first use.  Global flags go before the
 command.  Flags take '--flag value' or '--flag=value', typed when read (the
-last given wins); -h or --help prints help from COMMANDS.  The flag types
-are the only readers of text: the library takes values.  A successful run
-prints one report object with the fields command, inputs, results,
-assumptions, version, keys sorted and rationals as lowest-terms "p/q"
-strings, so identical invocations produce identical bytes.
+last given wins); -h or --help anywhere on the command line prints the
+usage.  The flag types are the only readers of text: the library takes
+values.  A successful run prints one report object with the fields command,
+inputs, results, assumptions, version, keys sorted and rationals as
+lowest-terms "p/q" strings, so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap (also
 for a report integer longer than str() may convert), and 141 (128 + SIGPIPE,
@@ -244,7 +244,6 @@ TORIC = {"type": lambda path: lib.oracle.toric_factor(_matrix(path))}
 PRODUCT = {"--left": MATRIX, "--right": MATRIX, "--census": INT}
 GLOBALS = {"--format": {"choices": ("json", "text"), "default": "json"},
            "--cap": {"type": _cap, "default": DEFAULT_POINT_CAP}}
-HELP = ("-h", "--help")
 
 # command -> (help, {subcommand: (handler, {flag: spec})}); a spec may give
 # the flag's type, choices and default (else None), or make it required
@@ -279,10 +278,6 @@ COMMANDS = {
 }
 
 
-class _Help(Exception):
-    """-h or --help stood where a flag, command or subcommand belongs."""
-
-
 def _usage():
     """Help text generated from GLOBALS and COMMANDS."""
     def synopsis(spec):
@@ -304,8 +299,6 @@ def _flags(tokens, spec):
     values = {flag[2:]: keys.get("default") for flag, keys in spec.items()}
     while tokens and tokens[-1].startswith("-"):
         flag, eq, text = tokens.pop().partition("=")
-        if flag in HELP:
-            raise _Help
         if flag not in spec or not (eq or tokens):
             raise ValueError(f"{flag} expects a value" if flag in spec else f"unknown flag {flag}")
         keys, text = spec[flag], text if eq else tokens.pop()
@@ -323,12 +316,10 @@ def _flags(tokens, spec):
 
 def _parse(argv):
     """Options of argv: global flags, then the command, subcommand and its flags."""
-    tokens, table = list(argv)[::-1], COMMANDS
+    tokens, table = argv[::-1], COMMANDS
     options = _flags(tokens, GLOBALS)
     for what in ("command", "subcommand"):
         word = tokens.pop() if tokens else None
-        if word in HELP:
-            raise _Help
         if word not in table:
             raise ValueError(f"{what} {word!r} is not one of {', '.join(table)}")
         options[what] = word
@@ -348,19 +339,22 @@ def _text_lines(prefix, value):
 
 
 def run(argv=None):
-    """Parse argv, run one subcommand, print the report, return exit code."""
+    """Print the usage when argv holds -h or --help, else run one subcommand; return exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _parse(sys.argv[1:] if argv is None else argv)
-        inputs, results, assumptions = ns.handler(ns)
-        report = {"command": f"{ns.command} {ns.subcommand}", "inputs": inputs,
-                  "results": results, "assumptions": assumptions, "version": __version__}
-        try:
-            text = REPORT_ENCODER.encode(report) if ns.format == "json" else "\n".join(_text_lines("", report))
-        except ValueError:  # an int longer than str() may convert
-            raise ResourceCap("report integer: more digits than sys.get_int_max_str_digits() "
-                              f"= {sys.get_int_max_str_digits()}") from None
-    except _Help:
-        text = _usage()
+        if {"-h", "--help"}.intersection(argv):
+            text = _usage()
+        else:
+            ns = _parse(argv)
+            inputs, results, assumptions = ns.handler(ns)
+            report = {"command": f"{ns.command} {ns.subcommand}", "inputs": inputs,
+                      "results": results, "assumptions": assumptions, "version": __version__}
+            try:
+                text = (REPORT_ENCODER.encode(report) if ns.format == "json"
+                        else "\n".join(_text_lines("", report)))
+            except ValueError:  # an int longer than str() may convert
+                raise ResourceCap("report integer: more digits than sys.get_int_max_str_digits() "
+                                  f"= {sys.get_int_max_str_digits()}") from None
     except ResourceCap as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 4

@@ -99,7 +99,6 @@ def integer_kernel(a_rows):
     A^T dropped unreduced, is the unique Hermite basis of the saturated kernel.
     """
     m, n = len(a_rows), len(a_rows[0])
-    # last rows first: ties pivot on late columns, mostly free in the answer
     rows = [{m + i: 1} | {j: v for j, v in enumerate(map(index, col)) if v}
-            for i, col in reversed(list(enumerate(zip(*a_rows))))]
+            for i, col in enumerate(zip(*a_rows))]
     return hermite(_echelon(rows), range(m, m + n))

@@ -575,6 +575,13 @@ class TestParse:
             for name, (_, flags) in subcommands.items():
                 assert set(flags) <= words[command, name], (command, name)
 
+    @pytest.mark.parametrize("argv", [["toric", "census", "--matrix", "-h"],
+                                      ["nonsense", "-h"], ["--format", "--help"]])
+    def test_help_token_anywhere_prints_the_usage(self, capsys, argv):
+        # help is decided before parsing: a help token read as a flag's
+        # value, or after a usage error, still prints the usage
+        assert invoke(capsys, argv) == invoke(capsys, ["--help"]) != (0, "")
+
     @pytest.mark.parametrize("argv", [
         [],
         ["--format", "text"],

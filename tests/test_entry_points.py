@@ -1,14 +1,15 @@
 """Library entry points end in a documented way on any argument.
 
 The seven public callables of cohomo, the six of toric (validate,
-product_kernel, census, segre, tensor and kernel_lattice),
-oracle.monomial_factor, the HilbertSeries constructor, coeff, shift and
-window of a fixed series and integer_points of a fixed TwistInterval each
-get arguments drawn from a small grammar: ints, huge ints, floats,
-Fractions, None, strings and nested tuples of these; window's cap is at
-most the default one.  Each call must return,
-or raise TypeError, ValueError, a DomainError or ResourceCap, within two
-seconds; any other exception fails the test as it propagates.
+product_kernel, census, segre, tensor and kernel_lattice), the three of
+oracle (monomial_factor, toric_factor and friendliness), the HilbertSeries
+constructor, coeff, shift, window and hadamard of a fixed series and
+integer_points of a fixed TwistInterval each get arguments drawn from a
+small grammar: ints, huge ints, floats, Fractions, None, strings and
+nested tuples of these; window's cap is at most the default one.  Each
+call must return, or raise TypeError, ValueError, a DomainError or
+ResourceCap, within two seconds; any other exception fails the test as it
+propagates.
 """
 
 import inspect
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from segrecm import cohomo
 from segrecm.errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
-from segrecm.oracle import monomial_factor
+from segrecm.oracle import friendliness, monomial_factor, toric_factor
 from segrecm.series import HilbertSeries
 from segrecm.toric import census, kernel_lattice, product_kernel, segre, tensor, validate
 
@@ -28,8 +29,8 @@ ENTRY_POINTS = {f.__name__: f for f in (
     cohomo.cohomology_support, cohomo.cm_uniform_twist, cohomo.cm_uniform_twist_raw,
     cohomo.cm_chain, cohomo.anticanonical_cm_m2, cohomo.cm_twist_interval,
     cohomo.canonical_power_cm, validate, product_kernel, census, segre, tensor,
-    kernel_lattice, monomial_factor, HilbertSeries, SERIES.coeff, SERIES.shift,
-    SERIES.window, cohomo.cm_twist_interval([4, 2]).integer_points)}
+    kernel_lattice, monomial_factor, toric_factor, friendliness, HilbertSeries, SERIES.coeff,
+    SERIES.shift, SERIES.window, SERIES.hadamard, cohomo.cm_twist_interval([4, 2]).integer_points)}
 DOCUMENTED = (TypeError, ValueError, DomainError, ResourceCap)
 
 ints = st.one_of(st.integers(-6, 6), st.sampled_from([10**200, -10**200, 2**64 + 1]))
@@ -86,6 +87,9 @@ calls = st.sampled_from(sorted(ENTRY_POINTS)).flatmap(
 @example(call=("kernel_lattice", (((1, 2),),)))
 @example(call=("segre", (((1,),), validate([[1]]))))
 @example(call=("tensor", (validate([[1]]), ((1,),))))
+@example(call=("toric_factor", ([[1, 0], [0, 1]],)))
+@example(call=("friendliness", ([[1]], [[1]], 0, 0, -2, 2)))
+@example(call=("hadamard", ([(0, 1)],)))
 def test_every_call_ends_in_a_documented_way(call):
     name, args = call
     start = time.perf_counter()

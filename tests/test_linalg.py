@@ -154,6 +154,9 @@ def test_veronese_cubics_kernel_has_pivot_2():
 @example([[0, 0, 0], [0, 0, 0]])  # the zero matrix
 @example([[4], [-6], [0]])  # a single column
 @example(VERONESE_CUBICS)
+# the Segre product of K[x,y] and K[x,y,z]: rows 1 + 2 and 3 + 4 + 5 agree, rank 4 of 5
+@example([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1],
+          [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
 def test_sparse_routines_match_dense_references(a):
     h = dense_hermite_rows(a)
     assert hermite_rows(a) == h
