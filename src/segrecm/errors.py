@@ -21,6 +21,13 @@ class Record:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def check(cls, *values):
+        """Raise TypeError for the first of the values that is not a cls."""
+        for value in values:
+            if not isinstance(value, cls):
+                raise TypeError(f"expected a {cls.__name__}, not {type(value).__name__}")
+
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
 

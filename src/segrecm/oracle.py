@@ -93,8 +93,8 @@ def monomial_factor(names, relations):
 
 def toric_factor(pres):
     """The semigroup ring of a toric presentation."""
-    from .toric import _check_presentations  # loaded with the presentation, not with oracle
-    _check_presentations(pres)
+    from .toric import ToricPresentation  # imported when called, so loading oracle loads no toric
+    ToricPresentation.check(pres)
     return Factor(f"toric[{pres.nrows}x{pres.ncols}]", tuple(pres.columns()), ())
 
 
@@ -290,8 +290,7 @@ def friendliness(factor1, factor2, shift1, shift2, i_lo, i_hi, cap=DEFAULT_POINT
     neither factor has relations ("toric Hom candidates"), signatures
     otherwise ("monomial Hom candidates").  Raises WindowTooSmall when
     R(a) # S(b) is zero."""
-    if not isinstance(factor1, Factor) or not isinstance(factor2, Factor):
-        raise TypeError(f"expected Factors, not {type(factor1).__name__}, {type(factor2).__name__}")
+    Factor.check(factor1, factor2)
     shift1, shift2, i_lo, i_hi = map(index, (shift1, shift2, i_lo, i_hi))
     if i_lo > i_hi:
         raise ValueError(f"hom window {i_lo}..{i_hi} is empty")

@@ -104,8 +104,7 @@ class HilbertSeries(Record):
         D is reduced) and its D-th difference, the t^n coefficient of the
         stream times (1 - t)^D, vanishes for n > top; below lo it is 0.
         """
-        if not isinstance(other, HilbertSeries):
-            raise TypeError(f"expected a HilbertSeries, not {type(other).__name__}")
+        HilbertSeries.check(other)
         poly, rest = sorted((self, other), key=lambda h: (h.denom_power, len(h.numerator)))
         if not poly.denom_power:
             check_cap(len(poly.numerator), cap, "Hadamard coefficient stream")

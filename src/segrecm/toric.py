@@ -30,17 +30,13 @@ class ToricPresentation(Record):
     _fields = ("matrix", "grading")
 
     def __init__(self, matrix, grading):
-        super().__init__(matrix, grading)
-        if not matrix or not matrix[0]:
-            raise NotStandardGraded("presentation matrix must be nonempty")
-        if any(len(row) != len(matrix[0]) for row in matrix):
-            raise NotStandardGraded("presentation matrix rows have unequal length")
+        super().__init__(self._rectangular(matrix), grading)
         if len(grading) != len(matrix):
             raise NotStandardGraded("grading length does not match row count")
-        denom = lcm(*(l.denominator for l in grading))
+        denom = lcm(*(getattr(l, "denominator", None) for l in grading))  # lcm(None): TypeError
         nums = [l.numerator * (denom // l.denominator) for l in grading]
         for j, col in enumerate(self.columns()):
-            deg = sum(map(mul, nums, col))
+            deg = sum(map(mul, nums, map(index, col)))
             if deg != denom:
                 raise NotStandardGraded(
                     f"column {j} = {col} has certificate degree {Fraction(deg, denom)}, not 1")
@@ -56,13 +52,19 @@ class ToricPresentation(Record):
     def columns(self):
         return list(zip(*self.matrix))
 
+    @staticmethod
+    def _rectangular(matrix):
+        if not matrix or not matrix[0]:
+            raise NotStandardGraded("presentation matrix must be nonempty")
+        if any(len(row) != len(matrix[0]) for row in matrix):
+            raise NotStandardGraded("presentation matrix rows have unequal length")
+        return matrix
+
 
 def validate(matrix):
     """Certify a matrix as a standard graded toric presentation: solve
     lam . A = (1, ..., 1), or raise NotStandardGraded."""
-    rows = [tuple(map(index, row)) for row in matrix]
-    if not rows or not rows[0]:
-        raise NotStandardGraded("presentation matrix must be nonempty")
+    rows = ToricPresentation._rectangular([tuple(map(index, row)) for row in matrix])
     lam = linalg.solve_right(list(zip(*rows)), [1] * len(rows[0]))
     if lam is None:
         raise NotStandardGraded(
@@ -72,7 +74,7 @@ def validate(matrix):
 
 def tensor(p, q):
     """Block diagonal presentation of the tensor product."""
-    _check_presentations(p, q)
+    ToricPresentation.check(p, q)
     top = tuple(tuple(row) + (0,) * q.ncols for row in p.matrix)
     bottom = tuple((0,) * p.ncols + tuple(row) for row in q.matrix)
     return ToricPresentation(top + bottom, p.grading + q.grading)
@@ -81,7 +83,7 @@ def tensor(p, q):
 def segre(p, q):
     """Presentation of the degreewise product: the stacked pairs (a_i over
     b_j) in row-major (i, j) order, graded by p's certificate and zeros."""
-    _check_presentations(p, q)
+    ToricPresentation.check(p, q)
     q_cols = q.columns()
     cols = [ai + bj for ai in p.columns() for bj in q_cols]
     return ToricPresentation(tuple(zip(*cols)), p.grading + (Fraction(0),) * q.nrows)
@@ -89,7 +91,7 @@ def segre(p, q):
 
 def kernel_lattice(p):
     """Basis rows of {c : A c = 0}, saturated, in canonical row form."""
-    _check_presentations(p)
+    ToricPresentation.check(p)
     return _annihilating(p.matrix, linalg.integer_kernel(p.matrix))
 
 
@@ -104,27 +106,20 @@ def product_kernel(kind, p, q):
     the relations, each led by a distinct cell, and linalg.hermite of them
     is the Hermite basis.
     """
-    _check_presentations(p, q)
     if kind not in ("tensor", "segre"):
         raise ValueError(f"product kind must be 'tensor' or 'segre', not {kind!r}")
+    pres, m, n = (tensor if kind == "tensor" else segre)(p, q), p.ncols, q.ncols
     kp, kq = linalg.integer_kernel(p.matrix), linalg.integer_kernel(q.matrix)
-    m, n = p.ncols, q.ncols
     if kind == "tensor":
-        pres, basis = tensor(p, q), [v + [0] * n for v in kp] + [[0] * m + v for v in kq]
+        basis = [v + [0] * n for v in kp] + [[0] * m + v for v in kq]
     else:
-        pres, last_row = segre(p, q), (m - 1) * n
+        last_row = (m - 1) * n
         rows = [{i * n + n - 1: x for i, x in enumerate(v) if x} for v in kp]
         rows += [{last_row + j: x for j, x in enumerate(v) if x} for v in kq]
         rows += [{i * n + j: 1, i * n + n - 1: -1, last_row + j: -1, last_row + n - 1: 1}
                  for i in range(m - 1) for j in range(n - 1)]
         basis = linalg.hermite(sorted((min(row), row) for row in rows), range(m * n))
     return pres, _annihilating(pres.matrix, basis)
-
-
-def _check_presentations(*ps):
-    for p in ps:
-        if not isinstance(p, ToricPresentation):
-            raise TypeError(f"expected a ToricPresentation, not {type(p).__name__}")
 
 
 def _annihilating(matrix, vectors):
@@ -164,7 +159,7 @@ def census(p, n_max, cap=DEFAULT_POINT_CAP):
     an enumeration of p would build, exceeds cap: the work before a cap
     stop is bounded by the layers already counted.
     """
-    _check_presentations(p)
+    ToricPresentation.check(p)
     if n_max < 0:
         raise ValueError(f"census bound must be >= 0, got {n_max}")
     check_cap(0, cap, "semigroup census")  # read the cap before any split is tried

@@ -1,20 +1,24 @@
 """Library entry points end in a documented way on any argument.
 
-The seven public callables of cohomo, the six of toric (validate,
-product_kernel, census, segre, tensor and kernel_lattice), the three of
-oracle (monomial_factor, toric_factor and friendliness), the HilbertSeries
-constructor, coeff, shift, window and hadamard of a fixed series and
-integer_points of a fixed TwistInterval each get arguments drawn from a
-small grammar: ints, huge ints, floats, Fractions, None, strings and
-nested tuples of these; window's cap is at most the default one.  Each
-call must return, or raise TypeError, ValueError, a DomainError or
-ResourceCap, within two seconds; any other exception fails the test as it
-propagates.
+The seven public callables of cohomo, the seven of toric (the
+ToricPresentation constructor, validate, product_kernel, census, segre,
+tensor and kernel_lattice), the three of oracle (monomial_factor,
+toric_factor and friendliness), the HilbertSeries constructor, coeff,
+shift, window and hadamard of a fixed series and integer_points of a fixed
+TwistInterval each get arguments drawn from a small grammar: ints, huge
+ints, floats, Fractions, None, strings and nested tuples of these;
+window's cap is at most the default one.  Each call must return, or raise
+TypeError, ValueError, a DomainError or ResourceCap, within two seconds;
+any other exception fails the test as it propagates.
+
+An argument that stands for a record but is a list gets the TypeError of
+Record.check, which names the record class.
 """
 
 import inspect
 import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,15 +26,17 @@ from segrecm import cohomo
 from segrecm.errors import DEFAULT_POINT_CAP, DomainError, ResourceCap
 from segrecm.oracle import friendliness, monomial_factor, toric_factor
 from segrecm.series import HilbertSeries
-from segrecm.toric import census, kernel_lattice, product_kernel, segre, tensor, validate
+from segrecm.toric import (ToricPresentation, census, kernel_lattice, product_kernel, segre,
+                           tensor, validate)
 
 SERIES = HilbertSeries([(0, 1), (1, 1)], 3)
 ENTRY_POINTS = {f.__name__: f for f in (
     cohomo.cohomology_support, cohomo.cm_uniform_twist, cohomo.cm_uniform_twist_raw,
     cohomo.cm_chain, cohomo.anticanonical_cm_m2, cohomo.cm_twist_interval,
-    cohomo.canonical_power_cm, validate, product_kernel, census, segre, tensor,
-    kernel_lattice, monomial_factor, toric_factor, friendliness, HilbertSeries, SERIES.coeff,
-    SERIES.shift, SERIES.window, SERIES.hadamard, cohomo.cm_twist_interval([4, 2]).integer_points)}
+    cohomo.canonical_power_cm, ToricPresentation, validate, product_kernel, census, segre,
+    tensor, kernel_lattice, monomial_factor, toric_factor, friendliness, HilbertSeries,
+    SERIES.coeff, SERIES.shift, SERIES.window, SERIES.hadamard,
+    cohomo.cm_twist_interval([4, 2]).integer_points)}
 DOCUMENTED = (TypeError, ValueError, DomainError, ResourceCap)
 
 ints = st.one_of(st.integers(-6, 6), st.sampled_from([10**200, -10**200, 2**64 + 1]))
@@ -79,6 +85,8 @@ calls = st.sampled_from(sorted(ENTRY_POINTS)).flatmap(
                (((2, 0, -2), (2, -10**200, -2 - 10**200)), 2**64 + 1)))
 @example(call=("monomial_factor", (("x", "y"), ((10**200, 0),))))
 @example(call=("validate", (((1, 2), (3,)),)))
+@example(call=("ToricPresentation", (((1,),), (None,))))
+@example(call=("ToricPresentation", (((("x",),),), (10**200,))))
 @example(call=("HilbertSeries", (((0, 1), (10**200, -1)), 1)))
 @example(call=("window", (-5, 2**64 + 1)))
 @example(call=("product_kernel", ("segre", ((1, 0), (0, 1)), validate([[1]]))))
@@ -98,3 +106,24 @@ def test_every_call_ends_in_a_documented_way(call):
     except DOCUMENTED:
         pass
     assert time.perf_counter() - start < 2, call
+
+
+I1 = validate([[1]])
+X = monomial_factor(["x"], [[2]])
+LIST_FOR_A_RECORD = {
+    "census": (lambda: census([[1]], 2), "ToricPresentation"),
+    "segre": (lambda: segre(I1, [[1]]), "ToricPresentation"),
+    "tensor": (lambda: tensor([[1]], I1), "ToricPresentation"),
+    "kernel_lattice": (lambda: kernel_lattice([[1]]), "ToricPresentation"),
+    "product_kernel": (lambda: product_kernel("segre", I1, [[1]]), "ToricPresentation"),
+    "toric_factor": (lambda: toric_factor([[1]]), "ToricPresentation"),
+    "friendliness": (lambda: friendliness(X, [[1]], 0, 0, -2, 2), "Factor"),
+    "hadamard": (lambda: SERIES.hadamard([(0, 1)]), "HilbertSeries"),
+}
+
+
+@pytest.mark.parametrize("call, cls", LIST_FOR_A_RECORD.values(), ids=LIST_FOR_A_RECORD)
+def test_a_list_for_a_record_names_the_record_class(call, cls):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"expected a {cls}, not list"

@@ -106,6 +106,26 @@ class TestValidate:
             with pytest.raises(NotStandardGraded):
                 ToricPresentation(matrix, grading)
 
+    def test_grading_rational_and_entries_integers(self):
+        # a grading entry that is not rational, or a matrix entry that is not
+        # an int, is refused, not read as a Fraction or an int
+        for matrix, grading in ((((1,),), (None,)), (((1,),), (1.0,)),
+                                (((1.0,),), (Fraction(1),)), ((("x",),), (2**64 + 1,))):
+            with pytest.raises(TypeError):
+                ToricPresentation(matrix, grading)
+
+    def test_shape_named_before_the_grading_solve(self):
+        # validate reads the constructor's shape checks before zip(*rows)
+        # could truncate a ragged matrix to one that has no grading
+        for matrix, message in (([], "presentation matrix must be nonempty"),
+                                ([[]], "presentation matrix must be nonempty"),
+                                ([[0, 1], [0]], "presentation matrix rows have unequal length"),
+                                ([[0], [0, 1]], "presentation matrix rows have unequal length"),
+                                ([[1, 1], [0]], "presentation matrix rows have unequal length")):
+            with pytest.raises(NotStandardGraded) as exc:
+                validate(matrix)
+            assert str(exc.value) == message
+
 
 class TestTensor:
     def test_identity_blocks(self):
@@ -296,6 +316,9 @@ class TestProductKernel:
             product_kernel("tensor", I2, None)
         with pytest.raises(ValueError):
             product_kernel("join", I2, I2)
+        # the kind is read before the factors' types
+        with pytest.raises(ValueError):
+            product_kernel("join", I2.matrix, I2.matrix)
 
 
 class TestCensus:
