@@ -7,7 +7,7 @@ module name, imports its module on first access: importing one loads no other.""
 __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
-    ("cohomo", "DepthReport TwistInterval Witness anticanonical_cm_m2 canonical_power_cm cm_chain"
+    ("cohomo", "DepthReport TwistInterval Witness anticanonical_cm_m2 canonical_power_cm"
                " cm_twist_interval cm_uniform_twist cm_uniform_twist_raw cohomology_support"),
     ("errors", "BadTwist DimensionTooSmall DomainError NotApplicable NotPositive NotSorted"
                " NotStandardGraded ResourceCap SegreError WindowTooSmall"),

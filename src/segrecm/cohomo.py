@@ -158,7 +158,10 @@ def cm_uniform_twist(rhos, a):
     rhos are the negated a-invariants, sorted non-increasing.  The twists
     a and 1 - a give dual modules, so with b = max(a, 1 - a) the m - 1
     consecutive comparisons below are equivalent to the subset criterion
-    cm_uniform_twist_raw, as the test suite checks."""
+    cm_uniform_twist_raw, as the test suite checks.  For b > 1 they are the
+    chain C^(m-1) rho_m > ... > C rho_2 > rho_1 with C = b/(b-1): times
+    (b-1)/C^j > 0, its link C^(j+1) rho_(j+2) > C^j rho_(j+1) is
+    b rho_(j+2) > (b-1) rho_(j+1)."""
     _, b = _check_twist(a)
     rhos = _check_sorted(rhos)
     return all(b * rhos[l + 1] > (b - 1) * rhos[l] for l in range(len(rhos) - 1))
@@ -181,23 +184,6 @@ def cm_uniform_twist_raw(rhos, a):
     rhos = _check_sorted(sorted(rhos, reverse=True))
     _, tops = _support_scan([a * r for r in rhos], [(a - 1) * r for r in rhos])
     return all(r == len(rhos) - 1 and free == 0 for r, free in tops)
-
-
-def cm_chain(rhos, a):
-    """Chain form of the uniform twist criterion for a twist a outside [0, 1].
-
-    With C = b/(b-1) for b = max(a, 1 - a), the module is Cohen-Macaulay
-    exactly when
-
-        C^(m-1) rho_m > C^(m-2) rho_(m-1) > ... > C rho_2 > rho_1.
-
-    Times (b-1)/C^j > 0, its link C^(j+1) rho_(j+2) > C^j rho_(j+1) is
-    b rho_(j+2) > (b-1) rho_(j+1), the comparison of cm_uniform_twist.
-    """
-    a, b = _check_twist(a)
-    if b <= 1:
-        raise BadTwist(f"chain criterion undefined for twist a = {a}")
-    return cm_uniform_twist(rhos, a)
 
 
 def anticanonical_cm_m2(a1, a2):

@@ -88,7 +88,7 @@ class NotPositive(DomainError):
 
 
 class BadTwist(DomainError):
-    """A twist outside the admissible set: not an integer, or a in {0, 1}."""
+    """A twist that is not an integer."""
 
 
 class DimensionTooSmall(DomainError):

@@ -22,21 +22,21 @@ _BITSET_BOX, _BITS_PER_MULTISET = 1 << 24, 1 << 10
 
 
 class ToricPresentation(Record):
-    """Exponent matrix (a tuple of int tuples) plus a grading certificate,
-    Fractions lam with lam . column == 1 for every column: they exist
-    exactly when the ring is standard graded, and every construction checks
-    them again in integers over the lcm of their denominators."""
+    """Exponent matrix, read into a tuple of int tuples, plus a grading
+    certificate, a tuple of Fractions lam with lam . column == 1 for every
+    column: they exist exactly when the ring is standard graded, and every
+    construction checks them again in integers over the lcm of their denominators."""
 
     _fields = ("matrix", "grading")
 
     def __init__(self, matrix, grading):
-        super().__init__(self._rectangular(matrix), grading)
-        if len(grading) != len(matrix):
+        super().__init__(self._read(matrix), tuple(grading))
+        if len(self.grading) != len(self.matrix):
             raise NotStandardGraded("grading length does not match row count")
-        denom = lcm(*(getattr(l, "denominator", None) for l in grading))  # lcm(None): TypeError
-        nums = [l.numerator * (denom // l.denominator) for l in grading]
+        denom = lcm(*(getattr(l, "denominator", None) for l in self.grading))  # lcm(None): TypeError
+        nums = [l.numerator * (denom // l.denominator) for l in self.grading]
         for j, col in enumerate(self.columns()):
-            deg = sum(map(mul, nums, map(index, col)))
+            deg = sum(map(mul, nums, col))
             if deg != denom:
                 raise NotStandardGraded(
                     f"column {j} = {col} has certificate degree {Fraction(deg, denom)}, not 1")
@@ -53,23 +53,24 @@ class ToricPresentation(Record):
         return list(zip(*self.matrix))
 
     @staticmethod
-    def _rectangular(matrix):
-        if not matrix or not matrix[0]:
+    def _read(matrix):
+        rows = tuple(tuple(map(index, row)) for row in matrix)
+        if not rows or not rows[0]:
             raise NotStandardGraded("presentation matrix must be nonempty")
-        if any(len(row) != len(matrix[0]) for row in matrix):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise NotStandardGraded("presentation matrix rows have unequal length")
-        return matrix
+        return rows
 
 
 def validate(matrix):
     """Certify a matrix as a standard graded toric presentation: solve
     lam . A = (1, ..., 1), or raise NotStandardGraded."""
-    rows = ToricPresentation._rectangular([tuple(map(index, row)) for row in matrix])
+    rows = ToricPresentation._read(matrix)
     lam = linalg.solve_right(list(zip(*rows)), [1] * len(rows[0]))
     if lam is None:
         raise NotStandardGraded(
-            f"no rational grading gives every column of {rows} degree 1")
-    return ToricPresentation(tuple(rows), tuple(lam))
+            f"no rational grading gives every column of {list(rows)} degree 1")
+    return ToricPresentation(rows, lam)
 
 
 def tensor(p, q):

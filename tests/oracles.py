@@ -8,11 +8,11 @@ elimination on whole rows, Smith elementary divisors by unimodular row
 and column operations, graded hom by seed propagation on truncated
 modules and by one dense linear solve, the depth witnesses and uniform
 twist criterion by visiting every subset, two-factor depth by a
-closed-form case split, and the twist interval by its largest ratio in
-Fractions.  They share data structures with the package but not
-algorithms.  format_matrix writes the matrix files that the --matrix flag
-of segrecm.cli reads, and nonzero maps each degree of a friendliness
-report to its dimension where that is not zero.
+closed-form case split, and the uniform twist chain and the twist
+interval by its largest ratio in Fractions.  They share data structures
+with the package but not algorithms.  format_matrix writes the matrix
+files that the --matrix flag of segrecm.cli reads, and nonzero maps each
+degree of a friendliness report to its dimension where that is not zero.
 """
 
 from collections import Counter
@@ -625,6 +625,15 @@ def uniform_twist_by_subsets(rhos, a):
             if not big > small:
                 return False
     return True
+
+
+def chain_by_fractions(rhos, a):
+    """The chain C^(m-1) rho_m > ... > C rho_2 > rho_1 as stated, for
+    non-increasing rhos and C = b/(b - 1), b = max(a, 1 - a) > 1: every
+    C^j rho_(j+1) is taken in Fractions and compared with the next."""
+    b = max(a, 1 - a)
+    values = [Fraction(b, b - 1) ** j * rho for j, rho in enumerate(rhos)]
+    return all(map(Fraction.__lt__, values, values[1:]))
 
 
 def twist_interval_by_fractions(rhos):

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrecm.cohomo import (DepthReport, TwistInterval, anticanonical_cm_m2,
-                            canonical_power_cm, cm_chain, cm_twist_interval,
+                            canonical_power_cm, cm_twist_interval,
                             cm_uniform_twist, cm_uniform_twist_raw,
                             cohomology_support, _check_sorted, _support_scan)
 from segrecm.errors import (BadTwist, DimensionTooSmall, NotApplicable,
                             NotPositive, NotSorted, ResourceCap)
 from segrecm.series import HilbertSeries
 
-from oracles import (prop_depth_m2, support_witnesses, twist_interval_by_fractions,
-                     uniform_twist_by_subsets)
+from oracles import (chain_by_fractions, prop_depth_m2, support_witnesses,
+                     twist_interval_by_fractions, uniform_twist_by_subsets)
 
 # (d, s, h) with s and h from short ranges, so that several factors share
 # a threshold s_i and ties are the common case
@@ -337,8 +337,6 @@ class TestUniformTwist:
         for a in range(-8, 9):
             assert uniform_twist_by_subsets(rhos, a) == uniform_twist_by_subsets(rhos, 1 - a), a
             assert cm_uniform_twist(rhos, a) == cm_uniform_twist(rhos, 1 - a), a
-            if a not in (0, 1):
-                assert cm_chain(rhos, a) == cm_chain(rhos, 1 - a), a
 
     def test_raw_many_factors(self):
         # 300 factors; the consecutive ratio 27/26 allows twists -25..26
@@ -362,8 +360,6 @@ class TestUniformTwist:
                 fast = cm_uniform_twist(rhos, a)
                 raw = cm_uniform_twist_raw(rhos, a)
                 assert fast == raw, (rhos, a)
-                if a not in (0, 1):
-                    assert cm_chain(rhos, a) == fast, (rhos, a)
 
     def test_reduction_from_support_analysis(self):
         # uniform twists are the shifts -a rho_i on factors with a-invariant
@@ -382,8 +378,8 @@ class TestUniformTwist:
 
 class TestChain:
     def test_anticanonical_chain(self):
-        assert cm_chain([3, 2], -1) is True
-        assert cm_chain([4, 2], -1) is False
+        assert cm_uniform_twist([3, 2], -1) is True
+        assert cm_uniform_twist([4, 2], -1) is False
 
     def test_constant_is_two_for_negative_one(self):
         # for a = -1 the chain constant is 2
@@ -393,28 +389,19 @@ class TestChain:
             rhos = sorted((rng.randint(1, 9) for _ in range(m)), reverse=True)
             want = all(Fraction(2) ** (j + 1) * rhos[j + 1] >
                        Fraction(2) ** j * rhos[j] for j in range(m - 1))
-            assert cm_chain(rhos, -1) == want
             assert cm_uniform_twist(rhos, -1) == want
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=20),
            st.integers(-60, 60).filter(lambda a: a not in (0, 1)))
     def test_matches_the_rational_chain(self, rhos, a):
-        # the chain as stated, C^j rho_(j+1) in Fractions, C = b/(b-1)
         rhos = sorted(rhos, reverse=True)
-        b = max(a, 1 - a)
-        values = [Fraction(b, b - 1) ** j * rho for j, rho in enumerate(rhos)]
-        assert cm_chain(rhos, a) == all(map(Fraction.__lt__, values, values[1:]))
+        assert cm_uniform_twist(rhos, a) == chain_by_fractions(rhos, a)
 
     def test_rejects_degenerate_twists(self):
-        # inside (0, 1) the constant C would be negative
-        for a in (0, 1, Fraction(1, 2), Fraction(1, 3)):
-            with pytest.raises(BadTwist):
-                cm_chain([3, 2], a)
-        # a twist is an integer, in all four twist criteria
+        # a twist is an integer, in all three twist criteria
         for a in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2)):
-            for criterion in (cm_uniform_twist, cm_uniform_twist_raw, cm_chain,
-                              canonical_power_cm):
+            for criterion in (cm_uniform_twist, cm_uniform_twist_raw, canonical_power_cm):
                 with pytest.raises(BadTwist):
                     criterion([3, 2], a)
 
@@ -422,7 +409,7 @@ class TestChain:
 class TestTwistReader:
     def test_twist_is_read_as_an_integer(self):
         # read with operator.index, as every other integer input is
-        criteria = (cm_uniform_twist, cm_uniform_twist_raw, cm_chain, canonical_power_cm)
+        criteria = (cm_uniform_twist, cm_uniform_twist_raw, canonical_power_cm)
         for criterion in criteria:
             for a in (1e200, 2.0, Fraction(2)):
                 with pytest.raises(TypeError):
@@ -431,7 +418,7 @@ class TestTwistReader:
                 criterion([3, 2], Fraction(1, 2))
             assert criterion([3, 2], 2) is True
             assert criterion([3, 2], 10**200) is False
-        for criterion in criteria[:3]:
+        for criterion in criteria[:2]:
             assert criterion([2, 2], 10**200) is True
             with pytest.raises(TypeError):
                 criterion([2, 2], 1e200)

@@ -107,12 +107,26 @@ class TestValidate:
                 ToricPresentation(matrix, grading)
 
     def test_grading_rational_and_entries_integers(self):
-        # a grading entry that is not rational, or a matrix entry that is not
-        # an int, is refused, not read as a Fraction or an int
+        # a grading entry that is not rational, a matrix entry that is not an
+        # int, or a mapping, whose rows would be its keys, is refused
         for matrix, grading in ((((1,),), (None,)), (((1,),), (1.0,)),
-                                (((1.0,),), (Fraction(1),)), ((("x",),), (2**64 + 1,))):
+                                (((1.0,),), (Fraction(1),)), ((("x",),), (2**64 + 1,)),
+                                ({1: (1,)}, (1,))):
             with pytest.raises(TypeError):
                 ToricPresentation(matrix, grading)
+
+    def test_constructor_copies_into_tuples(self):
+        # lists are read into a tuple of int tuples and a tuple, so the
+        # record hashes, equals the tuple-built one, and the caller's later
+        # edits do not reach it
+        matrix, grading = [[1, 0], [0, 1]], [1, 1]
+        p = ToricPresentation(matrix, grading)
+        matrix[0][0] = 5
+        grading[0] = 7
+        assert (p.matrix, p.grading) == (((1, 0), (0, 1)), (1, 1))
+        assert p == ToricPresentation(((1, 0), (0, 1)), (1, 1))
+        assert hash(p) == hash(ToricPresentation(((1, 0), (0, 1)), (1, 1)))
+        assert segre(p, p).ncols == 4
 
     def test_shape_named_before_the_grading_solve(self):
         # validate reads the constructor's shape checks before zip(*rows)
